@@ -122,23 +122,23 @@ def _mat_power(m, k):
 # multiplicative order
 
 def _char_poly(m):
-    """Coefficients of det(xI - M), low degree first, integers."""
+    """Coefficients of det(xI - M), low degree first, integers.
+
+    Faddeev-LeVerrier over int: every M_k is an integer polynomial in M,
+    so each division by k is exact.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
     mk = intmat.identity(n)
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    coeffs = [0] * n + [1]
     for k in range(1, n + 1):
-        mk = intmat.mat_mul(a, mk)
-        c = -sum(mk[i][i] for i in range(n)) / k
+        mk = intmat.mat_mul(m, mk)
+        c, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise RuntimeError("characteristic polynomial is not integral")
         coeffs[n - k] = c
         for i in range(n):
             mk[i][i] += c
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise RuntimeError("characteristic polynomial is not integral")
-        out.append(int(c))
-    return out
+    return coeffs
 
 
 def _poly_divmod(a, b):
@@ -259,88 +259,17 @@ def invariant_coinvariant(f):
 # ---------------------------------------------------------------------------
 # real spinor norm
 
-def _bform(g, x, y):
-    n = len(g)
-    out = Fraction(0)
-    for i in range(n):
-        xi = x[i]
-        if xi:
-            row = g[i]
-            out += xi * sum(row[j] * y[j] for j in range(n))
-    return out
-
-
-def _independent_rows(rows):
-    out = []
-    pivots = []
-    for r in rows:
-        r = list(r)
-        for p, j in zip(out, pivots):
-            if r[j]:
-                c = r[j] / p[j]
-                r = [a - c * b for a, b in zip(r, p)]
-        j = next((k for k, a in enumerate(r) if a), None)
-        if j is not None:
-            out.append(r)
-            pivots.append(j)
-    return out
-
-
-def _orthogonal_basis(g):
-    """An orthogonal basis of anisotropic vectors for a nondegenerate form."""
-    n = len(g)
-    rem = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    out = []
-    while rem:
-        v = next((w for w in rem if _bform(g, w, w) != 0), None)
-        if v is None:
-            w0 = rem[0]
-            wj = next((w for w in rem[1:] if _bform(g, w0, w) != 0), None)
-            if wj is None:
-                raise RuntimeError("reflection decomposition failed")
-            v = [a + b for a, b in zip(w0, wj)]
-        out.append(v)
-        qv = _bform(g, v, v)
-        proj = []
-        for w in rem:
-            c = _bform(g, w, v) / qv
-            proj.append([a - c * b for a, b in zip(w, v)])
-        rem = _independent_rows(proj)
-        if len(rem) != n - len(out):
-            raise RuntimeError("reflection decomposition failed")
-    return out
-
-
 def in_O_plus(f):
     """Positive real spinor norm taken for the negated form.
 
     The sign convention puts every reflection in a negative-square vector
-    inside O+ and puts -id outside it.  The decomposition into rational
-    reflections aligns an orthogonal basis one vector at a time; the two
-    mirrors used per step fix the vectors already aligned.
+    inside O+ and puts -id outside it.  It is the orientation character on
+    maximal positive definite subspaces: with p_i spanning one, f is in O+
+    iff det(<p_i, f p_j>) > 0.
     """
-    g = f.lattice.gram
-    basis = _orthogonal_basis(g)
-    imgs = [intmat.mat_vec(f.matrix, b) for b in basis]
-    positives = 0
-    for i, b in enumerate(basis):
-        if imgs[i] == b:
-            continue
-        w = [p - q for p, q in zip(imgs[i], b)]
-        if _bform(g, w, w) != 0:
-            mirrors = [w]
-        else:
-            mirrors = [[p + q for p, q in zip(imgs[i], b)], b]
-        for w in mirrors:
-            qw = _bform(g, w, w)
-            if qw > 0:
-                positives += 1
-            for j in range(i, len(basis)):
-                c = 2 * _bform(g, imgs[j], w) / qw
-                imgs[j] = [a - c * t for a, t in zip(imgs[j], w)]
-        if imgs[i] != b:
-            raise RuntimeError("reflection decomposition failed")
-    return positives % 2 == 0
+    frame = f.lattice.positive_frame()
+    images = [f(p) for p, _w in frame]
+    return intmat.det([[intmat.dot(w, y) for y in images] for _p, w in frame]) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +309,7 @@ def symplectic_status(model, f):
         return False, False, []
     if coinv.rank == 0:
         return True, True, []
-    witnesses = walls.coinvariant_wall_scan(model, f)
+    witnesses = walls._scan_sublattice(model, coinv.rows, coinv.lattice.gram)
     symplectic = not any(w.wclass in walls.PEX_CLASSES for w in witnesses)
     return symplectic, not witnesses, witnesses
 
@@ -720,7 +649,8 @@ def report(model, f, fixture=None):
     coinv_sym = genus.genus_symbol(coinv.lattice) if coinv.rank else None
     oplus = in_O_plus(f)
     neg_def = _coinv_neg_def(coinv)
-    witnesses = walls.coinvariant_wall_scan(model, f) if neg_def else []
+    witnesses = (walls._scan_sublattice(model, coinv.rows, coinv.lattice.gram)
+                 if neg_def else [])
     symplectic = (oplus and neg_def
                   and not any(w.wclass in walls.PEX_CLASSES for w in witnesses))
     regular = symplectic and not witnesses

@@ -6,7 +6,7 @@ for non-integral forms).  Vectors are coordinate lists in the lattice basis.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 import re
 
 from . import intmat
@@ -32,16 +32,15 @@ class Lattice:
         self.name = name
         # optional list of (label, rank) pairs recording a direct-sum shape
         self.blocks = blocks
+        # _as_exact leaves exactly the integral entries as ints
+        self.is_integral = all(isinstance(x, int) for row in g for x in row)
         self._signature = None
         self._det = None
+        self._positive_frame = None
 
     def __repr__(self):
         label = self.name if self.name else "rank %d" % self.rank
         return "Lattice(%s)" % label
-
-    @property
-    def is_integral(self):
-        return all(Fraction(x).denominator == 1 for row in self.gram for x in row)
 
     @property
     def is_even(self):
@@ -79,6 +78,22 @@ class Lattice:
             self._det = _normalize_num(d)
         return self._det
 
+    def positive_frame(self):
+        """Pairs (p, w) for a maximal positive definite subspace.
+
+        The p are pairwise orthogonal primitive integer vectors spanning the
+        subspace; each w is a positive integer multiple of G p, so that
+        dot(w, y) has the sign of <p, y> for every lattice vector y.
+        """
+        if self._positive_frame is None:
+            frame = []
+            for v, q in zip(*_orthogonal_basis(self.gram)):
+                if q > 0:
+                    p = _primitive(v)
+                    frame.append((p, _primitive(intmat.mat_vec(self.gram, p))))
+            self._positive_frame = frame
+        return self._positive_frame
+
     def dual_gram(self):
         """Gram matrix of the dual lattice in the dual basis."""
         return intmat.frac_inverse(self.gram)
@@ -99,6 +114,42 @@ def _as_exact(x):
 def _normalize_num(x):
     f = Fraction(x)
     return f.numerator if f.denominator == 1 else f
+
+
+def _primitive(v):
+    """The primitive integer vector on the ray of a nonzero rational vector."""
+    den = lcm(*(Fraction(x).denominator for x in v))
+    w = [(x * den).numerator for x in v]
+    return [x // intmat.gcd_vec(w) for x in w]
+
+
+def _orthogonal_basis(g):
+    """A basis of pairwise orthogonal vectors and their squares.
+
+    Symmetric Gaussian elimination that records the base change; a zero
+    pivot is replaced by a sum with a vector it pairs with.
+    """
+    n = len(g)
+    a = [[Fraction(x) for x in row] for row in g]
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def add(k, j, c):
+        # basis vector k += c * basis vector j, as a congruence of a
+        basis[k] = [x + c * y for x, y in zip(basis[k], basis[j])]
+        a[k] = [x + c * y for x, y in zip(a[k], a[j])]
+        for t in range(n):
+            a[t][k] = a[k][t] if t != k else a[k][k] + c * a[k][j]
+
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((t for t in range(k + 1, n) if a[k][t]), None)
+            if j is None:
+                raise ValueError("degenerate quadratic form")
+            add(k, j, 1 if a[j][j] != -2 * a[k][j] else -1)
+        for i in range(k + 1, n):
+            if a[i][k]:
+                add(i, k, -a[i][k] / a[k][k])
+    return basis, [a[k][k] for k in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ the pointlike-exceptional set; all four together form the full wall set.
 """
 
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import isqrt, lcm
 
 from . import intmat, lattice
 
@@ -51,40 +51,33 @@ class WallWitness:
         }
 
 
-def _ldl(a):
-    """Exact LDL data of a positive definite symmetric matrix.
+def _bareiss_rows(a):
+    """Fraction-free elimination data of a positive definite integer matrix.
 
-    Returns (d, l) with Q(x) = sum_i d[i] * (x[i] + sum_{j>i} l[i][j] x[j])^2.
+    Returns the Bareiss pivot rows e, where e[k][k] = D_k is the leading
+    minor of size k + 1 (and D_-1 = 1), so that
+    Q(x) = sum_k (D_k x_k + sum_{j>k} e[k][j] x_j)^2 / (D_k D_{k-1}).
     Raises when the matrix is not positive definite.
     """
     n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    d = [Fraction(0)] * n
-    l = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        if m[i][i] <= 0:
+    m = [list(row) for row in a]
+    prev = 1
+    for k in range(n):
+        if m[k][k] <= 0:
             raise ValueError("form is not positive definite")
-        d[i] = m[i][i]
-        for j in range(i + 1, n):
-            l[i][j] = m[i][j] / d[i]
-        for j in range(i + 1, n):
-            for k in range(i + 1, n):
-                m[j][k] -= d[i] * l[i][j] * l[i][k]
-    return d, l
-
-
-def _coeff_range(c, r):
-    """Integers x with (x + c)^2 <= r, given exact rationals c and r >= 0."""
-    num, den = r.numerator, r.denominator
-    s = Fraction(isqrt(num * den) + 1, den)  # s >= sqrt(r)
-    return range(ceil(-c - s), floor(-c + s) + 1)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return m
 
 
 def short_vectors(lat_or_gram, n):
     """All x with <x, x> = n in a negative definite lattice, up to sign.
 
     One representative per antipodal pair, the one whose first nonzero
-    coordinate is positive; output sorted lexicographically.
+    coordinate is positive; output sorted lexicographically.  Rational
+    Grams and targets are scaled to integers first.
     """
     gram = lat_or_gram.gram if hasattr(lat_or_gram, "gram") else lat_or_gram
     rank = len(gram)
@@ -92,30 +85,36 @@ def short_vectors(lat_or_gram, n):
         raise ValueError("target square must be negative")
     if rank == 0:
         return []
-    d, l = _ldl([[-x for x in row] for row in gram])
-    target = -n
+    target = Fraction(n)
+    den = lcm(target.denominator,
+              *(Fraction(x).denominator for row in gram for x in row))
+    e = _bareiss_rows([[(-x * den).numerator for x in row] for row in gram])
+    # scale so that every level's weight L / (D_k D_{k-1}) is an integer
+    minors = [1] + [e[k][k] for k in range(rank)]
+    weight = [minors[k + 1] * minors[k] for k in range(rank)]
+    scale = lcm(*weight)
+    weight = [scale // w for w in weight]
+    budget = (-target * den).numerator * scale
     out = []
     x = [0] * rank
 
-    def descend(i, remaining):
-        if i < 0:
-            if remaining == 0:
-                for c in x:
-                    if c > 0:
-                        out.append(tuple(x))
-                        return
-                    if c < 0:
-                        return
+    def descend(k, remaining):
+        if k < 0:
+            # x != 0 here since the budget is positive; keep the lead-positive one
+            if remaining == 0 and next(c for c in x if c) > 0:
+                out.append(tuple(x))
             return
-        c = sum(l[i][j] * x[j] for j in range(i + 1, rank))
-        for xi in _coeff_range(c, Fraction(remaining) / d[i]):
-            used = d[i] * (xi + c) ** 2
-            if used <= remaining:
-                x[i] = xi
-                descend(i - 1, remaining - used)
-        x[i] = 0
+        row, d, w = e[k], minors[k + 1], weight[k]
+        c = sum(row[j] * x[j] for j in range(k + 1, rank))
+        b = isqrt(remaining // w)
+        # integers with |d x_k + c| <= b
+        for xk in range(-((b + c) // d), (b - c) // d + 1):
+            y = d * xk + c
+            x[k] = xk
+            descend(k - 1, remaining - w * y * y)
+        x[k] = 0
 
-    descend(rank - 1, Fraction(target))
+    descend(rank - 1, budget)
     return sorted(out)
 
 
@@ -128,9 +127,12 @@ def wall_class(model, x):
     """
     if not any(x):
         raise ValueError("the zero vector is not a wall")
-    lat = model.lattice
-    square = lat.square(x)
-    div = lat.divisibility(x)
+    gram = model.lattice.gram
+    if len(x) != len(gram):
+        raise ValueError("vector length does not match rank")
+    gx = intmat.mat_vec(gram, x)
+    square = intmat.dot(x, gx)
+    div = intmat.gcd_vec(gx)
     if square == -2 and div == 1:
         return WallWitness(x, square, div, PEX2)
     if square == -4 and div == 2:
@@ -161,14 +163,22 @@ def coinvariant_wall_scan(model, f, pex_only=False):
     gc = lattice.restricted_gram(lat, coinv_rows)
     if intmat.symmetric_signature(gc) != (0, len(coinv_rows)):
         raise ValueError("coinvariant lattice is not negative definite")
+    return _scan_sublattice(model, coinv_rows, gc, pex_only)
+
+
+def _scan_sublattice(model, rows, gram, pex_only=False):
+    """Wall witnesses among the vectors of a negative definite sublattice,
+    given by its basis rows in the model's coordinates and its Gram."""
+    rank = model.lattice.rank
     targets = (-2, -4) if pex_only else (-2, -4, -6, -12)
     witnesses = []
     for t in targets:
-        for coords in short_vectors(gc, t):
-            ambient = [0] * lat.rank
-            for c, row in zip(coords, coinv_rows):
-                for i in range(lat.rank):
-                    ambient[i] += c * row[i]
+        for coords in short_vectors(gram, t):
+            ambient = [0] * rank
+            for c, row in zip(coords, rows):
+                if c:
+                    for i in range(rank):
+                        ambient[i] += c * row[i]
             w = wall_class(model, ambient)
             if w is not None:
                 witnesses.append(w)

@@ -327,3 +327,16 @@ def test_type_letter_precedence():
     assert isometry._type_letter(row_k3, 4, True, None) == "b"
     with pytest.raises(ValueError, match="realization type"):
         isometry._type_letter(row_plain, 3, True, None)
+
+
+def test_report_e8_negation(model):
+    """-1 on the E8 coordinates 6..13: the coinvariant lattice is E8, and
+    each of its 120 root pairs is a PEX2 wall, all listed."""
+    m = intmat.identity(16)
+    for i in range(6, 14):
+        m[i][i] = -1
+    rep = isometry.report(model, isometry.make_isometry(model.lattice, m))
+    assert rep.order == 2
+    assert not rep.symplectic and rep.type_letter == "non-symplectic"
+    assert len(rep.witnesses) == 120
+    assert all(w.wclass == walls.PEX2 for w in rep.witnesses)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from latsym import lattice
+from latsym import intmat, lattice
 
 
 def test_constructor_validation():
@@ -157,3 +157,29 @@ def test_json_roundtrip():
     assert back.name == model.lattice.name
     with pytest.raises(ValueError, match="gram"):
         lattice.lattice_from_json({"name": "X"})
+
+
+@pytest.mark.parametrize("gram", [
+    [[0, 1], [1, 0]],
+    [[0, 1], [1, -2]],  # c = 1 would give a zero pivot: needs c = -1
+    [[0, 2, 0], [2, 0, 0], [0, 0, -2]],
+    [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]],
+    [[-2, 1], [1, -2]],
+])
+def test_positive_frame(gram):
+    lat = lattice.Lattice(gram)
+    frame = lat.positive_frame()
+    assert frame is lat.positive_frame()
+    assert len(frame) == lat.signature()[0]
+    for i, (p, w) in enumerate(frame):
+        assert all(isinstance(c, int) for c in p + w)
+        assert lat.square(p) > 0
+        # w is a positive multiple of G p
+        gp = [Fraction(x) for x in intmat.mat_vec(lat.gram, p)]
+        ratio = next(Fraction(a) / b for a, b in zip(w, gp) if b)
+        assert ratio > 0 and [ratio * b for b in gp] == w
+        for q, _ in frame[i + 1:]:
+            assert lat.inner(p, q) == 0
+    assert lattice.standard_model().lattice.is_integral
+    assert not lattice.build_named("A2v").is_integral

@@ -13,6 +13,7 @@ applied on load and checked against the table and the oddity formula.
 import hashlib
 import json
 import re
+from functools import lru_cache
 from pathlib import Path
 
 from . import genus, lattice
@@ -35,18 +36,31 @@ def _load_json(path, checksum):
     return json.loads(raw.decode("utf-8"))
 
 
+@lru_cache(maxsize=None)
+def _bundled(name, checksum):
+    """A bundled file, read and checked once per process; callers copy."""
+    return _load_json(_DATA / name, checksum)
+
+
+@lru_cache(maxsize=None)
+def _corrected_rows(errata):
+    """Bundled rows with the errata applied (each erratum a tuple of items)."""
+    rows = _bundled("table1.json", TABLE1_SHA256)["rows"]
+    return tuple(apply_errata(rows, [dict(e) for e in errata]))
+
+
 def load_table(path=None):
     """Rows of the bundled class table (checksummed, errata applied), or an
-    override file taken as it is."""
+    override file taken as it is.  Every call returns fresh row dicts."""
     if path is None:
-        data = _load_json(_DATA / "table1.json", TABLE1_SHA256)
-        return apply_errata(data["rows"], load_errata())
+        errata = tuple(tuple(sorted(e.items())) for e in load_errata())
+        return [dict(r) for r in _corrected_rows(errata)]
     return _load_json(Path(path), None)["rows"]
 
 
 def load_errata():
     """Entries of the bundled errata file (checksummed)."""
-    return _load_json(_DATA / "errata.json", ERRATA_SHA256)["errata"]
+    return [dict(e) for e in _bundled("errata.json", ERRATA_SHA256)["errata"]]
 
 
 def _consistent(text):
@@ -82,7 +96,7 @@ def apply_errata(rows, errata):
 def load_orbit_table(path=None):
     """Orbit sample rows with the vectors evaluated in the standard model."""
     if path is None:
-        data = _load_json(_DATA / "orbits.json", ORBITS_SHA256)
+        data = _bundled("orbits.json", ORBITS_SHA256)
     else:
         data = _load_json(Path(path), None)
     model = lattice.standard_model()

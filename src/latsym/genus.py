@@ -8,10 +8,9 @@ canonicalization that walks signs and fuses oddities along chains of
 adjacent scales.  Rendered symbols look like "II_(3,13)2^8_6".
 """
 
-from fractions import Fraction
 import re
 
-from . import intmat
+from . import intmat, lattice
 
 
 class Constituent:
@@ -83,24 +82,15 @@ class GenusSymbol:
 
 
 # ---------------------------------------------------------------------------
-# helpers on exact numbers
+# helpers on integers
 
 def _valuation(x, p):
-    f = Fraction(x)
-    num, den, v = f.numerator, f.denominator, 0
-    while num % p == 0:
-        num //= p
+    """p-adic valuation of a nonzero integer."""
+    v = 0
+    while x % p == 0:
+        x //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
-
-
-def _unit_mod8(x):
-    """x an odd 2-adic unit given as a Fraction; its class mod 8."""
-    f = Fraction(x)
-    return f.numerator * pow(f.denominator, -1, 8) % 8
 
 
 def _legendre_int(a, p):
@@ -108,11 +98,6 @@ def _legendre_int(a, p):
     if r == 0:
         raise ValueError("not a unit mod %d" % p)
     return 1 if r == 1 else -1
-
-
-def _legendre(x, p):
-    f = Fraction(x)
-    return _legendre_int(f.numerator, p) * _legendre_int(f.denominator, p)
 
 
 def _prime_factors(n):
@@ -133,70 +118,86 @@ def _prime_factors(n):
 # ---------------------------------------------------------------------------
 # Jordan splitting over Z_p
 
-def _local_pieces(gram, p):
+def _least_valuation(m, p, low):
+    """(v, i, j) for the first upper-triangle entry of least valuation v;
+    no entry has valuation below low, so meeting low ends the scan."""
+    best = None
+    for i, row in enumerate(m):
+        for j in range(i, len(row)):
+            if row[j]:
+                v = _valuation(row[j], p)
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+                    if v == low:
+                        return best
+    return best
+
+
+def _local_pieces(gram, p, det):
     """Split the form over Z_p into rank-1 pieces (and even rank-2 at p=2).
 
     Returns (scale, kind, value) triples: kind "unit" carries the unit
-    pivot / p^scale, kind "pair" the determinant / 4^scale of an even
-    2x2 block.  Off-diagonal minima at odd p are moved onto the diagonal
-    by a row-and-column addition; at p = 2 they force an even block.
+    pivot / p^scale, kind "pair" the determinant / 4^scale of an even 2x2
+    block, each as a residue modulo p^(N - scale).  The pivot is the first
+    entry of least valuation v, moved to the first diagonal entry of that
+    valuation; failing one, at odd p a row-and-column addition moves it
+    onto the diagonal, and at p = 2 it forces an even block.
+
+    The Gram matrix is reduced modulo p^N, N = v_p(det) + 3, which fixes
+    the Jordan constituents (Conway-Sloane, SPLAG ch. 15): every remaining
+    block has an entry of valuation at most v_p(det) < N, so the pivots are
+    those of exact rational elimination, and the Schur complement stays
+    known modulo p^N because the pivot column is divided by p^v exactly
+    and by the pivot's unit part through its inverse modulo p^N.
     """
-    m = [[Fraction(x) for x in row] for row in gram]
+    mod = p ** (_valuation(det, p) + 3)
+    m = [[x % mod for x in row] for row in gram]
     pieces = []
+    low = 0
     while m:
         n = len(m)
-        best = None
-        for i in range(n):
-            for j in range(i, n):
-                if m[i][j]:
-                    v = _valuation(m[i][j], p)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
+        best = _least_valuation(m, p, low)
         if best is None:
             raise ValueError("degenerate form")
-        v, bi, bj = best
-        diag = None
-        for k in range(n):
-            if m[k][k] and _valuation(m[k][k], p) == v:
-                diag = k
-                break
+        low, bi, bj = best
+        pv = p ** low
+        diag = next((k for k in range(n)
+                     if m[k][k] and _valuation(m[k][k], p) == low), None)
         if diag is None and p != 2:
             # a_ii + 2a_ij + a_jj has valuation v exactly when p is odd
-            for t in range(n):
-                m[bi][t] += m[bj][t]
-            for t in range(n):
-                m[t][bi] += m[t][bj]
+            m[bi] = [(x + y) % mod for x, y in zip(m[bi], m[bj])]
+            for row in m:
+                row[bi] = (row[bi] + row[bj]) % mod
             diag = bi
         if diag is not None:
-            a = m[diag][diag]
-            pieces.append((v, "unit", a / p ** v))
+            u = m[diag][diag] // pv
+            pieces.append((low, "unit", u))
+            inv = pow(u, -1, mod)
+            top = m[diag]
             rest = [r for r in range(n) if r != diag]
-            m = [[m[r][s] - m[r][diag] * m[diag][s] / a for s in rest]
-                 for r in rest]
+            m = [[(m[r][s] - c * top[s]) % mod for s in rest]
+                 for r, c in ((r, m[r][diag] // pv * inv % mod) for r in rest)]
         else:
-            a, b, c = m[bi][bi], m[bi][bj], m[bj][bj]
-            det = a * c - b * b
-            pieces.append((v, "pair", det / 4 ** v))
+            a, b, c = m[bi][bi] // pv, m[bi][bj] // pv, m[bj][bj] // pv
+            w = (a * c - b * b) % (mod // pv)
+            pieces.append((low, "pair", w))
+            inv = pow(w, -1, mod)
+            r1, r2 = m[bi], m[bj]
             rest = [r for r in range(n) if r not in (bi, bj)]
             new = []
             for r in rest:
-                x1, x2 = m[r][bi], m[r][bj]
-                row = []
-                for s in rest:
-                    y1, y2 = m[bi][s], m[bj][s]
-                    corr = (x1 * (c * y1 - b * y2) + x2 * (a * y2 - b * y1)) / det
-                    row.append(m[r][s] - corr)
-                new.append(row)
+                x1, x2 = m[r][bi] // pv, m[r][bj] // pv
+                k1 = (x1 * c - x2 * b) * inv % mod
+                k2 = (x2 * a - x1 * b) * inv % mod
+                new.append([(m[r][s] - k1 * r1[s] - k2 * r2[s]) % mod
+                            for s in rest])
             m = new
     return pieces
 
 
-def _local_symbol(gram, p):
-    pieces = _local_pieces(gram, p)
+def _local_symbol(gram, p, det):
     by_scale = {}
-    for v, kind, value in pieces:
-        if v < 0:
-            raise ValueError("form is not integral at %d" % p)
+    for v, kind, value in _local_pieces(gram, p, det):
         by_scale.setdefault(v, []).append((kind, value))
     out = []
     for v in sorted(by_scale):
@@ -205,8 +206,8 @@ def _local_symbol(gram, p):
             rank = sum(2 if kind == "pair" else 1 for kind, _ in group)
             d = 1
             for _, value in group:
-                d = d * _unit_mod8(value) % 8
-            units = [_unit_mod8(val) for kind, val in group if kind == "unit"]
+                d = d * value % 8
+            units = [val % 8 for kind, val in group if kind == "unit"]
             eps = 1 if d in (1, 7) else -1
             if units:
                 out.append(Constituent(v, rank, eps, "I", sum(units) % 8))
@@ -216,9 +217,18 @@ def _local_symbol(gram, p):
             rank = len(group)
             eps = 1
             for _, value in group:
-                eps *= _legendre(value, p)
+                eps *= _legendre_int(value, p)
             out.append(Constituent(v, rank, eps))
     return out
+
+
+def _integral_lattice(lat):
+    """lat, or the Lattice of a Gram matrix, checked to be integral."""
+    if not isinstance(lat, lattice.Lattice):
+        lat = lattice.Lattice(lat)
+    if not lat.is_integral:
+        raise ValueError("genus symbols need an integral Gram matrix")
+    return lat
 
 
 def padic_jordan(lat, p):
@@ -227,24 +237,20 @@ def padic_jordan(lat, p):
     Returns the ordered list of Constituent records for ascending scales,
     including the scale-0 unimodular part.
     """
-    gram = lat.gram if hasattr(lat, "gram") else lat
-    g = intmat.to_int_matrix([[Fraction(x) for x in row] for row in gram])
-    if p < 2 or any(p % k == 0 for k in range(2, p)):
+    if not intmat.is_prime(p):
         raise ValueError("p must be prime")
-    return _local_symbol(g, p)
+    lat = _integral_lattice(lat)
+    return _local_symbol(lat.gram, p, lat.det())
 
 
 def genus_symbol(lat):
     """The genus symbol of an integral lattice (or Gram matrix)."""
-    gram = lat.gram if hasattr(lat, "gram") else lat
-    g = intmat.to_int_matrix([[Fraction(x) for x in row] for row in gram])
-    pos, neg = intmat.symmetric_signature(g)
-    even = all(g[i][i] % 2 == 0 for i in range(len(g)))
-    det = intmat.det(g)
-    local = {}
-    for p in sorted(set([2] + _prime_factors(det))):
-        local[p] = _local_symbol(g, p)
-    return GenusSymbol(pos, neg, even, local)
+    lat = _integral_lattice(lat)
+    pos, neg = lat.signature()
+    det = lat.det()
+    local = {p: _local_symbol(lat.gram, p, det)
+             for p in sorted(set([2] + _prime_factors(det)))}
+    return GenusSymbol(pos, neg, lat.is_even, local)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Exact integer and rational matrix helpers.
 
 Matrices are lists of row lists holding ints or Fractions.  Everything here
-is exact: no floats anywhere.  Sizes in this package stay small (rank 16 and
-below), so clarity wins over asymptotics.
+is exact: no floats anywhere.  Determinants, signatures and the short-vector
+data all come from one fraction-free Bareiss elimination on plain ints
+(rational matrices are first scaled by the lcm of their denominators), which
+stays cheap on the dense rank 28-34 Grams that genus symbols are asked for.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 
 def identity(n):
@@ -85,54 +87,97 @@ def gcd_vec(v):
     return g
 
 
+def is_prime(n):
+    """Primality of an int by trial division up to isqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def bareiss(m, symmetric=False):
+    """Fraction-free Gaussian elimination of a square int matrix, in place.
+
+    After step k, m[k][k] is the leading (k+1)-minor D_k of the matrix as
+    rearranged so far and m[k][j], j > k, the rest of pivot row k; every
+    division is exact.  A zero pivot is replaced by a row swap or, with
+    symmetric=True, by a congruence that keeps the form: a swap of row and
+    column with a later nonzero diagonal entry, else row/col i += row/col j
+    for the first nonzero off-diagonal entry (i, j) of the remaining block.
+    A positive definite matrix needs neither.  Returns (r, sign): r < n
+    pivots when m is singular, sign the parity of the plain row swaps.
+    """
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            if symmetric:
+                piv = next((i for i in range(k + 1, n) if m[i][i]), None)
+                if piv is None:
+                    fold = next(((i, j) for i in range(k, n)
+                                 for j in range(i + 1, n) if m[i][j]), None)
+                    if fold is None:
+                        return k, sign
+                    piv, j = fold
+                    m[piv] = [x + y for x, y in zip(m[piv], m[j])]
+                    for row in m:
+                        row[piv] += row[j]
+                for row in m:
+                    row[k], row[piv] = row[piv], row[k]
+            else:
+                piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+                if piv is None:
+                    return k, sign
+                sign = -sign
+            m[k], m[piv] = m[piv], m[k]
+        d, rk = m[k][k], m[k]
+        for ri in m[k + 1:]:
+            c = ri[k]
+            ri[k + 1:] = [(x * d - c * y) // prev
+                          for x, y in zip(ri[k + 1:], rk[k + 1:])]
+        prev = d
+    return n, sign
+
+
+def _scaled(a):
+    """(L, L * a as ints) for L the lcm of the denominators of a."""
+    if all(type(x) is int for row in a for x in row):
+        return 1, [list(row) for row in a]
+    fa = [[Fraction(x) for x in row] for row in a]
+    den = lcm(*(x.denominator for row in fa for x in row))
+    return den, [[(x * den).numerator for x in row] for row in fa]
+
+
 def det(a):
     """Determinant by fraction-free Bareiss elimination (integer input)."""
     n = len(a)
-    if n == 0:
-        return 1
     m = [[int(x) for x in row] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    r, sign = bareiss(m)
+    if r < n:
+        return 0
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def frac_det(a):
-    """Determinant over the rationals."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    d = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            d = -d
-        d *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return d
+    """Determinant over the rationals, as a Fraction."""
+    den, m = _scaled(a)
+    return Fraction(det(m), den ** len(m))
+
+
+def det_signature(g):
+    """Determinant and signature (n_plus, n_minus) of a symmetric matrix,
+    from one symmetric Bareiss pass.
+
+    The signs of the pivots D_k / D_{k-1} of a congruent form give the
+    signature (Jacobi).  A degenerate form gives (0, None).
+    """
+    den, m = _scaled(g)
+    n = len(m)
+    r, _sign = bareiss(m, symmetric=True)
+    if r < n:
+        return 0, None
+    pivots = [1] + [m[k][k] for k in range(n)]
+    plus = sum(1 for k in range(n) if (pivots[k] > 0) == (pivots[k + 1] > 0))
+    d = pivots[n] if den == 1 else Fraction(pivots[n], den ** n)
+    return d, (plus, n - plus)
 
 
 def frac_inverse(a):
@@ -288,61 +333,9 @@ def saturate_rows(m):
 
 
 def symmetric_signature(g):
-    """Signature (n_plus, n_minus) of a nondegenerate symmetric matrix.
-
-    Exact symmetric Gaussian reduction with full pivoting; raises on a
-    degenerate form.
-    """
-    n = len(g)
-    m = [[Fraction(x) for x in row] for row in g]
-    plus = minus = 0
-    idx = list(range(n))
-
-    def swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-
-    k = 0
-    while k < n:
-        piv = None
-        for i in range(k, n):
-            if m[i][i] != 0:
-                piv = i
-                break
-        if piv is None:
-            # look for an off-diagonal entry and fold it onto the diagonal
-            found = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if m[i][j] != 0:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                raise ValueError("degenerate quadratic form")
-            i, j = found
-            # row/col i += row/col j makes the (i,i) entry 2*m[i][j] != 0
-            for t in range(n):
-                m[i][t] += m[j][t]
-            for t in range(n):
-                m[t][i] += m[t][j]
-            piv = i
-        if piv != k:
-            swap(k, piv)
-        if m[k][k] > 0:
-            plus += 1
-        else:
-            minus += 1
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                for t in range(k, n):
-                    m[i][t] -= f * m[k][t]
-                for t in range(k, n):
-                    m[t][i] = m[i][t]
-        k += 1
-    del idx
-    return plus, minus
+    """Signature (n_plus, n_minus) of a nondegenerate symmetric matrix;
+    raises on a degenerate form."""
+    sig = det_signature(g)[1]
+    if sig is None:
+        raise ValueError("degenerate quadratic form")
+    return sig

@@ -215,8 +215,9 @@ def order_of(f, cap=10**6):
             order = order * d // gcd(order, d)
         if len(poly) == 1:
             break
-    finite = len(poly) == 1 and _mat_power(f.matrix, order) == intmat.identity(n)
-    if not finite or order > cap:
+    if len(poly) > 1 or _mat_power(f.matrix, order) != intmat.identity(n):
+        raise ValueError("isometry has infinite order, beyond any cap")
+    if order > cap:
         raise ValueError("isometry order exceeds the cap of %d" % cap)
     return order
 
@@ -290,7 +291,7 @@ def exceptional_involution(model):
 def _coinv_neg_def(coinv):
     if coinv.rank == 0:
         return True
-    return intmat.symmetric_signature(coinv.lattice.gram) == (0, coinv.rank)
+    return coinv.lattice.signature() == (0, coinv.rank)
 
 
 def symplectic_status(model, f):
@@ -298,10 +299,12 @@ def symplectic_status(model, f):
 
     Symplectic means the coinvariant lattice is negative definite and meets
     no pointlike-exceptional wall; regular additionally excludes the other
-    wall classes.  Raises for isometries outside O+ (non-effective).
+    wall classes.  Raises for isometries of infinite order, whose fixed
+    lattice can be degenerate, and for those outside O+ (non-effective).
     """
     if f.lattice.gram != model.lattice.gram:
         raise ValueError("isometry does not act on the model lattice")
+    order_of(f)
     if not in_O_plus(f):
         raise ValueError("isometry is outside O+ (non-effective)")
     _inv, coinv = invariant_coinvariant(f)
@@ -539,7 +542,7 @@ def nonsymplectic_prime_profile(f, p):
     if inv.rank == 0:
         inv_ok = False
     else:
-        inv_ok = intmat.symmetric_signature(inv.lattice.gram)[0] == 1
+        inv_ok = inv.lattice.signature()[0] == 1
     out = {}
     for pw in range(1, p // 2 + 1):
         pos, _neg = _cos_kernel_signature(f, p, pw)

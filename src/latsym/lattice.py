@@ -25,7 +25,8 @@ class Lattice:
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        if n and intmat.frac_det(g) == 0:
+        det, sig = intmat.det_signature(g)
+        if sig is None:
             raise ValueError("Gram matrix must be nondegenerate")
         self.gram = g
         self.rank = n
@@ -33,9 +34,9 @@ class Lattice:
         # optional list of (label, rank) pairs recording a direct-sum shape
         self.blocks = blocks
         # _as_exact leaves exactly the integral entries as ints
-        self.is_integral = all(isinstance(x, int) for row in g for x in row)
-        self._signature = None
-        self._det = None
+        self.is_integral = all(type(x) is int for row in g for x in row)
+        self._signature = sig
+        self._det = _as_exact(det)
         self._positive_frame = None
 
     def __repr__(self):
@@ -53,7 +54,7 @@ class Lattice:
         if len(x) != self.rank or len(y) != self.rank:
             raise ValueError("vector length does not match rank")
         gx = intmat.mat_vec(self.gram, y)
-        return _normalize_num(sum(a * b for a, b in zip(x, gx)))
+        return _as_exact(sum(a * b for a, b in zip(x, gx)))
 
     def square(self, x):
         return self.inner(x, x)
@@ -68,14 +69,9 @@ class Lattice:
         return intmat.gcd_vec(pairings)
 
     def signature(self):
-        if self._signature is None:
-            self._signature = intmat.symmetric_signature(self.gram)
         return self._signature
 
     def det(self):
-        if self._det is None:
-            d = intmat.frac_det(self.gram)
-            self._det = _normalize_num(d)
         return self._det
 
     def positive_frame(self):
@@ -105,13 +101,9 @@ class Lattice:
 
 
 def _as_exact(x):
-    if isinstance(x, int):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
         return x
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else f
-
-
-def _normalize_num(x):
     f = Fraction(x)
     return f.numerator if f.denominator == 1 else f
 
@@ -207,14 +199,14 @@ def root_E8():
 
 def plane_K(p):
     """Rank-2 positive definite even plane of determinant p (p odd prime)."""
-    if p % 2 == 0 or p < 3:
+    if p == 2 or not intmat.is_prime(p):
         raise ValueError("needs an odd prime")
     return Lattice([[(p + 1) // 2, -1], [-1, 2]], name="K%d" % p)
 
 
 def plane_H(p):
     """Rank-2 even plane of determinant -p (p odd prime), signature (1,1)."""
-    if p % 2 == 0 or p < 3:
+    if p == 2 or not intmat.is_prime(p):
         raise ValueError("needs an odd prime")
     return Lattice([[(p - 1) // 2, 1], [1, -2]], name="H%d" % p)
 
@@ -460,7 +452,7 @@ def lattice_from_json(data):
     """Inverse of lattice_to_json; accepts int or "p/q" string entries."""
     if "gram" not in data:
         raise ValueError("lattice data needs a gram field")
-    gram = [[_as_exact(Fraction(x)) for x in row] for row in data["gram"]]
+    gram = [[_as_exact(x) for x in row] for row in data["gram"]]
     blocks = data.get("blocks")
     if blocks:
         blocks = [(str(label), int(rank)) for label, rank in blocks]

@@ -51,27 +51,6 @@ class WallWitness:
         }
 
 
-def _bareiss_rows(a):
-    """Fraction-free elimination data of a positive definite integer matrix.
-
-    Returns the Bareiss pivot rows e, where e[k][k] = D_k is the leading
-    minor of size k + 1 (and D_-1 = 1), so that
-    Q(x) = sum_k (D_k x_k + sum_{j>k} e[k][j] x_j)^2 / (D_k D_{k-1}).
-    Raises when the matrix is not positive definite.
-    """
-    n = len(a)
-    m = [list(row) for row in a]
-    prev = 1
-    for k in range(n):
-        if m[k][k] <= 0:
-            raise ValueError("form is not positive definite")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return m
-
-
 def short_vectors(lat_or_gram, n):
     """All x with <x, x> = n in a negative definite lattice, up to sign.
 
@@ -88,9 +67,14 @@ def short_vectors(lat_or_gram, n):
     target = Fraction(n)
     den = lcm(target.denominator,
               *(Fraction(x).denominator for row in gram for x in row))
-    e = _bareiss_rows([[(-x * den).numerator for x in row] for row in gram])
-    # scale so that every level's weight L / (D_k D_{k-1}) is an integer
+    # Bareiss pivot rows e: with D_k = e[k][k] and D_-1 = 1,
+    # Q(x) = sum_k (D_k x_k + sum_{j>k} e[k][j] x_j)^2 / (D_k D_{k-1})
+    e = [[(-x * den).numerator for x in row] for row in gram]
+    intmat.bareiss(e, symmetric=True)
     minors = [1] + [e[k][k] for k in range(rank)]
+    if min(minors) <= 0:
+        raise ValueError("form is not positive definite")
+    # scale so that every level's weight L / (D_k D_{k-1}) is an integer
     weight = [minors[k + 1] * minors[k] for k in range(rank)]
     scale = lcm(*weight)
     weight = [scale // w for w in weight]

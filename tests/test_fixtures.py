@@ -18,6 +18,29 @@ def test_table_shape():
         assert r["disc_order"] <= r["order"]
 
 
+def test_bundled_table_loaded_once(monkeypatch):
+    fixtures._bundled.cache_clear()
+    fixtures._corrected_rows.cache_clear()
+    read = []
+    load_json = fixtures._load_json
+
+    def counting(path, checksum):
+        read.append(path.name)
+        return load_json(path, checksum)
+
+    monkeypatch.setattr(fixtures, "_load_json", counting)
+    first = fixtures.load_table()
+    second = fixtures.load_table()
+    assert sorted(read) == ["errata.json", "table1.json"]
+    assert first == second
+    first[0]["order"] = 99
+    first.pop()
+    third = fixtures.load_table()
+    assert third == second and third[0]["order"] == 1 and len(third) == 32
+    fixtures.load_errata()[0]["corrected"] = "II_(0,0)"
+    assert fixtures.load_table() == second
+
+
 def test_orbit_table_shape():
     rows = fixtures.load_orbit_table()
     assert len(rows) == 6

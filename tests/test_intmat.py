@@ -109,6 +109,24 @@ def test_saturate_rows():
     assert len(sat) == 1 and sorted(map(abs, sat[0])) == [1, 2]
 
 
+def test_is_prime():
+    primes = [n for n in range(-3, 60) if intmat.is_prime(n)]
+    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                      47, 53, 59]
+    assert intmat.is_prime(2**31 - 1)
+    assert not intmat.is_prime(2**31 - 3)   # 5 * 19 * 22605091
+
+
+def test_det_signature():
+    assert intmat.det_signature([]) == (1, (0, 0))
+    assert intmat.det_signature([[0, 1], [1, 0]]) == (-1, (1, 1))
+    # zero diagonal throughout: the pass must fold before it can pivot
+    assert intmat.det_signature([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == (2, (1, 2))
+    assert intmat.det_signature([[Fraction(1, 2), 0], [0, Fraction(-2, 3)]]) == (
+        Fraction(-1, 3), (1, 1))
+    assert intmat.det_signature([[1, 1], [1, 1]]) == (0, None)
+
+
 def test_symmetric_signature():
     assert intmat.symmetric_signature([[2]]) == (1, 0)
     assert intmat.symmetric_signature([[-2]]) == (0, 1)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from latsym import discform, fixtures, genus, intmat, isometry, lattice, walls
+from latsym import cli, discform, fixtures, genus, intmat, isometry, lattice, walls
 from latsym.lattice import standard_model
 
 
@@ -173,6 +173,17 @@ def test_symplectic_status(model):
         lam, [[-1 if i == j else 0 for j in range(16)] for i in range(16)])
     with pytest.raises(ValueError, match="non-effective"):
         isometry.symplectic_status(model, minus_one)
+
+
+def test_symplectic_status_infinite_order(model):
+    lam = model.lattice
+    sample = cli.monodromy_sample(model)
+    f = isometry.compose(isometry.reflection(lam, sample[0]),
+                         isometry.reflection(lam, sample[2]))
+    with pytest.raises(ValueError, match="infinite order"):
+        isometry.order_of(f)
+    with pytest.raises(ValueError, match="infinite order"):
+        isometry.symplectic_status(model, f)
 
 
 def test_nonsymplectic_prime_check(model):

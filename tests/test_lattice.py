@@ -48,6 +48,12 @@ def test_planes():
     assert k7.det() % 7 == 0
     with pytest.raises(ValueError, match="odd prime"):
         lattice.plane_K(2)
+    for p in (1, 9, 15, 25, 91):
+        with pytest.raises(ValueError, match="odd prime"):
+            lattice.plane_K(p)
+        with pytest.raises(ValueError, match="odd prime"):
+            lattice.plane_H(p)
+    assert lattice.plane_H(13).det() == -13
 
 
 def test_rescale_dual():

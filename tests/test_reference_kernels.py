@@ -2,10 +2,12 @@
 
 The reference implementations below are the earlier Fraction versions of
 the characteristic polynomial (Faddeev-LeVerrier over Q), the O+ test (a
-decomposition into rational reflections, counting the positive mirrors)
-and the short-vector enumeration (Fincke-Pohst on an exact LDL).  The
-integer versions must agree with them on random isometries of Lambda and
-of small lattices of every signature type.
+decomposition into rational reflections, counting the positive mirrors),
+the short-vector enumeration (Fincke-Pohst on an exact LDL), the
+determinant and signature (Gaussian elimination over Q) and the Jordan
+splitting over Z_p (rational elimination read p-adically).  The integer
+versions must agree with them on random isometries of Lambda and of small
+lattices of every signature type, and on random symmetric Grams.
 """
 
 import itertools
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latsym import cli, intmat, isometry, lattice, walls
+from latsym import cli, genus, intmat, isometry, lattice, walls
 from latsym.lattice import standard_model
 
 # ---------------------------------------------------------------------------
@@ -298,3 +300,239 @@ def test_char_poly_rejects_non_integral_division():
     # no integer matrix triggers it; a Fraction entry shows the check is live
     with pytest.raises(RuntimeError, match="not integral"):
         isometry._char_poly([[Fraction(1, 2), 0], [0, 0]])
+
+
+# ---------------------------------------------------------------------------
+# determinant, signature and Jordan splitting of symmetric Grams
+
+
+def ref_frac_det(a):
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    d = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            d = -d
+        d *= m[k][k]
+        inv = 1 / m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] * inv
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return d
+
+
+def ref_symmetric_signature(g):
+    n = len(g)
+    m = [[Fraction(x) for x in row] for row in g]
+    plus = minus = 0
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][i] != 0), None)
+        if piv is None:
+            found = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                          if m[i][j] != 0), None)
+            if found is None:
+                raise ValueError("degenerate quadratic form")
+            i, j = found
+            for t in range(n):
+                m[i][t] += m[j][t]
+            for t in range(n):
+                m[t][i] += m[t][j]
+            piv = i
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            for row in m:
+                row[k], row[piv] = row[piv], row[k]
+        if m[k][k] > 0:
+            plus += 1
+        else:
+            minus += 1
+        inv = 1 / m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] * inv
+            if f:
+                for t in range(k, n):
+                    m[i][t] -= f * m[k][t]
+                for t in range(k, n):
+                    m[t][i] = m[i][t]
+    return plus, minus
+
+
+def _frac_valuation(x, p):
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def ref_local_pieces(gram, p):
+    """(scale, kind, value) with the value an exact p-adic unit Fraction."""
+    m = [[Fraction(x) for x in row] for row in gram]
+    pieces = []
+    while m:
+        n = len(m)
+        best = None
+        for i in range(n):
+            for j in range(i, n):
+                if m[i][j]:
+                    v = _frac_valuation(m[i][j], p)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        if best is None:
+            raise ValueError("degenerate form")
+        v, bi, bj = best
+        diag = next((k for k in range(n)
+                     if m[k][k] and _frac_valuation(m[k][k], p) == v), None)
+        if diag is None and p != 2:
+            for t in range(n):
+                m[bi][t] += m[bj][t]
+            for t in range(n):
+                m[t][bi] += m[t][bj]
+            diag = bi
+        if diag is not None:
+            a = m[diag][diag]
+            pieces.append((v, "unit", a / p ** v))
+            rest = [r for r in range(n) if r != diag]
+            m = [[m[r][s] - m[r][diag] * m[diag][s] / a for s in rest]
+                 for r in rest]
+        else:
+            a, b, c = m[bi][bi], m[bi][bj], m[bj][bj]
+            det = a * c - b * b
+            pieces.append((v, "pair", det / 4 ** v))
+            rest = [r for r in range(n) if r not in (bi, bj)]
+            m = [[m[r][s] - (m[r][bi] * (c * m[bi][s] - b * m[bj][s])
+                             + m[r][bj] * (a * m[bj][s] - b * m[bi][s])) / det
+                  for s in rest] for r in rest]
+    return pieces
+
+
+def _congruence(g, i, j, c):
+    """g after basis vector i += c * basis vector j."""
+    g = [row[:] for row in g]
+    g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+    for row in g:
+        row[i] += c * row[j]
+    return g
+
+
+REBASE_SUMMANDS = ("U", "U(2)", "A1", "A2", "A1(-1)", "D4", "K7", "H7(2)",
+                   "A2(3)", "E8", "U(4)", "V")
+
+
+@st.composite
+def symmetric_grams(draw):
+    """Nondegenerate integral symmetric matrices of rank 1..12.
+
+    Flavours: random entries, zero diagonal, even diagonal (type II at 2),
+    definite +-B^T B, and dense unimodular rebasings of direct sums; each
+    may then be scaled on both sides by a diagonal of powers of 2 and 3, so
+    that entries have high 2-adic and 3-adic valuation.
+    """
+    flavour = draw(st.sampled_from(
+        ("random", "zero diagonal", "even diagonal", "definite", "rebased")))
+    if flavour == "rebased":
+        parts = draw(st.lists(st.sampled_from(REBASE_SUMMANDS), min_size=1,
+                              max_size=4))
+        g = lattice.build_named("+".join(parts)).gram
+        assume(len(g) <= 12)
+        n = len(g)
+        for _ in range(draw(st.integers(0, 3 * n))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if i != j:
+                g = _congruence(g, i, j, draw(st.sampled_from((-2, -1, 1, 2))))
+    else:
+        n = draw(st.integers(1, 12))
+        entry = st.integers(-3, 3)
+        if flavour == "definite":
+            b = [[draw(entry) for _ in range(n)] for _ in range(n)]
+            sign = draw(st.sampled_from((1, -1)))
+            g = [[sign * intmat.dot(ci, cj) for cj in zip(*b)] for ci in zip(*b)]
+        else:
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = draw(entry)
+            for i in range(n):
+                if flavour == "zero diagonal":
+                    g[i][i] = 0
+                elif flavour == "even diagonal":
+                    g[i][i] *= 2
+    if draw(st.booleans()):
+        d = [2 ** draw(st.integers(0, 4)) * 3 ** draw(st.integers(0, 3))
+             for _ in range(len(g))]
+        g = [[d[i] * x * d[j] for j, x in enumerate(row)] for i, row in enumerate(g)]
+    assume(ref_frac_det(g) != 0)
+    return g
+
+
+def _residue(x, q):
+    return x.numerator * pow(x.denominator, -1, q) % q
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric_grams())
+def test_det_signature_and_local_pieces_match_reference(g):
+    det = ref_frac_det(g)
+    sig = ref_symmetric_signature(g)
+    assert intmat.frac_det(g) == det
+    assert intmat.det(g) == det
+    assert intmat.det_signature(g) == (det, sig)
+    assert intmat.symmetric_signature(g) == sig
+    lat = lattice.Lattice(g)
+    assert (lat.det(), lat.signature()) == (det, sig)
+    for p in sorted(set([2] + genus._prime_factors(int(det)))):
+        # the exact values agree with the residues modulo p^(N - scale)
+        top = genus._valuation(int(det), p) + 3
+        ref = ref_local_pieces(g, p)
+        got = genus._local_pieces(g, p, int(det))
+        assert [(v, kind) for v, kind, _ in got] == [(v, kind) for v, kind, _ in ref]
+        for (v, _kind, value), (_, _, exact) in zip(got, ref):
+            assert value == _residue(exact, p ** (top - v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_grams(), st.integers(1, 6))
+def test_rational_det_signature_match_reference(g, den):
+    h = [[Fraction(x, den) for x in row] for row in g]
+    det, sig = ref_frac_det(h), ref_symmetric_signature(h)
+    assert intmat.frac_det(h) == det
+    assert intmat.det_signature(h) == (det, sig)
+    assert lattice.Lattice(h).det() == det
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_grams())
+def test_det_signature_match_sympy(g):
+    sympy = pytest.importorskip("sympy")
+    mat = sympy.Matrix(g)
+    coeffs = [int(c) for c in mat.charpoly().all_coeffs()]
+    # every root is real, so Descartes' rule counts them exactly
+    n = len(coeffs) - 1
+    plus = _sign_changes(coeffs)
+    minus = _sign_changes([c * (-1) ** (n - k) for k, c in enumerate(coeffs)])
+    assert intmat.det_signature(g) == (int(mat.det()), (plus, minus))
+
+
+def test_degenerate_grams_rejected():
+    for g in ([[0]], [[2, 2], [2, 2]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]]):
+        assert intmat.det_signature(g) == (0, None)
+        assert ref_frac_det(g) == 0
+        with pytest.raises(ValueError, match="degenerate"):
+            intmat.symmetric_signature(g)
+        with pytest.raises(ValueError, match="degenerate"):
+            ref_symmetric_signature(g)
+        with pytest.raises(ValueError, match="nondegenerate"):
+            lattice.Lattice(g)

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -346,12 +345,7 @@ def cmd_verify_table(args, emit):
         raise InputError("no isometry files under %s" % root)
     rows = fixtures.load_table(args.fixture)
     model = lattice.standard_model()
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(
-                lambda p: _table_file_result(model, rows, p), paths))
-    else:
-        results = [_table_file_result(model, rows, p) for p in paths]
+    results = [_table_file_result(model, rows, p) for p in paths]
     results.sort(key=lambda r: (r.get("row", 10**9), r["file"]))
 
     failures = 0
@@ -420,8 +414,6 @@ def build_parser():
     p.add_argument("directory", nargs="?",
                    help="database directory (default: $%s)" % DB_ENV)
     p.add_argument("--fixture", help="alternative class-table JSON file")
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel verification worker count")
     sub.add_parser("verify-discgroup", parents=[common],
                    help="discriminant group invariants")
     sub.add_parser("verify-orbits", parents=[common],

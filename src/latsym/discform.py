@@ -3,31 +3,44 @@
 The discriminant group of an even nondegenerate lattice L is D_L = L^v/L.
 It carries the quadratic form q(x) = x^2 mod 2Z and the polar form
 b(x, y) = q(x+y) - q(x) - q(y) mod 2Z.  Elements are coordinate tuples over
-the elementary divisors of the Gram matrix.  Groups of isometries of small
-modules are handled as permutations of the element set through a
-stabilizer chain, so order, membership and orbits are exact.
+the elementary divisors of the Gram matrix.  All arithmetic is on ints:
+q and b are kept in units of 1/e for the exponent e of the group, and the
+action of a lattice isometry is read off integer lifts by exact division.
+Groups of isometries of small modules are handled as permutations of the
+element set through a stabilizer chain, so order, membership and orbits
+are exact.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import intmat
-
-
-def _mod2(x):
-    return Fraction(x) % 2
 
 
 def _unit_tuple(k, j):
     return tuple(1 if i == j else 0 for i in range(k))
 
 
+def _units(x, e):
+    """The rational x as an integer multiple of 1/e, reduced mod 2e."""
+    n, r = divmod(Fraction(x) * e, 1)
+    if r:
+        raise ValueError("form value %s is not a multiple of 1/%d" % (x, e))
+    return int(n) % (2 * e)
+
+
 class TorsionQuadModule:
     """Finite abelian group with a Q/2Z-valued quadratic form.
 
     An element is a tuple (c_1, ..., c_k) with c_i taken modulo orders[i];
-    the orders form a divisor chain and every entry exceeds 1.  qgen holds
-    q on the generators, bmat the polar form values b(g_i, g_j), both as
-    rationals mod 2Z.
+    the orders form a divisor chain and every entry exceeds 1.  qgen gives
+    q on the generators and bmat the polar form values b(g_i, g_j), both
+    rationals mod 2Z with denominators dividing the exponent
+    e = lcm(orders).  They are stored as qunits[i] = e q(g_i) and
+    bunits[i][j] = e b(g_i, g_j), ints reduced mod 2e.  For a module built
+    from a lattice, lifts[i] is an integer vector u_i such that u_i /
+    orders[i] represents g_i in the dual lattice.
     """
 
     def __init__(self, orders, qgen, bmat, source=None, lifts=None):
@@ -40,17 +53,18 @@ class TorsionQuadModule:
         if len(qgen) != k or len(bmat) != k or any(len(r) != k for r in bmat):
             raise ValueError("generator data does not match orders")
         self.orders = list(orders)
-        self.qgen = [_mod2(x) for x in qgen]
-        self.bmat = [[_mod2(x) for x in row] for row in bmat]
+        e = self.exponent = lcm(*self.orders)
+        self.qunits = [_units(x, e) for x in qgen]
+        self.bunits = [[_units(x, e) for x in row] for row in bmat]
         for i in range(k):
-            if self.bmat[i][i] != _mod2(2 * self.qgen[i]):
+            if self.bunits[i][i] != 2 * self.qunits[i] % (2 * e):
                 raise ValueError("polar diagonal must be 2q of the generator")
             for j in range(k):
-                if self.bmat[i][j] != self.bmat[j][i]:
+                if self.bunits[i][j] != self.bunits[j][i]:
                     raise ValueError("polar form must be symmetric")
         self.source = source
         self.lifts = lifts
-        self._snf = None
+        self._coords = None
         self._elems = None
         self._eidx = None
 
@@ -95,56 +109,62 @@ class TorsionQuadModule:
             self._elems = elems
             self._eidx = {e: i for i, e in enumerate(elems)}
 
+    def _q_units(self, x):
+        """e q(x) mod 2e for a coordinate tuple x."""
+        total = 0
+        for i, xi in enumerate(x):
+            if xi:
+                row = self.bunits[i]
+                total += xi * (xi * self.qunits[i]
+                               + sum(map(mul, row[i + 1:], x[i + 1:])))
+        return total % (2 * self.exponent)
+
+    def _b_units(self, x, y):
+        """e b(x, y) mod 2e for coordinate tuples x and y."""
+        total = sum(xi * sum(map(mul, row, y))
+                    for xi, row in zip(x, self.bunits) if xi)
+        return total % (2 * self.exponent)
+
     def q(self, x):
-        x = self.reduce(x)
-        k = len(self.orders)
-        total = Fraction(0)
-        for i in range(k):
-            total += x[i] * x[i] * self.qgen[i]
-            for j in range(i + 1, k):
-                total += x[i] * x[j] * self.bmat[i][j]
-        return _mod2(total)
+        return Fraction(self._q_units(self.reduce(x)), self.exponent)
 
     def b(self, x, y):
-        x = self.reduce(x)
-        y = self.reduce(y)
-        k = len(self.orders)
-        total = Fraction(0)
-        for i in range(k):
-            for j in range(k):
-                total += x[i] * y[j] * self.bmat[i][j]
-        return _mod2(total)
+        return Fraction(self._b_units(self.reduce(x), self.reduce(y)),
+                        self.exponent)
 
     def lift(self, x):
         """A representative of x in the dual lattice, in lattice coordinates."""
         if self.lifts is None:
             raise ValueError("module has no source lattice")
-        x = self.reduce(x)
-        n = len(self.lifts[0]) if self.lifts else 0
-        out = [Fraction(0)] * n
-        for c, l in zip(x, self.lifts):
-            for i in range(n):
-                out[i] += c * l[i]
-        return out
+        e = self.exponent
+        num = [0] * self.source.rank
+        for c, u, d in zip(self.reduce(x), self.lifts, self.orders):
+            num = [a + c * (e // d) * b for a, b in zip(num, u)]
+        return [Fraction(a, e) for a in num]
 
     def dual_class(self, y):
         """Class of a dual-lattice vector given in rational lattice coordinates."""
-        if self._snf is None:
+        y = [Fraction(c) for c in y]
+        den = lcm(*(c.denominator for c in y))
+        return self._dual_class([(c * den).numerator for c in y], den)
+
+    def _dual_class(self, num, den):
+        """Class of the vector num / den, for an integer vector num.
+
+        num / den lies in the dual lattice iff den divides G num; the
+        quotient w then has class coordinates (V^T w)_i mod orders[i] for
+        the right Smith transform V of G.
+        """
+        if self._coords is None:
             raise ValueError("module has no source lattice")
-        v, diag, keep = self._snf
-        g = self.source.gram
-        n = self.source.rank
         w = []
-        for j in range(n):
-            p = Fraction(sum(Fraction(y[i]) * g[i][j] for i in range(n)))
-            if p.denominator != 1:
+        for p in intmat.mat_vec(self.source.gram, num):
+            quo, rem = divmod(p, den)
+            if rem:
                 raise ValueError("vector is not in the dual lattice")
-            w.append(p.numerator)
-        full = [sum(w[i] * v[i][j] for i in range(n)) % diag[j] for j in range(n)]
-        for j in range(n):
-            if j not in keep and full[j]:
-                raise ValueError("vector is not in the dual lattice")
-        return tuple(full[j] for j in keep)
+            w.append(quo)
+        return tuple(intmat.dot(col, w) % d
+                     for col, d in zip(self._coords, self.orders))
 
 
 def discriminant_form(lat):
@@ -161,14 +181,19 @@ def discriminant_form(lat):
     g = lat.int_gram()
     n = lat.rank
     d, u, v = intmat.smith_normal_form(g)
-    diag = [d[i][i] for i in range(n)]
-    keep = [i for i in range(n) if diag[i] > 1]
-    orders = [diag[i] for i in keep]
-    lifts = [[Fraction(u[i][j], diag[i]) for j in range(n)] for i in keep]
-    qgen = [lat.inner(l, l) for l in lifts]
-    bmat = [[2 * lat.inner(a, c) for c in lifts] for a in lifts]
-    mod = TorsionQuadModule(orders, qgen, bmat, source=lat, lifts=lifts)
-    mod._snf = (v, diag, set(keep))
+    keep = [i for i in range(n) if d[i][i] > 1]
+    orders = [d[i][i] for i in keep]
+    lifts = [u[i] for i in keep]
+    # U G V = D makes G u_i = d_i (V^-T e_i), so G u_i / d_i is integral and
+    # <u_i / d_i, u_j / d_j> = u_i . (G u_j / d_j) / d_i
+    duals = [[x // dj for x in intmat.mat_vec(g, uj)]
+             for uj, dj in zip(lifts, orders)]
+    inner = [[Fraction(intmat.dot(ui, w), di) for w in duals]
+             for ui, di in zip(lifts, orders)]
+    mod = TorsionQuadModule(orders, [inner[i][i] for i in range(len(keep))],
+                            [[2 * x for x in row] for row in inner],
+                            source=lat, lifts=lifts)
+    mod._coords = [[v[i][j] for i in range(n)] for j in keep]
     lat._disc_form = mod
     return mod
 
@@ -257,7 +282,8 @@ def kernel_and_radical(mod):
     if not mod.is_two_elementary:
         raise ValueError("kernel/radical needs a 2-elementary module")
     k = len(mod.orders)
-    row = [int(_mod2(2 * qi)) for qi in mod.qgen]
+    # e = 2 here, so 2q(g_i) = qunits[i] mod 2
+    row = [qu % 2 for qu in mod.qunits]
     kernel = Subgroup(mod, [tuple(x) for x in _f2_kernel([row], k)])
     bk = [[int(mod.b(x, y)) for y in kernel.basis] for x in kernel.basis]
     combos = _f2_kernel(bk, kernel.dim)
@@ -340,12 +366,11 @@ class FqmIsometry:
     def preserves_q(self):
         if self._preserves_q is None:
             mod = self.module
-            k = len(mod.orders)
-            gens = [_unit_tuple(k, j) for j in range(k)]
-            imgs = [self.apply(g) for g in gens]
-            ok = all(mod.q(imgs[j]) == mod.qgen[j] for j in range(k))
+            imgs = list(zip(*self.matrix))
+            k = len(imgs)
+            ok = all(mod._q_units(imgs[j]) == mod.qunits[j] for j in range(k))
             if ok:
-                ok = all(mod.b(imgs[i], imgs[j]) == mod.bmat[i][j]
+                ok = all(mod._b_units(imgs[i], imgs[j]) == mod.bunits[i][j]
                          for i in range(k) for j in range(i + 1, k))
             self._preserves_q = ok
         return self._preserves_q
@@ -360,8 +385,17 @@ class FqmIsometry:
         return perm
 
     def order(self):
-        seen = self.permutation()
-        return _perm_order(seen)
+        """Least n with self^n the identity, by composing the matrix; a
+        power that repeats before reaching the identity means the map is
+        not invertible."""
+        power, n, seen = self, 1, set()
+        while not power.is_identity:
+            if power._key in seen:
+                raise ValueError("map is not invertible")
+            seen.add(power._key)
+            power = power.compose(self)
+            n += 1
+        return n
 
 
 def transvection(mod, u):
@@ -383,18 +417,23 @@ def transvection(mod, u):
 
 
 def induced_disc_isometry(lat, f):
-    """Action of a lattice isometry on the discriminant group of lat."""
+    """Action of a lattice isometry on the discriminant group of lat.
+
+    Column j is the class of M u_j / d_j, the image of the lift of the
+    j-th generator.  A LatticeIsometry of lat itself was checked when it
+    was made; a raw matrix is checked here.
+    """
     m = getattr(f, "matrix", f)
-    g = lat.gram
-    if not intmat.is_integer_matrix(m) or abs(intmat.det(m)) != 1:
-        raise ValueError("map is not a lattice isometry")
-    if intmat.mat_mul(intmat.transpose(m), intmat.mat_mul(g, m)) != g:
-        raise ValueError("map does not preserve the Gram matrix")
+    if getattr(f, "lattice", None) is not lat:
+        g = lat.gram
+        if not intmat.is_integer_matrix(m) or abs(intmat.det(m)) != 1:
+            raise ValueError("map is not a lattice isometry")
+        if intmat.mat_mul(intmat.transpose(m), intmat.mat_mul(g, m)) != g:
+            raise ValueError("map does not preserve the Gram matrix")
     mod = discriminant_form(lat)
-    k = len(mod.orders)
-    cols = [mod.dual_class(intmat.mat_vec(m, l)) for l in mod.lifts]
-    mat = [[cols[j][i] for j in range(k)] for i in range(k)]
-    iso = FqmIsometry(mod, mat)
+    cols = [mod._dual_class(intmat.mat_vec(m, u), d)
+            for u, d in zip(mod.lifts, mod.orders)]
+    iso = FqmIsometry(mod, [list(row) for row in zip(*cols)])
     assert iso.preserves_q
     return iso
 
@@ -412,29 +451,6 @@ def _pinverse(p):
     for i, x in enumerate(p):
         inv[x] = i
     return tuple(inv)
-
-
-def _perm_order(p):
-    n = len(p)
-    seen = [False] * n
-    total = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        total = total * length // _gcd(total, length)
-    return total
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class _StabilizerChain:

@@ -10,13 +10,21 @@ describe no lattice are corrected by the checksummed errata file, which is
 applied on load and checked against the table and the oddity formula.
 """
 
-import hashlib
 import json
 import re
 from functools import lru_cache
 from pathlib import Path
 
 from . import genus, lattice
+
+# the builtin SHA-256 module spares the import of OpenSSL through hashlib
+try:
+    from _sha2 import sha256            # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.11 and earlier
+    except ImportError:
+        from hashlib import sha256
 
 _DATA = Path(__file__).parent / "data"
 
@@ -30,7 +38,7 @@ _GENUS_FIELDS = ("invariant_genus", "coinvariant_genus")
 def _load_json(path, checksum):
     raw = path.read_bytes()
     if checksum is not None:
-        digest = hashlib.sha256(raw).hexdigest()
+        digest = sha256(raw).hexdigest()
         if digest != checksum:
             raise ValueError("checksum mismatch for %s" % path.name)
     return json.loads(raw.decode("utf-8"))

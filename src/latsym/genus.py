@@ -100,15 +100,23 @@ def _legendre_int(a, p):
     return 1 if r == 1 else -1
 
 
+def _proven_prime(n):
+    return n < intmat.PRIME_BOUND and intmat.is_prime(n)
+
+
 def _prime_factors(n):
+    """Prime divisors of n, ascending; trial division stops as soon as
+    the cofactor is a proven prime."""
     n = abs(n)
     out = []
     d = 2
-    while d * d <= n:
+    done = _proven_prime(n)
+    while not done and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
+            done = _proven_prime(n)
         d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)

@@ -8,7 +8,8 @@ stays cheap on the dense rank 28-34 Grams that genus symbols are asked for.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
+from operator import mul
 
 
 def identity(n):
@@ -31,11 +32,11 @@ def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     assert len(a[0]) == k
     bt = transpose(b)
-    return [[sum(ra[t] * cb[t] for t in range(k)) for cb in bt] for ra in a]
+    return [[sum(map(mul, ra, cb)) for cb in bt] for ra in a]
 
 
 def mat_vec(a, v):
-    return [sum(row[i] * v[i] for i in range(len(v))) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def vec_mat(v, a):
@@ -77,7 +78,7 @@ def to_int_matrix(a):
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def gcd_vec(v):
@@ -87,9 +88,41 @@ def gcd_vec(v):
     return g
 
 
+# Miller-Rabin with the first 13 prime bases is exact for every n below
+# PRIME_BOUND (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
-    """Primality of an int by trial division up to isqrt(n)."""
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+    """Primality of an int by deterministic Miller-Rabin.
+
+    A multiple of a base is decided at any size; any other n of at least
+    PRIME_BOUND raises ValueError, since the test is not proven there.
+    """
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= PRIME_BOUND:
+        raise ValueError("primality of %d is beyond the proven bound %d"
+                         % (n, PRIME_BOUND))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def bareiss(m, symmetric=False):

@@ -313,7 +313,11 @@ def build_named(expr):
 
 def restricted_gram(lat, rows):
     """Gram matrix of the sublattice spanned by the given row vectors."""
-    return [[lat.inner(r, s) for s in rows] for r in rows]
+    for r in rows:
+        if len(r) != lat.rank:
+            raise ValueError("vector length does not match rank")
+    images = [intmat.mat_vec(lat.gram, s) for s in rows]
+    return [[_as_exact(intmat.dot(r, gs)) for gs in images] for r in rows]
 
 
 def orthogonal_complement(lat, rows):

@@ -9,8 +9,9 @@ the pointlike-exceptional set; all four together form the full wall set.
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
-from . import intmat, lattice
+from . import intmat
 
 PEX2 = "PEX2"
 PEX4 = "PEX4"
@@ -56,7 +57,9 @@ def short_vectors(lat_or_gram, n):
 
     One representative per antipodal pair, the one whose first nonzero
     coordinate is positive; output sorted lexicographically.  Rational
-    Grams and targets are scaled to integers first.
+    Grams and targets are scaled to integers first.  The enumeration visits
+    one vector of each pair (the last nonzero coordinate positive) and
+    solves for the first coordinate instead of searching it.
     """
     gram = lat_or_gram.gram if hasattr(lat_or_gram, "gram") else lat_or_gram
     rank = len(gram)
@@ -82,23 +85,35 @@ def short_vectors(lat_or_gram, n):
     out = []
     x = [0] * rank
 
-    def descend(k, remaining):
-        if k < 0:
-            # x != 0 here since the budget is positive; keep the lead-positive one
-            if remaining == 0 and next(c for c in x if c) > 0:
-                out.append(tuple(x))
-            return
+    def descend(k, remaining, top):
+        # top: every coordinate above k is zero, so x_k >= 0 there keeps
+        # one vector of each antipodal pair
         row, d, w = e[k], minors[k + 1], weight[k]
-        c = sum(row[j] * x[j] for j in range(k + 1, rank))
+        c = 0 if top else sum(map(mul, row[k + 1:], x[k + 1:]))
+        if k == 0:
+            # the last coordinate must use up the budget exactly
+            s, r = divmod(remaining, w)
+            y = isqrt(s)
+            if r or y * y != s:
+                return
+            for yk in {y, -y}:
+                xk, r = divmod(yk - c, d)
+                if r or (top and xk <= 0):
+                    continue
+                x[0] = xk
+                lead = next(v for v in x if v)
+                out.append(tuple(x) if lead > 0 else tuple(-v for v in x))
+            x[0] = 0
+            return
         b = isqrt(remaining // w)
         # integers with |d x_k + c| <= b
-        for xk in range(-((b + c) // d), (b - c) // d + 1):
+        for xk in range(0 if top else -((b + c) // d), (b - c) // d + 1):
             y = d * xk + c
             x[k] = xk
-            descend(k - 1, remaining - w * y * y)
+            descend(k - 1, remaining - w * y * y, top and not xk)
         x[k] = 0
 
-    descend(rank - 1, budget)
+    descend(rank - 1, budget, True)
     return sorted(out)
 
 
@@ -135,35 +150,69 @@ def coinvariant_wall_scan(model, f, pex_only=False):
     in the ambient lattice; an empty list means the wall condition holds.
     Raises when the coinvariant lattice is not negative definite.
     """
+    from . import isometry
+
     lat = model.lattice
     m = getattr(f, "matrix", f)
     if intmat.mat_mul(intmat.transpose(m), intmat.mat_mul(lat.gram, m)) != lat.gram:
         raise ValueError("map does not preserve the Gram matrix")
-    delta = intmat.mat_sub(m, intmat.identity(lat.rank))
-    inv_rows = intmat.kernel_basis(delta)
-    coinv_rows = lattice.orthogonal_complement(lat, inv_rows)
-    if not coinv_rows:
+    _inv, coinv = isometry.invariant_coinvariant(isometry.LatticeIsometry(lat, m))
+    if not coinv.rank:
         return []
-    gc = lattice.restricted_gram(lat, coinv_rows)
-    if intmat.symmetric_signature(gc) != (0, len(coinv_rows)):
+    if coinv.lattice.signature() != (0, coinv.rank):
         raise ValueError("coinvariant lattice is not negative definite")
-    return _scan_sublattice(model, coinv_rows, gc, pex_only)
+    return _scan_sublattice(model, coinv.rows, coinv.lattice.gram, pex_only)
+
+
+# the divisibility each wall square needs, and the class it then gives
+_WALL_DIV = {-2: (1, PEX2), -4: (2, PEX4), -6: (2, WALL6), -12: (2, WALL12)}
 
 
 def _scan_sublattice(model, rows, gram, pex_only=False):
     """Wall witnesses among the vectors of a negative definite sublattice,
-    given by its basis rows in the model's coordinates and its Gram."""
-    rank = model.lattice.rank
+    given by its basis rows in the model's coordinates and its Gram.
+
+    A vector with coordinates x is v = sum x_i rows_i.  The parity of G v
+    and of v on the hyperbolic-block coordinates 0..5 is linear mod 2 in
+    x, so an XOR of per-row bit masks rejects most vectors before any
+    product: PEX2 needs G v odd somewhere, the other classes need G v even,
+    and WALL12 also needs v even on the blocks.  A survivor gets G v as
+    the sum of x_i (G rows_i) and its exact divisibility; only a wall is
+    built as an ambient vector, through the checked wall_class.
+    """
+    n = model.rank
+    gram_rows = [intmat.mat_vec(model.lattice.gram, r) for r in rows]
+    # bits 0..n-1: G row mod 2; bits n..n+5: row mod 2 on the blocks
+    masks = [sum((c & 1) << i for i, c in enumerate(gr + list(r[:6])))
+             for r, gr in zip(rows, gram_rows)]
+    div_bits = (1 << n) - 1
     targets = (-2, -4) if pex_only else (-2, -4, -6, -12)
     witnesses = []
     for t in targets:
+        need_div, wclass = _WALL_DIV[t]
+        even_bits = -1 if wclass == WALL12 else div_bits
         for coords in short_vectors(gram, t):
-            ambient = [0] * rank
-            for c, row in zip(coords, rows):
+            acc = 0
+            for c, mask in zip(coords, masks):
+                if c & 1:
+                    acc ^= mask
+            if need_div == 1:
+                if not acc & div_bits:      # G v even: div is not 1
+                    continue
+            elif acc & even_bits:           # G v odd, or odd on the blocks
+                continue
+            gv = [0] * n
+            for c, gr in zip(coords, gram_rows):
                 if c:
-                    for i in range(rank):
-                        ambient[i] += c * row[i]
+                    gv = [a + c * b for a, b in zip(gv, gr)]
+            if intmat.gcd_vec(gv) != need_div:
+                continue
+            ambient = [0] * n
+            for c, r in zip(coords, rows):
+                if c:
+                    ambient = [a + c * b for a, b in zip(ambient, r)]
             w = wall_class(model, ambient)
-            if w is not None:
-                witnesses.append(w)
+            if w is None or w.wclass != wclass:
+                raise RuntimeError("wall filter disagrees with wall_class")
+            witnesses.append(w)
     return witnesses

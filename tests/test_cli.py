@@ -62,17 +62,36 @@ def test_info_non_prime_plane(capsys, expr):
     assert "odd prime" in err
 
 
-def test_python_m_latsym():
+def latsym_process(argv, timeout):
+    """Run `python -m latsym` on this checkout in a fresh interpreter."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-m", "latsym", "info", "A2"],
-                          env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "latsym", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_python_m_latsym():
+    done = latsym_process(["info", "A2"], timeout=60)
     assert done.returncode == 0, done.stderr
     assert "genus: II_(0,2)3^1" in done.stdout
-    done = subprocess.run([sys.executable, "-m", "latsym", "info", "K9"],
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = latsym_process(["info", "K9"], timeout=60)
     assert done.returncode == 2
+
+
+def test_info_large_prime_plane():
+    # 2^61 - 1 is prime: trial division up to its square root did not end
+    # within any usable limit, Miller-Rabin decides it at once
+    done = latsym_process(["info", "K2305843009213693951"], timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert "det: 2305843009213693951" in done.stdout
+
+
+def test_info_plane_beyond_prime_bound():
+    # 2^89 - 1 is prime too, but lies above the bound where the test is proven
+    done = latsym_process(["info", "K%d" % (2**89 - 1)], timeout=10)
+    assert done.returncode == 2
+    assert "proven bound" in done.stderr
 
 
 def test_genus_command(capsys):
@@ -232,17 +251,6 @@ def test_verify_table_json_lines(capsys, tmp_path, model):
     for line in out.splitlines():
         if line:
             json.loads(line)
-
-
-def test_verify_table_threads(capsys, tmp_path, model):
-    lam = model.lattice
-    write_isometry(tmp_path / "row1.json", isometry.identity_isometry(lam))
-    write_isometry(tmp_path / "row2.json",
-                   isometry.exceptional_involution(model))
-    rc1, out1, _ = run(capsys, ["verify-table", str(tmp_path)])
-    rc2, out2, _ = run(capsys, ["verify-table", str(tmp_path), "--threads", "2"])
-    assert rc1 == rc2
-    assert out1 == out2
 
 
 def test_unknown_command(capsys):

@@ -97,6 +97,30 @@ def test_induced_isometry():
     assert ident.is_identity
 
 
+def test_dual_class_rejects_non_dual_vectors():
+    lam = lattice.standard_model().lattice
+    mod = discform.discriminant_form(lam)
+    # half an E8 root pairs to 1/2 with its neighbours
+    half_root = [Fraction(1, 2) if i == 6 else 0 for i in range(16)]
+    with pytest.raises(ValueError, match="not in the dual lattice"):
+        mod.dual_class(half_root)
+    with pytest.raises(ValueError, match="not in the dual lattice"):
+        mod.dual_class([Fraction(1, 3)] + [0] * 15)
+    # e_0 / 2 pairs integrally with U(2), so it has a class, of order 2
+    cls = mod.dual_class([Fraction(1, 2)] + [0] * 15)
+    assert any(cls) and mod.add(cls, cls) == mod.zero()
+    assert mod.dual_class([2] + [0] * 15) == mod.zero()
+
+
+def test_order_refuses_a_map_that_is_not_invertible():
+    mod = discform.discriminant_form(lattice.build_named("A1^2"))
+    zero = discform.FqmIsometry(mod, [[0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="not invertible"):
+        zero.order()
+    swap = discform.FqmIsometry(mod, [[0, 1], [1, 0]])
+    assert swap.order() == 2 and swap.preserves_q
+
+
 def test_full_reflection_group():
     lam = lattice.standard_model().lattice
     mod = discform.discriminant_form(lam)

@@ -1,5 +1,10 @@
+import importlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +179,48 @@ def test_row_expressions_build():
         assert lat.rank >= 1
         if row["coinvariant_expr"]:
             lattice.build_named(row["coinvariant_expr"])
+
+
+def test_import_leaves_out_openssl_and_threads():
+    # hashlib loads OpenSSL (about 3.6 MB) and a thread pool is not needed;
+    # site-wide imports are excluded by comparing with the start-up modules
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import latsym.cli\n"
+            "from latsym import fixtures\n"
+            "fixtures.load_table()\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    src = str(Path(fixtures.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert "latsym.fixtures" in loaded
+    assert "_hashlib" not in loaded
+    assert "hashlib" not in loaded
+    assert not [m for m in loaded if m.startswith("concurrent")]
+
+
+def test_checksums_without_builtin_sha256(monkeypatch, tmp_path):
+    """With neither builtin SHA-256 module, fixtures falls back to hashlib
+    and still checks every bundled file."""
+    import hashlib
+
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    try:
+        mod = importlib.reload(fixtures)
+        assert mod.sha256 is hashlib.sha256
+        assert len(mod.load_table()) == 32
+        raw = bytearray((mod._DATA / "table1.json").read_bytes())
+        raw[100] ^= 1
+        flipped = tmp_path / "table1.json"
+        flipped.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="checksum mismatch"):
+            mod._load_json(flipped, mod.TABLE1_SHA256)
+    finally:
+        monkeypatch.undo()
+        importlib.reload(fixtures)
+    assert fixtures.sha256 is not hashlib.sha256

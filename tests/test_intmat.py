@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,27 @@ def test_is_prime():
                       47, 53, 59]
     assert intmat.is_prime(2**31 - 1)
     assert not intmat.is_prime(2**31 - 3)   # 5 * 19 * 22605091
+
+
+def test_is_prime_miller_rabin():
+    # strong pseudoprimes to base 2, and Carmichael numbers
+    for n in (2047, 3215031751, 561, 41041, 825265, 3825123056546413051):
+        assert not intmat.is_prime(n), n
+    # psi_12 = 399165290221 * 798330580441 fools the bases 2..37; the
+    # thirteenth base, 41, exposes it
+    assert not intmat.is_prime(399165290221 * 798330580441)
+    assert intmat.is_prime(2**61 - 1)
+    # the primes in [10^24, 10^24 + 200)
+    assert [k for k in range(200) if intmat.is_prime(10**24 + k)] == [
+        7, 49, 121, 177, 183]
+    assert all(intmat.is_prime(n) == all(n % d for d in range(2, isqrt(n) + 1))
+               for n in range(2, 5000))
+    # at and above the bound only a multiple of a base is decided
+    assert not intmat.is_prime(2**100)
+    assert not intmat.is_prime(41 * 2**89)
+    for n in (intmat.PRIME_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match="proven bound"):
+            intmat.is_prime(n)
 
 
 def test_det_signature():

@@ -4,22 +4,25 @@ The reference implementations below are the earlier Fraction versions of
 the characteristic polynomial (Faddeev-LeVerrier over Q), the O+ test (a
 decomposition into rational reflections, counting the positive mirrors),
 the short-vector enumeration (Fincke-Pohst on an exact LDL), the
-determinant and signature (Gaussian elimination over Q) and the Jordan
-splitting over Z_p (rational elimination read p-adically).  The integer
-versions must agree with them on random isometries of Lambda and of small
-lattices of every signature type, and on random symmetric Grams.
+determinant and signature (Gaussian elimination over Q), the Jordan
+splitting over Z_p (rational elimination read p-adically), the
+discriminant action (Fraction lifts, q and b, and the order of the
+permutation of all elements) and the wall scan that classifies every
+enumerated vector.  The integer versions must agree with them on random
+isometries of Lambda and of small lattices of every signature type, on
+random symmetric Grams, and on random maps of small discriminant modules.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, isqrt
+from math import ceil, floor, gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latsym import cli, genus, intmat, isometry, lattice, walls
+from latsym import cli, discform, genus, intmat, isometry, lattice, walls
 from latsym.lattice import standard_model
 
 # ---------------------------------------------------------------------------
@@ -536,3 +539,265 @@ def test_degenerate_grams_rejected():
             ref_symmetric_signature(g)
         with pytest.raises(ValueError, match="nondegenerate"):
             lattice.Lattice(g)
+
+
+# ---------------------------------------------------------------------------
+# discriminant action: the earlier Fraction lifts, q, b and permutation order
+
+
+def _mod2(x):
+    return Fraction(x) % 2
+
+
+class RefModule:
+    """The discriminant form as it was built on Fraction lifts u_i / d_i."""
+
+    def __init__(self, lat):
+        g = lat.int_gram()
+        n = lat.rank
+        d, u, v = intmat.smith_normal_form(g)
+        diag = [d[i][i] for i in range(n)]
+        self.keep = [i for i in range(n) if diag[i] > 1]
+        self.orders = [diag[i] for i in self.keep]
+        self.lifts = [[Fraction(u[i][j], diag[i]) for j in range(n)]
+                      for i in self.keep]
+        self.qgen = [_mod2(lat.inner(l, l)) for l in self.lifts]
+        self.bmat = [[_mod2(2 * lat.inner(a, c)) for c in self.lifts]
+                     for a in self.lifts]
+        self.lat, self.v, self.diag = lat, v, diag
+
+    def q(self, x):
+        k = len(self.orders)
+        total = Fraction(0)
+        for i in range(k):
+            total += x[i] * x[i] * self.qgen[i]
+            for j in range(i + 1, k):
+                total += x[i] * x[j] * self.bmat[i][j]
+        return _mod2(total)
+
+    def b(self, x, y):
+        k = len(self.orders)
+        return _mod2(sum(x[i] * y[j] * self.bmat[i][j]
+                         for i in range(k) for j in range(k)))
+
+    def dual_class(self, y):
+        g = self.lat.gram
+        n = self.lat.rank
+        w = []
+        for j in range(n):
+            p = Fraction(sum(Fraction(y[i]) * g[i][j] for i in range(n)))
+            if p.denominator != 1:
+                raise ValueError("vector is not in the dual lattice")
+            w.append(p.numerator)
+        full = [sum(w[i] * self.v[i][j] for i in range(n)) % self.diag[j]
+                for j in range(n)]
+        assert all(full[j] == 0 for j in range(n) if j not in self.keep)
+        return tuple(full[j] for j in self.keep)
+
+    def induced(self, m):
+        cols = [self.dual_class(intmat.mat_vec(m, l)) for l in self.lifts]
+        return [[c[i] for c in cols] for i in range(len(cols))]
+
+    def apply(self, mat, x):
+        return tuple(sum(r * c for r, c in zip(row, x)) % d
+                     for row, d in zip(mat, self.orders))
+
+    def preserves_q(self, mat):
+        k = len(self.orders)
+        imgs = [tuple(mat[i][j] for i in range(k)) for j in range(k)]
+        return (all(self.q(imgs[j]) == self.qgen[j] for j in range(k))
+                and all(self.b(imgs[i], imgs[j]) == self.bmat[i][j]
+                        for i in range(k) for j in range(i + 1, k)))
+
+    def order(self, mat):
+        """Order of the element permutation, as FqmIsometry.order was."""
+        elems = [()]
+        for d in self.orders:
+            elems = [e + (c,) for e in elems for c in range(d)]
+        index = {e: i for i, e in enumerate(elems)}
+        perm = [index[self.apply(mat, e)] for e in elems]
+        if len(set(perm)) != len(perm):
+            raise ValueError("map is not invertible")
+        seen = [False] * len(perm)
+        total = 1
+        for i in range(len(perm)):
+            length, j = 0, i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            if length:
+                total = total * length // gcd(total, length)
+        return total
+
+
+@lru_cache(maxsize=None)
+def ref_module(name):
+    lat = standard_model().lattice if name == "Lambda" else lattice.build_named(name)
+    return lat, discform.discriminant_form(lat), RefModule(lat)
+
+
+def _same_order(iso, ref, mat):
+    """Both orders agree, or both refuse a map that is not invertible;
+    returns the order, or None."""
+    try:
+        expect = ref.order(mat)
+    except ValueError:
+        with pytest.raises(ValueError, match="not invertible"):
+            iso.order()
+        return None
+    assert iso.order() == expect
+    return expect
+
+
+@settings(max_examples=25, deadline=None)
+@given(PICKS, PICKS)
+def test_induced_disc_isometry_matches_reference(picks_f, picks_g):
+    lam, mod, ref = ref_module("Lambda")
+    f = word(lambda_generators(), picks_f)
+    g = word(lambda_generators(), picks_g)
+    df = discform.induced_disc_isometry(lam, f)
+    dg = discform.induced_disc_isometry(lam, g)
+    assert df.matrix == ref.induced(f.matrix)
+    # a raw matrix takes the checked path and gives the same map
+    assert discform.induced_disc_isometry(lam, f.matrix) == df
+    assert df.preserves_q and ref.preserves_q(df.matrix)
+    assert df.order() == ref.order(df.matrix)
+    fg = discform.induced_disc_isometry(lam, isometry.compose(f, g))
+    assert fg == df.compose(dg)
+    assert fg.matrix == ref.induced(isometry.compose(f, g).matrix)
+
+
+def test_transvections_match_reference():
+    _lam, mod, ref = ref_module("Lambda")
+    kinds = set()
+    for u in mod.elements()[1:]:
+        t = discform.transvection(mod, u)
+        assert t.preserves_q == ref.preserves_q(t.matrix)
+        assert t.preserves_q == (mod.q(u) == 1)
+        kinds.add((t.preserves_q, _same_order(t, ref, t.matrix)))
+    assert kinds == {(True, 2), (False, None), (False, 2)}
+
+
+DISC_NAMES = ("A2", "A3", "D4", "A1^3", "K7", "U(2)+A2", "A4+A1", "H7(2)", "A2^2")
+
+
+def test_q_b_and_dual_class_match_reference():
+    for name in ("Lambda",) + DISC_NAMES:
+        lat, mod, ref = ref_module(name)
+        assert mod.orders == ref.orders
+        elems = mod.elements()
+        k = len(mod.orders)
+        gens = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+        assert [mod.q(g) for g in gens] == ref.qgen
+        for x in elems:
+            assert mod.q(x) == ref.q(x)
+            for y in gens + elems[::max(1, len(elems) // 8)]:
+                assert mod.b(x, y) == ref.b(x, y)
+            y = [sum(c * l[i] for c, l in zip(x, ref.lifts)) for i in range(lat.rank)]
+            assert mod.dual_class(y) == ref.dual_class(y) == x
+            assert mod.dual_class(mod.lift(x)) == x
+
+
+@st.composite
+def module_maps(draw):
+    """A generic module of `latsym disc` and an integer matrix that defines
+    a homomorphism of it (m[i][j] d_j = 0 mod d_i)."""
+    name = draw(st.sampled_from(DISC_NAMES))
+    _lat, mod, _ref = ref_module(name)
+    d = mod.orders
+    k = len(d)
+    mat = [[draw(st.integers(0, d[i] - 1)) * (d[i] // gcd(d[i], d[j]))
+            for j in range(k)] for i in range(k)]
+    return name, mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(module_maps())
+def test_generic_module_maps_match_reference(case):
+    name, mat = case
+    _lat, mod, ref = ref_module(name)
+    iso = discform.FqmIsometry(mod, mat)
+    assert iso.preserves_q == ref.preserves_q(iso.matrix)
+    _same_order(iso, ref, iso.matrix)
+
+
+# ---------------------------------------------------------------------------
+# wall scan: the earlier per-vector classification
+
+
+def ref_wall_scan(model, rows, gram, pex_only=False):
+    """Every enumerated vector built in the ambient lattice and classified."""
+    out = []
+    for t in (-2, -4) if pex_only else (-2, -4, -6, -12):
+        for coords in walls.short_vectors(gram, t):
+            ambient = [sum(c * row[i] for c, row in zip(coords, rows))
+                       for i in range(model.rank)]
+            w = walls.wall_class(model, ambient)
+            if w is not None:
+                out.append(w)
+    return out
+
+
+@lru_cache(maxsize=None)
+def wall_bases():
+    """Isometries whose coinvariant lattices hold every wall class, and
+    vectors of square -12 and divisibility 2 that fail the WALL12 parity:
+    e_0 <-> f_0 with -1 on the first A1 (PEX4, WALL6, failing -12), -1 on
+    the reflections in two orthogonal E8 roots with -1 on the A1 pair
+    (PEX2, PEX4, WALL12), and the
+    reflection in a1_sum."""
+    model = standard_model()
+    lam = model.lattice
+    flip = intmat.identity(16)
+    flip[0][0] = flip[1][1] = 0
+    flip[0][1] = flip[1][0] = 1
+    flip[14][14] = -1
+    neg = intmat.identity(16)
+    neg[14][14] = neg[15][15] = -1
+    roots = [isometry.reflection(lam, [int(i == j) for i in range(16)]) for j in (6, 7)]
+    return (isometry.make_isometry(lam, flip),
+            isometry.compose(isometry.compose(*roots), isometry.make_isometry(lam, neg)),
+            isometry.reflection(lam, model.named["a1_sum"]))
+
+
+def test_wall_bases_cover_every_class():
+    model = standard_model()
+    found = set()
+    for f in wall_bases():
+        _inv, coinv = isometry.invariant_coinvariant(f)
+        found |= {w.wclass for w in walls._scan_sublattice(
+            model, coinv.rows, coinv.lattice.gram)}
+        # square -12 and divisibility 2, rejected only by the WALL12 parity
+        for x in walls.short_vectors(coinv.lattice.gram, -12):
+            v = coinv.to_ambient(x)
+            if (model.lattice.divisibility(v) == 2
+                    and walls.wall_class(model, v) is None):
+                found.add("WALL12 parity")
+    assert found == {walls.PEX2, walls.PEX4, walls.WALL6, walls.WALL12,
+                     "WALL12 parity"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2), st.lists(st.integers(0, 10**6), max_size=3), PICKS)
+def test_wall_scan_matches_reference(base, conj, picks):
+    """Identical witness lists, in order, on conjugates of the wall bases
+    and on random reflection words of finite order."""
+    model = standard_model()
+    gens = lambda_generators()
+    for f in (wall_bases()[base], word(gens, picks)):
+        for p in conj:
+            g = gens[p % len(gens)]
+            f = isometry.compose(isometry.compose(g, f), g)
+        try:
+            isometry.order_of(f)
+        except ValueError:
+            continue
+        _inv, coinv = isometry.invariant_coinvariant(f)
+        if coinv.rank == 0 or coinv.lattice.signature()[0]:
+            continue
+        rows, gram = coinv.rows, coinv.lattice.gram
+        for pex_only in (False, True):
+            fast = walls._scan_sublattice(model, rows, gram, pex_only)
+            slow = ref_wall_scan(model, rows, gram, pex_only)
+            assert [w.as_dict() for w in fast] == [w.as_dict() for w in slow]

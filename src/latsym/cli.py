@@ -7,6 +7,7 @@ with --format json, otherwise human-readable text.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -82,6 +83,13 @@ def _load_isometry(path):
 # ---------------------------------------------------------------------------
 # inspection commands
 
+def _genus_symbol(lat):
+    try:
+        return genus.genus_symbol(lat)
+    except ValueError as exc:
+        raise InputError(str(exc))
+
+
 def cmd_info(args, emit):
     lat = _load_lattice(args.target)
     sig = lat.signature()
@@ -91,7 +99,7 @@ def cmd_info(args, emit):
         "signature": list(sig),
         "even": lat.is_even,
         "det": lat.det(),
-        "genus": genus.canonical_string(genus.genus_symbol(lat)),
+        "genus": genus.canonical_string(_genus_symbol(lat)),
     }
     emit.record(rec, "\n".join("%s: %s" % (k, rec[k]) for k in
                                ("name", "rank", "signature", "even", "det", "genus")))
@@ -100,7 +108,7 @@ def cmd_info(args, emit):
 
 def cmd_genus(args, emit):
     lat = _load_lattice(args.target)
-    text = genus.canonical_string(genus.genus_symbol(lat))
+    text = genus.canonical_string(_genus_symbol(lat))
     emit.record({"lattice": lat.name, "genus": text}, text)
     return 0
 
@@ -384,6 +392,7 @@ def cmd_verify_table(args, emit):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",

@@ -9,6 +9,7 @@ adjacent scales.  Rendered symbols look like "II_(3,13)2^8_6".
 """
 
 import re
+from math import gcd
 
 from . import intmat, lattice
 
@@ -100,27 +101,44 @@ def _legendre_int(a, p):
     return 1 if r == 1 else -1
 
 
-def _proven_prime(n):
-    return n < intmat.PRIME_BOUND and intmat.is_prime(n)
-
-
 def _prime_factors(n):
-    """Prime divisors of n, ascending; trial division stops as soon as
-    the cofactor is a proven prime."""
-    n = abs(n)
-    out = []
-    d = 2
-    done = _proven_prime(n)
-    while not done and d * d <= n:
+    """Prime divisors of n, ascending: trial division below 2^10, then
+    Pollard-Brent rho on a composite cofactor until intmat.is_prime
+    accepts every piece (it raises on one beyond its proven bound)."""
+    n, out, d = abs(n), set(), 2
+    while d < 1 << 10 and d * d <= n:
         if n % d == 0:
-            out.append(d)
+            out.add(d)
             while n % d == 0:
                 n //= d
-            done = _proven_prime(n)
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if intmat.is_prime(m):
+            out.add(m)
+        else:
+            f = _rho_divisor(m)
+            rest += [f, m // f]
+    return sorted(out)
+
+
+def _rho_divisor(n):
+    """A proper divisor of a composite n: Pollard's rho on x -> x^2 + c
+    with Brent's cycle search, moving on to the next c when a cycle
+    closes without one."""
+    for c in range(1, n):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(y - x, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(m, n):
-    return [[0] * n for _ in range(m)]
-
-
-def copy_matrix(a):
-    return [row[:] for row in a]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
@@ -41,10 +33,6 @@ def mat_vec(a, v):
 
 def vec_mat(v, a):
     return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
-
-
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
 def scalar_mul(c, a):
@@ -97,17 +85,15 @@ PRIME_BOUND = 3317044064679887385961981
 def is_prime(n):
     """Primality of an int by deterministic Miller-Rabin.
 
-    A multiple of a base is decided at any size; any other n of at least
-    PRIME_BOUND raises ValueError, since the test is not proven there.
+    A composite is decided at any size, since a failed round proves it;
+    an n of at least PRIME_BOUND that passes every round raises
+    ValueError, since the test is not proven there.
     """
     if n < 2:
         return False
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
-    if n >= PRIME_BOUND:
-        raise ValueError("primality of %d is beyond the proven bound %d"
-                         % (n, PRIME_BOUND))
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -122,6 +108,9 @@ def is_prime(n):
                 break
         else:
             return False
+    if n >= PRIME_BOUND:
+        raise ValueError("primality of %d is beyond the proven bound %d"
+                         % (n, PRIME_BOUND))
     return True
 
 

@@ -106,56 +106,69 @@ def power(f, k):
 
 
 def _mat_power(m, k):
-    n = len(m)
-    out = intmat.identity(n)
+    out = None
     base = m
     while k:
         if k & 1:
-            out = intmat.mat_mul(out, base)
+            out = base if out is None else intmat.mat_mul(out, base)
         k >>= 1
         if k:
             base = intmat.mat_mul(base, base)
-    return out
+    return intmat.identity(len(m)) if out is None else out
 
 
 # ---------------------------------------------------------------------------
 # multiplicative order
 
-def _char_poly(m):
-    """Coefficients of det(xI - M), low degree first, integers.
+# a prime above every cyclotomic index order_of tries (d <= 2 n^2 + 1)
+_P = 2**61 - 1
 
-    Faddeev-LeVerrier over int: every M_k is an integer polynomial in M,
-    so each division by k is exact.
+
+def _char_poly_mod(m):
+    """Coefficients of det(xI - M) mod _P, low degree first.
+
+    M is reduced to upper Hessenberg form H by similarity mod _P, one
+    inverse per column; then the leading minors p_k of xI - H satisfy
+    p_k = x p_{k-1} - sum_{i<=k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_{i-1}.
     """
     n = len(m)
-    mk = intmat.identity(n)
-    coeffs = [0] * n + [1]
-    for k in range(1, n + 1):
-        mk = intmat.mat_mul(m, mk)
-        c, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
-        if rem:
-            raise RuntimeError("characteristic polynomial is not integral")
-        coeffs[n - k] = c
-        for i in range(n):
-            mk[i][i] += c
-    return coeffs
+    h = [[x % _P for x in row] for row in m]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        h[piv], h[j + 1] = h[j + 1], h[piv]
+        for row in h:
+            row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv, top = pow(h[j + 1][j], -1, _P), h[j + 1]
+        for i in range(j + 2, n):
+            u = h[i][j] * inv % _P
+            if u:
+                h[i] = [(a - u * b) % _P for a, b in zip(h[i], top)]
+                for row in h:
+                    row[j + 1] = (row[j + 1] + u * row[i]) % _P
+    polys = [[1]]
+    for k in range(n):
+        p, t = [0] + polys[k], 1
+        for i in range(k, -1, -1):
+            c = h[i][k] * t
+            for s, a in enumerate(polys[i]):
+                p[s] -= c * a
+            t = t * h[i][i - 1] % _P  # not used after i = 0
+        polys.append([x % _P for x in p])
+    return polys[n]
 
 
 def _poly_divmod(a, b):
-    """Quotient and remainder of integer polynomials, b monic."""
+    """Quotient and remainder mod _P of polynomials, b monic."""
     a = list(a)
     db = len(b) - 1
     q = [0] * max(len(a) - db, 1)
     for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db]
-        if c:
-            q[i] = c
-            for j in range(db + 1):
-                a[i + j] -= c * b[j]
-    r = a[:db]
-    while len(r) > 1 and r[-1] == 0:
-        r.pop()
-    return q, r
+        c = q[i] = a[i + db] % _P
+        for j in range(db + 1):
+            a[i + j] -= c * b[j]
+    return q, [x % _P for x in a[:db]]
 
 
 _CYCLOTOMIC = {1: [-1, 1]}
@@ -191,14 +204,21 @@ def _totient(d):
 def order_of(f, cap=10**6):
     """Multiplicative order of an isometry; error beyond the cap.
 
-    The order is read off the cyclotomic factorization of the
-    characteristic polynomial, then confirmed by one matrix power, so an
-    infinite-order input is rejected instead of looping.
+    The characteristic polynomial chi is divided by the cyclotomic Phi_d,
+    phi(d) <= n, all mod the prime _P = 2^61 - 1; the lcm L of the d found
+    is confirmed by one exact power M^L = I.  This is exact: _P exceeds
+    every d tried, so the Phi_d are squarefree and pairwise coprime mod _P,
+    and reduction mod _P is a ring map.  If f has finite order, chi =
+    prod Phi_d^(m_d) over Z, the same factors divide out mod _P with the
+    same multiplicities, L is the true order and the power check passes.
+    Otherwise a factor is left over or M^L != I: infinite order.
     """
     n = f.lattice.rank
     if n == 0:
         return 1
-    poly = _char_poly(f.matrix)
+    if _P <= 2 * n * n + 2:
+        raise ValueError("rank too large for the modulus of order_of")
+    poly = _char_poly_mod(f.matrix)
     order = 1
     for d in range(1, 2 * n * n + 2):
         if _totient(d) > n:

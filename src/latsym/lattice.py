@@ -226,13 +226,6 @@ def dual(lat):
     return Lattice(lat.dual_gram(), name="%sv" % base)
 
 
-def dual_rescale(lat, m):
-    """L^v(m): the rescaled dual."""
-    g = [[x * m for x in row] for row in lat.dual_gram()]
-    base = lat.name or "?"
-    return Lattice(g, name="%sv(%d)" % (base, m))
-
-
 def direct_sum(*lats):
     """Orthogonal direct sum, blocks in the given order."""
     total = sum(l.rank for l in lats)
@@ -334,11 +327,6 @@ def orthogonal_complement(lat, rows):
             den = den * x.denominator // gcd(den, x.denominator)
         cleared.append([int(x * den) for x in row])
     return intmat.kernel_basis(cleared)
-
-
-def saturate(rows):
-    """Saturation of the span of the given rows inside Z^n."""
-    return intmat.saturate_rows([list(r) for r in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -101,8 +101,7 @@ def short_vectors(lat_or_gram, n):
                 if r or (top and xk <= 0):
                     continue
                 x[0] = xk
-                lead = next(v for v in x if v)
-                out.append(tuple(x) if lead > 0 else tuple(-v for v in x))
+                out.append(_first_positive(x))
             x[0] = 0
             return
         b = isqrt(remaining // w)
@@ -115,6 +114,11 @@ def short_vectors(lat_or_gram, n):
 
     descend(rank - 1, budget, True)
     return sorted(out)
+
+
+def _first_positive(x):
+    """The vector of the pair +-x whose first nonzero coordinate is positive."""
+    return tuple(x) if next(v for v in x if v) > 0 else tuple(-v for v in x)
 
 
 def wall_class(model, x):
@@ -168,18 +172,42 @@ def coinvariant_wall_scan(model, f, pex_only=False):
 _WALL_DIV = {-2: (1, PEX2), -4: (2, PEX4), -6: (2, WALL6), -12: (2, WALL12)}
 
 
+def _parity_sublattice(gram, masks, bits):
+    """The x with sum x_i masks_i = 0 on `bits` mod 2 (the F2 kernel of
+    the masks plus 2 Z^r): a triangular basis B and B gram B^T.  One F2
+    elimination gives, for each mask that reduces to zero, its combination
+    (1 at its own index, 0 above), and for each other index j, 2 e_j.
+    """
+    pivots, basis = {}, []
+    for i, mask in enumerate(masks):
+        mask, comb = mask & bits, 1 << i
+        while mask and mask.bit_length() in pivots:
+            pmask, pcomb = pivots[mask.bit_length()]
+            mask, comb = mask ^ pmask, comb ^ pcomb
+        if mask:
+            pivots[mask.bit_length()] = (mask, comb)
+            basis.append([2 * (j == i) for j in range(len(masks))])
+        else:
+            basis.append([comb >> j & 1 for j in range(len(masks))])
+    return basis, intmat.mat_mul(basis, intmat.mat_mul(gram, intmat.transpose(basis)))
+
+
 def _scan_sublattice(model, rows, gram, pex_only=False):
     """Wall witnesses among the vectors of a negative definite sublattice,
     given by its basis rows in the model's coordinates and its Gram.
 
     A vector with coordinates x is v = sum x_i rows_i.  The parity of G v
     and of v on the hyperbolic-block coordinates 0..5 is linear mod 2 in
-    x, so an XOR of per-row bit masks rejects most vectors before any
-    product: PEX2 needs G v odd somewhere, the other classes need G v even,
-    and WALL12 also needs v even on the blocks.  A survivor gets G v as
-    the sum of x_i (G rows_i) and its exact divisibility; only a wall is
-    built as an ambient vector, through the checked wall_class.
+    x, given by per-row bit masks: PEX2 needs G v odd somewhere, the other
+    classes need G v even, and WALL12 also needs v even on the blocks.
+    Only PEX2 is enumerated in the whole sublattice; the other classes in
+    the sublattice of their parity (_parity_sublattice).  Every vector
+    still passes an XOR of the masks, a survivor gets G v as the sum of
+    x_i (G rows_i) and its exact divisibility, and only a wall is built as
+    an ambient vector, through the checked wall_class.
     """
+    if not rows:
+        return []
     n = model.rank
     gram_rows = [intmat.mat_vec(model.lattice.gram, r) for r in rows]
     # bits 0..n-1: G row mod 2; bits n..n+5: row mod 2 on the blocks
@@ -187,11 +215,19 @@ def _scan_sublattice(model, rows, gram, pex_only=False):
              for r, gr in zip(rows, gram_rows)]
     div_bits = (1 << n) - 1
     targets = (-2, -4) if pex_only else (-2, -4, -6, -12)
+    parity = {bits: _parity_sublattice(gram, masks, bits)
+              for bits in ((div_bits,) if pex_only else (div_bits, -1))}
     witnesses = []
     for t in targets:
         need_div, wclass = _WALL_DIV[t]
         even_bits = -1 if wclass == WALL12 else div_bits
-        for coords in short_vectors(gram, t):
+        if need_div == 1:
+            found = short_vectors(gram, t)
+        else:
+            basis, sub_gram = parity[even_bits]
+            found = sorted(_first_positive(intmat.vec_mat(y, basis))
+                           for y in short_vectors(sub_gram, t))
+        for coords in found:
             acc = 0
             for c, mask in zip(coords, masks):
                 if c & 1:

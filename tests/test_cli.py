@@ -94,6 +94,30 @@ def test_info_plane_beyond_prime_bound():
     assert "proven bound" in done.stderr
 
 
+def test_info_two_large_prime_factors():
+    # det (10^12 + 39)(10^12 + 61): trial division up to the square root
+    # did not end within the limit; Pollard-Brent rho splits it
+    done = latsym_process(["info", "K1000000000039+K1000000000061"], timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert "det: 1000000000100000000002379" in done.stdout
+
+
+def test_info_det_with_prime_factor_beyond_bound(capsys, tmp_path):
+    q = 2**89 - 1
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({"gram": [[2, 1], [1, (q + 1) // 2]]}))
+    rc, out, err = run(capsys, ["info", str(path)])
+    assert (rc, out) == (2, "")
+    assert "proven bound" in err
+
+
+@pytest.mark.parametrize("command", ["info", "genus"])
+def test_genus_of_non_integral_lattice(capsys, command):
+    rc, out, err = run(capsys, [command, "A2v"])
+    assert (rc, out) == (2, "")
+    assert err == "error: genus symbols need an integral Gram matrix\n"
+
+
 def test_genus_command(capsys):
     rc, out, _err = run(capsys, ["genus", "D4(2)"])
     assert rc == 0
@@ -256,3 +280,20 @@ def test_verify_table_json_lines(capsys, tmp_path, model):
 def test_unknown_command(capsys):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+def test_parser_built_once_and_reused(capsys):
+    """The argparse tree is built once per process; reusing it keeps the
+    exit codes of --help and of an unknown command, call after call."""
+    assert cli.build_parser() is cli.build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "verify-monodromy" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["frobnicate"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        rc, out, _err = run(capsys, ["genus", "D4(2)"])
+        assert (rc, out.strip()) == (0, "II_(0,4)2^{-2}4^{-2}")

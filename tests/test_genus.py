@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latsym import fixtures, genus, intmat, lattice
 
@@ -142,3 +144,37 @@ def test_signature_consistency():
 def test_signature_consistent_on_computed():
     for expr in ("U(2)^3+E8+A1^2", "D4(2)", "D10(2)", "A2", "K7", "U+A1"):
         assert genus.signature_consistent(sym_of(expr)), expr
+
+
+def _trial_division_factors(n):
+    n, out, d = abs(n), [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**6, 10**6))
+def test_prime_factors_match_trial_division(n):
+    assert genus._prime_factors(n) == _trial_division_factors(n)
+
+
+def test_prime_factors_split_large_composites():
+    """Pollard-Brent rho splits what trial division below 2^10 leaves,
+    also beyond the bound where Miller-Rabin is proven; a piece that
+    passes Miller-Rabin there is refused."""
+    cases = {
+        2**64 + 1: [274177, 67280421310721],
+        1009 * 1000003**2 * 1000033: [1009, 1000003, 1000033],
+        1000033 * 1000037 * (2**61 - 1): [1000033, 1000037, 2**61 - 1],
+        6 * (2**31 - 1) * (2**61 - 1): [2, 3, 2**31 - 1, 2**61 - 1],
+    }
+    for n, primes in cases.items():
+        assert genus._prime_factors(n) == primes
+    with pytest.raises(ValueError, match="proven bound"):
+        genus._prime_factors(1000003 * (2**89 - 1))
+

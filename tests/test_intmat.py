@@ -131,9 +131,12 @@ def test_is_prime_miller_rabin():
         7, 49, 121, 177, 183]
     assert all(intmat.is_prime(n) == all(n % d for d in range(2, isqrt(n) + 1))
                for n in range(2, 5000))
-    # at and above the bound only a multiple of a base is decided
+    # at and above the bound a composite is decided, since a failed round
+    # proves it; a number that passes every round raises
     assert not intmat.is_prime(2**100)
     assert not intmat.is_prime(41 * 2**89)
+    assert not intmat.is_prime((2**61 - 1) * (2**89 - 1))
+    assert not intmat.is_prime(1000033 * 1000037 * (2**61 - 1))
     for n in (intmat.PRIME_BOUND, 2**89 - 1):
         with pytest.raises(ValueError, match="proven bound"):
             intmat.is_prime(n)

@@ -1,7 +1,9 @@
 """The integer kernels against the rational routines they replaced.
 
-The reference implementations below are the earlier Fraction versions of
-the characteristic polynomial (Faddeev-LeVerrier over Q), the O+ test (a
+The reference implementations below are the earlier versions of the
+characteristic polynomial (Faddeev-LeVerrier over Q, and over Z with exact
+divisions), the multiplicative order (exact cyclotomic division over Z),
+the O+ test (a
 decomposition into rational reflections, counting the positive mirrors),
 the short-vector enumeration (Fincke-Pohst on an exact LDL), the
 determinant and signature (Gaussian elimination over Q), the Jordan
@@ -14,9 +16,13 @@ random symmetric Grams, and on random maps of small discriminant modules.
 """
 
 import itertools
+import json
+import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, gcd, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,6 +48,88 @@ def ref_char_poly(m):
             mk[i][i] += c
     assert all(c.denominator == 1 for c in coeffs)
     return [int(c) for c in coeffs]
+
+
+def ref_int_char_poly(m):
+    """Coefficients of det(xI - M), low degree first, integers.
+
+    Faddeev-LeVerrier over int: every M_k is an integer polynomial in M,
+    so each division by k is exact.
+    """
+    n = len(m)
+    mk = intmat.identity(n)
+    coeffs = [0] * n + [1]
+    for k in range(1, n + 1):
+        mk = intmat.mat_mul(m, mk)
+        c, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise RuntimeError("characteristic polynomial is not integral")
+        coeffs[n - k] = c
+        for i in range(n):
+            mk[i][i] += c
+    return coeffs
+
+
+def ref_poly_divmod(a, b):
+    """Quotient and remainder of integer polynomials, b monic."""
+    a = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 1)
+    for i in range(len(a) - db - 1, -1, -1):
+        c = a[i + db]
+        if c:
+            q[i] = c
+            for j in range(db + 1):
+                a[i + j] -= c * b[j]
+    r = a[:db]
+    while len(r) > 1 and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+@lru_cache(maxsize=None)
+def ref_cyclotomic(d):
+    poly = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            poly, rem = ref_poly_divmod(poly, ref_cyclotomic(e))
+            assert not any(rem)
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def ref_totient(d):
+    return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+
+
+def ref_order_of(f, cap=10**6):
+    """The order as it was found: the Faddeev-LeVerrier polynomial divided
+    by cyclotomic polynomials over Z, then the power check."""
+    n = f.lattice.rank
+    if n == 0:
+        return 1
+    poly = ref_int_char_poly(f.matrix)
+    order = 1
+    for d in range(1, 2 * n * n + 2):
+        if ref_totient(d) > n:
+            continue
+        cyc = ref_cyclotomic(d)
+        hit = False
+        while len(poly) >= len(cyc):
+            quo, rem = ref_poly_divmod(poly, cyc)
+            if any(rem):
+                break
+            poly, hit = quo, True
+        if hit:
+            order = order * d // gcd(order, d)
+    power = intmat.identity(n)
+    for _ in range(order if len(poly) == 1 else 0):
+        power = intmat.mat_mul(power, f.matrix)
+    if len(poly) > 1 or power != intmat.identity(n):
+        raise ValueError("isometry has infinite order, beyond any cap")
+    if order > cap:
+        raise ValueError("isometry order exceeds the cap of %d" % cap)
+    return order
 
 
 def _bform(g, x, y):
@@ -231,12 +319,38 @@ def test_generator_sets_cover_both_components():
 # agreement
 
 
+P = isometry._P
+
+
+def assert_char_poly_matches(m):
+    exact = ref_int_char_poly(m)
+    assert exact == ref_char_poly(m)
+    assert isometry._char_poly_mod(m) == [c % P for c in exact]
+
+
+def assert_same_order(f):
+    """order_of gives the reference order, or raises its message; returns
+    the order, or None for infinite order."""
+    try:
+        expect = ref_order_of(f)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            isometry.order_of(f)
+        return None
+    assert isometry.order_of(f) == expect
+    if expect > 1:
+        with pytest.raises(ValueError, match="exceeds the cap of %d" % (expect - 1)):
+            isometry.order_of(f, cap=expect - 1)
+    return expect
+
+
 @settings(max_examples=15, deadline=None)
 @given(PICKS)
 def test_lambda_words_match_reference(picks):
     f = word(lambda_generators(), picks)
     assert isometry.in_O_plus(f) == ref_in_O_plus(f)
-    assert isometry._char_poly(f.matrix) == ref_char_poly(f.matrix)
+    assert_char_poly_matches(f.matrix)
+    assert_same_order(f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,7 +359,8 @@ def test_small_lattice_words_match_reference(name, picks):
     lat, gens = small_generators(name)
     f = word(gens, picks)
     assert isometry.in_O_plus(f) == ref_in_O_plus(f)
-    assert isometry._char_poly(f.matrix) == ref_char_poly(f.matrix)
+    assert_char_poly_matches(f.matrix)
+    assert_same_order(f)
     if lat.signature()[0] == 0:
         assert isometry.in_O_plus(f)
     elif lat.signature()[1] == 0:
@@ -296,13 +411,45 @@ def test_char_poly_matches_sympy(picks):
     sympy = pytest.importorskip("sympy")
     f = word(lambda_generators(), picks)
     expect = [int(c) for c in reversed(sympy.Matrix(f.matrix).charpoly().all_coeffs())]
-    assert isometry._char_poly(f.matrix) == expect
+    assert ref_int_char_poly(f.matrix) == expect
+    assert isometry._char_poly_mod(f.matrix) == [c % P for c in expect]
 
 
 def test_char_poly_rejects_non_integral_division():
     # no integer matrix triggers it; a Fraction entry shows the check is live
     with pytest.raises(RuntimeError, match="not integral"):
-        isometry._char_poly([[Fraction(1, 2), 0], [0, 0]])
+        ref_int_char_poly([[Fraction(1, 2), 0], [0, 0]])
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Square integer matrices of size 1..10, mostly zeros, so that the
+    Hessenberg reduction meets zero pivots and zero subdiagonals."""
+    n = draw(st.integers(1, 10))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 7, 2**62))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_char_poly_mod_matches_reference_on_any_matrix(m):
+    assert isometry._char_poly_mod(m) == [c % P for c in ref_int_char_poly(m)]
+
+
+def test_orders_cover_finite_and_infinite_words():
+    """Seeded words in Lambda and in the indefinite small lattices: both
+    finite orders above 2 and infinite orders occur, and order_of agrees
+    with the reference on each."""
+    rng = random.Random(7)
+    seen = set()
+    for gens in [lambda_generators()] + [small_generators(name)[1]
+                                         for name in SMALL["indefinite"]]:
+        for _ in range(25):
+            f = word(gens, [rng.randrange(10**6) for _ in range(rng.randint(1, 6))])
+            order = assert_same_order(f)
+            seen.add("infinite" if order is None else "finite > 2" if order > 2
+                     else "finite")
+    assert seen == {"infinite", "finite > 2", "finite"}
 
 
 # ---------------------------------------------------------------------------
@@ -745,8 +892,9 @@ def wall_bases():
     vectors of square -12 and divisibility 2 that fail the WALL12 parity:
     e_0 <-> f_0 with -1 on the first A1 (PEX4, WALL6, failing -12), -1 on
     the reflections in two orthogonal E8 roots with -1 on the A1 pair
-    (PEX2, PEX4, WALL12), and the
-    reflection in a1_sum."""
+    (PEX2, PEX4, WALL12), the reflection in a1_sum, and the reflections in
+    four orthogonal E8 roots (the golden case; PEX2).  Their parity
+    sublattices run from all of the coinvariant to twice it."""
     model = standard_model()
     lam = model.lattice
     flip = intmat.identity(16)
@@ -756,9 +904,75 @@ def wall_bases():
     neg = intmat.identity(16)
     neg[14][14] = neg[15][15] = -1
     roots = [isometry.reflection(lam, [int(i == j) for i in range(16)]) for j in (6, 7)]
+    golden = Path(__file__).parent / "data" / "golden" / "e8_roots_orthogonal_4.json"
     return (isometry.make_isometry(lam, flip),
             isometry.compose(isometry.compose(*roots), isometry.make_isometry(lam, neg)),
-            isometry.reflection(lam, model.named["a1_sum"]))
+            isometry.reflection(lam, model.named["a1_sum"]),
+            isometry.isometry_from_json(json.loads(golden.read_text())))
+
+
+def _parity_index(rows, blocks):
+    """[Z^r : M] for the coordinates x whose v = sum x_i rows_i has G v
+    even (and, with blocks, v even on coordinates 0..5): 2 to the F2 rank
+    of that parity map, by elimination on 0/1 lists."""
+    lam = standard_model().lattice
+    pending = [[c % 2 for c in intmat.mat_vec(lam.gram, r)] + ([c % 2 for c in r[:6]] if blocks else [])
+               for r in rows]
+    rank = 0
+    while pending:
+        row = pending.pop()
+        if any(row):
+            j = row.index(1)
+            pending = [[(a + b) % 2 for a, b in zip(p, row)] if p[j] else p
+                       for p in pending]
+            rank += 1
+    return 2 ** rank
+
+
+def test_wall_bases_cover_parity_indices():
+    """The parity sublattice M (G v even) and M12 (also even on the
+    blocks) are proper on some bases and all of the coinvariant on
+    others."""
+    kinds = set()
+    for f in wall_bases():
+        _inv, coinv = isometry.invariant_coinvariant(f)
+        kinds.add((_parity_index(coinv.rows, False), _parity_index(coinv.rows, True)))
+    assert kinds == {(1, 2), (4, 4), (1, 1), (16, 16)}
+
+
+def test_scan_enumerates_exactly_the_parity_vectors(monkeypatch):
+    """The scan walks -2 in the whole coinvariant lattice and -4, -6 and
+    -12 only in their parity sublattices: as many vectors as the reference
+    enumeration has with G v even (and, at -12, v even on the blocks)."""
+    model = standard_model()
+    real = walls.short_vectors
+    walked = []
+
+    def spy(gram, t):
+        out = real(gram, t)
+        walked.append((t, len(out)))
+        return out
+
+    monkeypatch.setattr(walls, "short_vectors", spy)
+    gens = lambda_generators()
+    for f in wall_bases():
+        for g in (None, gens[3], gens[11]):
+            h = f if g is None else isometry.compose(isometry.compose(g, f), g)
+            _inv, coinv = isometry.invariant_coinvariant(h)
+            rows, gram = coinv.rows, coinv.lattice.gram
+            for pex_only in (False, True):
+                expect = []
+                for t in (-2, -4) if pex_only else (-2, -4, -6, -12):
+                    count = 0
+                    for x in ref_short_vectors(gram, t):
+                        v = coinv.to_ambient(x)
+                        count += (t == -2 or (
+                            all(c % 2 == 0 for c in intmat.mat_vec(model.lattice.gram, v))
+                            and (t != -12 or all(c % 2 == 0 for c in v[:6]))))
+                    expect.append((t, count))
+                walked.clear()
+                walls._scan_sublattice(model, rows, gram, pex_only)
+                assert walked == expect
 
 
 def test_wall_bases_cover_every_class():
@@ -779,10 +993,11 @@ def test_wall_bases_cover_every_class():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2), st.lists(st.integers(0, 10**6), max_size=3), PICKS)
+@given(st.integers(0, 3), st.lists(st.integers(0, 10**6), max_size=3), PICKS)
 def test_wall_scan_matches_reference(base, conj, picks):
     """Identical witness lists, in order, on conjugates of the wall bases
-    and on random reflection words of finite order."""
+    (parity sublattices proper and whole, test_wall_bases_cover_parity_
+    indices) and on random reflection words of finite order."""
     model = standard_model()
     gens = lambda_generators()
     for f in (wall_bases()[base], word(gens, picks)):

@@ -9,7 +9,7 @@ adjacent scales.  Rendered symbols look like "II_(3,13)2^8_6".
 """
 
 import re
-from math import gcd
+from math import gcd, isqrt
 
 from . import intmat, lattice
 
@@ -102,9 +102,10 @@ def _legendre_int(a, p):
 
 
 def _prime_factors(n):
-    """Prime divisors of n, ascending: trial division below 2^10, then
-    Pollard-Brent rho on a composite cofactor until intmat.is_prime
-    accepts every piece (it raises on one beyond its proven bound)."""
+    """Prime divisors of n, ascending: trial division below 2^10, then an
+    exact k-th root or Pollard-Brent rho on a composite cofactor until
+    intmat.is_prime accepts every piece (it raises on one beyond its
+    proven bound)."""
     n, out, d = abs(n), set(), 2
     while d < 1 << 10 and d * d <= n:
         if n % d == 0:
@@ -118,9 +119,26 @@ def _prime_factors(n):
         if intmat.is_prime(m):
             out.add(m)
         else:
-            f = _rho_divisor(m)
+            f = _power_root(m) or _rho_divisor(m)
             rest += [f, m // f]
     return sorted(out)
+
+
+def _power_root(n):
+    """r with r^k = n for the least k >= 2, or None if n is no power.
+
+    Rho needs about sqrt(q) steps to split a power of a large prime q."""
+    for k in range(2, n.bit_length() + 1):
+        if k == 2:
+            r = isqrt(n)
+        else:
+            # Newton's method from above ends at the floor of the k-th root
+            r = 1 << -(-n.bit_length() // k)
+            while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+                r = y
+        if r ** k == n:
+            return r
+    return None
 
 
 def _rho_divisor(n):
@@ -144,19 +162,9 @@ def _rho_divisor(n):
 # ---------------------------------------------------------------------------
 # Jordan splitting over Z_p
 
-def _least_valuation(m, p, low):
-    """(v, i, j) for the first upper-triangle entry of least valuation v;
-    no entry has valuation below low, so meeting low ends the scan."""
-    best = None
-    for i, row in enumerate(m):
-        for j in range(i, len(row)):
-            if row[j]:
-                v = _valuation(row[j], p)
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-                    if v == low:
-                        return best
-    return best
+def _row(u, k):
+    """Row k of the symmetric matrix stored as upper rows u[i] = (i, i..)."""
+    return [u[s][k - s] for s in range(k)] + u[k]
 
 
 def _local_pieces(gram, p, det):
@@ -175,49 +183,70 @@ def _local_pieces(gram, p, det):
     those of exact rational elimination, and the Schur complement stays
     known modulo p^N because the pivot column is divided by p^v exactly
     and by the pivot's unit part through its inverse modulo p^N.
+
+    Every block is symmetric, so only its upper rows u[i] = (i, i..) are
+    kept, and each complement entry is computed once.  No entry has
+    valuation below v, so x % p^(v+1) finds one of valuation v; when none
+    is left, the next v is that of the gcd of all entries.
     """
     mod = p ** (_valuation(det, p) + 3)
-    m = [[x % mod for x in row] for row in gram]
+    u = [[x % mod for x in row[i:]] for i, row in enumerate(gram)]
     pieces = []
     low = 0
-    while m:
-        n = len(m)
-        best = _least_valuation(m, p, low)
-        if best is None:
-            raise ValueError("degenerate form")
-        low, bi, bj = best
+    while u:
+        q = p ** (low + 1)
+        bi = next((i for i, row in enumerate(u) if gcd(q, *row) < q), None)
+        if bi is None:
+            g = 0
+            for row in u:
+                g = gcd(g, *row)
+            if not g:
+                raise ValueError("degenerate form")
+            low = _valuation(g, p)
+            continue
+        bj = bi + next(j for j, x in enumerate(u[bi]) if x % q)
         pv = p ** low
-        diag = next((k for k in range(n)
-                     if m[k][k] and _valuation(m[k][k], p) == low), None)
+        diag = next((k for k, row in enumerate(u) if row[0] % q), None)
         if diag is None and p != 2:
             # a_ii + 2a_ij + a_jj has valuation v exactly when p is odd
-            m[bi] = [(x + y) % mod for x, y in zip(m[bi], m[bj])]
-            for row in m:
-                row[bi] = (row[bi] + row[bj]) % mod
+            ri, rj = _row(u, bi), _row(u, bj)
+            s = [(x + y) % mod for x, y in zip(ri, rj)]
+            s[bi] = (s[bi] + ri[bj] + rj[bj]) % mod
+            for r in range(bi):
+                u[r][bi - r] = s[r]
+            u[bi] = s[bi:]
             diag = bi
         if diag is not None:
-            u = m[diag][diag] // pv
-            pieces.append((low, "unit", u))
-            inv = pow(u, -1, mod)
-            top = m[diag]
-            rest = [r for r in range(n) if r != diag]
-            m = [[(m[r][s] - c * top[s]) % mod for s in rest]
-                 for r, c in ((r, m[r][diag] // pv * inv % mod) for r in rest)]
+            unit = u[diag][0] // pv
+            pieces.append((low, "unit", unit))
+            inv = pow(unit, -1, mod)
+            top = _row(u, diag)
+            new = []
+            for r, row in enumerate(u):
+                if r != diag:
+                    c = top[r] // pv * inv % mod
+                    new.append([(x - c * y) % mod
+                                for x, y in zip(row, top[r:])])
+                    if r < diag:
+                        del new[-1][diag - r]
         else:
-            a, b, c = m[bi][bi] // pv, m[bi][bj] // pv, m[bj][bj] // pv
+            r1, r2 = _row(u, bi), _row(u, bj)
+            a, b, c = r1[bi] // pv, r1[bj] // pv, r2[bj] // pv
             w = (a * c - b * b) % (mod // pv)
             pieces.append((low, "pair", w))
             inv = pow(w, -1, mod)
-            r1, r2 = m[bi], m[bj]
-            rest = [r for r in range(n) if r not in (bi, bj)]
             new = []
-            for r in rest:
-                x1, x2 = m[r][bi] // pv, m[r][bj] // pv
-                k1 = (x1 * c - x2 * b) * inv % mod
-                k2 = (x2 * a - x1 * b) * inv % mod
-                new.append([(m[r][s] - k1 * r1[s] - k2 * r2[s]) % mod
-                            for s in rest])
-            m = new
+            for r, row in enumerate(u):
+                if r != bi and r != bj:
+                    x1, x2 = r1[r] // pv, r2[r] // pv
+                    k1 = (x1 * c - x2 * b) * inv % mod
+                    k2 = (x2 * a - x1 * b) * inv % mod
+                    new.append([(x - k1 * y - k2 * z) % mod
+                                for x, y, z in zip(row, r1[r:], r2[r:])])
+                    for t in (bj - r, bi - r):
+                        if t > 0:
+                            del new[-1][t]
+        u = new
     return pieces
 
 

@@ -8,6 +8,7 @@ stays cheap on the dense rank 28-34 Grams that genus symbols are asked for.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -125,6 +126,13 @@ def bareiss(m, symmetric=False):
     for the first nonzero off-diagonal entry (i, j) of the remaining block.
     A positive definite matrix needs neither.  Returns (r, sign): r < n
     pivots when m is singular, sign the parity of the plain row swaps.
+
+    With symmetric=True the matrix must be symmetric, and only the upper
+    triangle is updated: each intermediate entry is a bordered minor
+    det(rows 0..k-1, i; columns 0..k-1, j), symmetric in i and j, so row i
+    needs columns i.. only, with its multiplier read from the pivot row.
+    The strict lower triangle is left stale; the trailing block is
+    mirrored from its upper triangle before a zero pivot is replaced.
     """
     n = len(m)
     sign = 1
@@ -132,6 +140,8 @@ def bareiss(m, symmetric=False):
     for k in range(n):
         if m[k][k] == 0:
             if symmetric:
+                for i in range(k + 1, n):
+                    m[i][k:i] = [m[j][i] for j in range(k, i)]
                 piv = next((i for i in range(k + 1, n) if m[i][i]), None)
                 if piv is None:
                     fold = next(((i, j) for i in range(k, n)
@@ -151,17 +161,17 @@ def bareiss(m, symmetric=False):
                 sign = -sign
             m[k], m[piv] = m[piv], m[k]
         d, rk = m[k][k], m[k]
-        for ri in m[k + 1:]:
-            c = ri[k]
-            ri[k + 1:] = [(x * d - c * y) // prev
-                          for x, y in zip(ri[k + 1:], rk[k + 1:])]
+        for i in range(k + 1, n):
+            ri = m[i]
+            s, c = (i, rk[i]) if symmetric else (k + 1, ri[k])
+            ri[s:] = [(x * d - c * y) // prev for x, y in zip(ri[s:], rk[s:])]
         prev = d
     return n, sign
 
 
 def _scaled(a):
     """(L, L * a as ints) for L the lcm of the denominators of a."""
-    if all(type(x) is int for row in a for x in row):
+    if set(map(type, chain.from_iterable(a))) <= {int}:
         return 1, [list(row) for row in a]
     fa = [[Fraction(x) for x in row] for row in a]
     den = lcm(*(x.denominator for row in fa for x in row))

@@ -7,6 +7,7 @@ table.  The supporting operations are usable on any integral lattice.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from pathlib import Path
 
@@ -20,13 +21,15 @@ class LatticeIsometry:
         m = [list(row) for row in matrix]
         if len(m) != lat.rank or any(len(row) != lat.rank for row in m):
             raise ValueError("matrix size does not match the lattice rank")
-        if not intmat.is_integer_matrix(m):
-            raise ValueError("matrix is not unimodular over the integers")
-        m = intmat.to_int_matrix(m)
-        if lat.rank and intmat.det(m) not in (1, -1):
-            raise ValueError("matrix is not unimodular over the integers")
+        if not set(map(type, chain.from_iterable(m))) <= {int}:
+            if not intmat.is_integer_matrix(m):
+                raise ValueError("matrix is not unimodular over the integers")
+            m = intmat.to_int_matrix(m)
         g = lat.gram
+        # m^T G m = G with det G != 0 forces det m = +-1
         if intmat.mat_mul(intmat.transpose(m), intmat.mat_mul(g, m)) != g:
+            if intmat.det(m) not in (1, -1):
+                raise ValueError("matrix is not unimodular over the integers")
             raise ValueError("matrix does not preserve the bilinear form")
         self.lattice = lat
         self.matrix = m

@@ -6,6 +6,7 @@ for non-integral forms).  Vectors are coordinate lists in the lattice basis.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 import re
 
@@ -20,11 +21,11 @@ class Lattice:
         for row in gram:
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
-        g = [[_as_exact(x) for x in row] for row in gram]
-        for i in range(n):
-            for j in range(n):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        exact = set(map(type, chain.from_iterable(gram))) <= {int}
+        g = ([list(row) for row in gram] if exact
+             else [[_as_exact(x) for x in row] for row in gram])
+        if g != intmat.transpose(g):
+            raise ValueError("Gram matrix must be symmetric")
         det, sig = intmat.det_signature(g)
         if sig is None:
             raise ValueError("Gram matrix must be nondegenerate")
@@ -34,7 +35,8 @@ class Lattice:
         # optional list of (label, rank) pairs recording a direct-sum shape
         self.blocks = blocks
         # _as_exact leaves exactly the integral entries as ints
-        self.is_integral = all(type(x) is int for row in g for x in row)
+        self.is_integral = exact or all(type(x) is int
+                                        for row in g for x in row)
         self._signature = sig
         self._det = _as_exact(det)
         self._positive_frame = None
@@ -318,6 +320,8 @@ def orthogonal_complement(lat, rows):
     if not rows:
         return [list(r) for r in intmat.identity(lat.rank)]
     pair = [intmat.mat_vec(lat.gram, list(r)) for r in rows]
+    if set(map(type, chain.from_iterable(pair))) <= {int}:
+        return intmat.kernel_basis(pair)
     frac = [[Fraction(x) for x in row] for row in pair]
     # clear denominators rowwise so the integer kernel applies
     cleared = []

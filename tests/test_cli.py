@@ -102,6 +102,17 @@ def test_info_two_large_prime_factors():
     assert "det: 1000000000100000000002379" in done.stdout
 
 
+@pytest.mark.parametrize("power", [2, 3])
+def test_info_power_of_large_prime(power):
+    # det (2^61 - 1)^2 or ^3: rho needs about 2^30 steps there, so the
+    # cofactor's exact square or cube root is taken first
+    q = 2**61 - 1
+    done = latsym_process(["info", "+".join(["K%d" % q] * power)], timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert "det: %d" % q**power in done.stdout
+    assert "%d^%d" % (q, power) in done.stdout
+
+
 def test_info_det_with_prime_factor_beyond_bound(capsys, tmp_path):
     q = 2**89 - 1
     path = tmp_path / "plane.json"

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latsym import fixtures, genus, intmat, lattice
@@ -172,9 +172,28 @@ def test_prime_factors_split_large_composites():
         1009 * 1000003**2 * 1000033: [1009, 1000003, 1000033],
         1000033 * 1000037 * (2**61 - 1): [1000033, 1000037, 2**61 - 1],
         6 * (2**31 - 1) * (2**61 - 1): [2, 3, 2**31 - 1, 2**61 - 1],
+        # exact powers, split by their integer roots
+        (2**61 - 1)**2: [2**61 - 1],
+        1009 * (2**61 - 1)**3: [1009, 2**61 - 1],
+        ((10**12 + 39) * (10**12 + 61))**2: [10**12 + 39, 10**12 + 61],
     }
     for n, primes in cases.items():
         assert genus._prime_factors(n) == primes
     with pytest.raises(ValueError, match="proven bound"):
         genus._prime_factors(1000003 * (2**89 - 1))
+    with pytest.raises(ValueError, match="proven bound"):
+        genus._prime_factors((2**89 - 1)**5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10**30), st.integers(2, 7))
+def test_power_root_is_exact(r, k):
+    q = 2**61 - 1
+    s = genus._power_root(r**k)
+    t = s
+    while t < r**k:
+        t *= s
+    assert t == r**k and s >= r
+    assume(r % q)
+    assert genus._power_root(r**k * q) is None
 

@@ -45,6 +45,11 @@ def test_validation(model):
     swap[0], swap[6] = swap[6], swap[0]
     with pytest.raises(ValueError, match="bilinear"):
         isometry.make_isometry(lam, swap)
+    # integral Fractions are accepted and stored as ints
+    one = [[Fraction(x) for x in row] for row in intmat.identity(16)]
+    f = isometry.make_isometry(lam, one)
+    assert f.matrix == intmat.identity(16)
+    assert {type(x) for row in f.matrix for x in row} == {int}
 
 
 def test_reflection_errors(model):

@@ -153,6 +153,9 @@ def test_sublattice_helpers():
     assert g == [[-2]]
     # complement of nothing is everything
     assert len(lattice.orthogonal_complement(lam, [])) == 16
+    # a rational Gram: <x, e_0> = (2 x_0 + x_1) / 3 on the dual of A2
+    assert lattice.orthogonal_complement(lattice.build_named("A2v"),
+                                         [[1, 0]]) in ([[1, -2]], [[-1, 2]])
 
 
 def test_json_roundtrip():

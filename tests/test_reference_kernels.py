@@ -6,8 +6,9 @@ divisions), the multiplicative order (exact cyclotomic division over Z),
 the O+ test (a
 decomposition into rational reflections, counting the positive mirrors),
 the short-vector enumeration (Fincke-Pohst on an exact LDL), the
-determinant and signature (Gaussian elimination over Q), the Jordan
-splitting over Z_p (rational elimination read p-adically), the
+determinant and signature (Gaussian elimination over Q), the Bareiss
+pass that updated the whole trailing block, the Jordan splitting over
+Z_p (rational elimination read p-adically), the
 discriminant action (Fraction lifts, q and b, and the order of the
 permutation of all elements) and the wall scan that classifies every
 enumerated vector.  The integer versions must agree with them on random
@@ -476,6 +477,41 @@ def ref_frac_det(a):
     return d
 
 
+def ref_bareiss(m, symmetric=False):
+    """intmat.bareiss as it was, updating the whole trailing block."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            if symmetric:
+                piv = next((i for i in range(k + 1, n) if m[i][i]), None)
+                if piv is None:
+                    fold = next(((i, j) for i in range(k, n)
+                                 for j in range(i + 1, n) if m[i][j]), None)
+                    if fold is None:
+                        return k, sign
+                    piv, j = fold
+                    m[piv] = [x + y for x, y in zip(m[piv], m[j])]
+                    for row in m:
+                        row[piv] += row[j]
+                for row in m:
+                    row[k], row[piv] = row[piv], row[k]
+            else:
+                piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+                if piv is None:
+                    return k, sign
+                sign = -sign
+            m[k], m[piv] = m[piv], m[k]
+        d, rk = m[k][k], m[k]
+        for ri in m[k + 1:]:
+            c = ri[k]
+            ri[k + 1:] = [(x * d - c * y) // prev
+                          for x, y in zip(ri[k + 1:], rk[k + 1:])]
+        prev = d
+    return n, sign
+
+
 def ref_symmetric_signature(g):
     n = len(g)
     m = [[Fraction(x) for x in row] for row in g]
@@ -627,9 +663,23 @@ def _residue(x, q):
     return x.numerator * pow(x.denominator, -1, q) % q
 
 
-@settings(max_examples=120, deadline=None)
-@given(symmetric_grams())
-def test_det_signature_and_local_pieces_match_reference(g):
+def _upper(m):
+    return [row[i:] for i, row in enumerate(m)]
+
+
+def assert_bareiss_matches(g):
+    """The symmetric pass gives the reference's rank and upper triangle;
+    the plain pass is unchanged, lower triangle included."""
+    for symmetric in (True, False):
+        got, ref = [list(row) for row in g], [list(row) for row in g]
+        assert intmat.bareiss(got, symmetric) == ref_bareiss(ref, symmetric)
+        if symmetric:
+            got, ref = _upper(got), _upper(ref)
+        assert got == ref
+
+
+def assert_matches_reference(g):
+    assert_bareiss_matches(g)
     det = ref_frac_det(g)
     sig = ref_symmetric_signature(g)
     assert intmat.frac_det(g) == det
@@ -646,6 +696,88 @@ def test_det_signature_and_local_pieces_match_reference(g):
         assert [(v, kind) for v, kind, _ in got] == [(v, kind) for v, kind, _ in ref]
         for (v, _kind, value), (_, _, exact) in zip(got, ref):
             assert value == _residue(exact, p ** (top - v))
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric_grams())
+def test_det_signature_and_local_pieces_match_reference(g):
+    assert_matches_reference(g)
+
+
+def _rebased(gram, rng, steps, cap=100):
+    """A seeded unimodular rebasing that keeps every entry within the cap."""
+    g, n, done = gram, len(gram), 0
+    for _ in range(50 * steps):
+        if done == steps:
+            break
+        i, j = rng.sample(range(n), 2)
+        h = _congruence(g, i, j, rng.choice((1, -1)))
+        if max(map(abs, h[i])) <= cap:
+            g, done = h, done + 1
+    return g
+
+
+# dense rebasings of rank 28-34 sums with v_2(det) >= 20, like the Grams
+# the genus benchmark sends: long chains of 2-adic scales, even blocks
+# and zero diagonals at p = 2, and 3-adic scales up to 3^4
+WORKLOAD_SHAPED = ("U(2)^3+E8+A1^2+D7(2)+A5+A3(2)",
+                   "U^2+U(2)+D4(2)+A1^2+E8(2)+D8(2)+D6(2)",
+                   "U+U(3)+U(6)+A1+E8(2)+D7(2)+A5+A3(2)")
+
+
+@pytest.mark.parametrize("expr", WORKLOAD_SHAPED)
+def test_workload_shaped_grams_match_reference(expr):
+    g = lattice.build_named(expr).gram
+    g = _rebased(g, random.Random(expr), 3 * len(g))
+    assert 28 <= len(g) <= 34
+    assert genus._valuation(int(ref_frac_det(g)), 2) >= 20
+    assert_matches_reference(g)
+
+
+@st.composite
+def late_pivot_grams(draw):
+    """Symmetric Grams whose elimination meets a zero pivot after step 0.
+
+    A nondegenerate block P of rank k sits beside a block Z whose first
+    diagonal entry is 0 (every diagonal entry, for a fold); then each
+    later basis vector gets a combination of the first k.  The Schur
+    complement of P stays Z, so step k needs a swap or a fold.  Z may be
+    singular.
+    """
+    k = draw(st.integers(1, 4))
+    n = k + draw(st.integers(2, 6))
+    fold = draw(st.booleans())
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i < k) == (j < k) and not (i == j >= k and (fold or i == k)):
+                g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    assume(ref_frac_det([row[:k] for row in g[:k]]) != 0)
+    for i in range(k, n):
+        for j in range(k):
+            g = _congruence(g, i, j, draw(st.integers(-2, 2)))
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(late_pivot_grams())
+def test_bareiss_matches_reference_after_late_pivots(g):
+    assert_bareiss_matches(g)
+
+
+def test_bareiss_late_pivot_examples():
+    """A swap and a fold at step 1 of a dense Gram, and a singular one."""
+    swap = _congruence([[2, 0, 0], [0, 0, 1], [0, 1, 3]], 1, 0, 1)
+    fold = _congruence(_congruence([[3, 0, 0], [0, 0, 1], [0, 1, 0]],
+                                   1, 0, 1), 2, 0, -2)
+    singular = _congruence(_congruence([[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+                                       1, 0, 1), 2, 0, 1)
+    for g in (swap, fold, singular):
+        # the leading 2-minor is 0, so step 1 replaces its pivot
+        assert g[0][0] * g[1][1] == g[0][1] ** 2 != 0
+        assert_bareiss_matches(g)
+    assert fold[0][0] * fold[2][2] == fold[0][2] ** 2
+    assert intmat.bareiss([row[:] for row in singular], True)[0] == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -420,18 +420,12 @@ def induced_disc_isometry(lat, f):
     """Action of a lattice isometry on the discriminant group of lat.
 
     Column j is the class of M u_j / d_j, the image of the lift of the
-    j-th generator.  A LatticeIsometry of lat itself was checked when it
-    was made; a raw matrix is checked here.
+    j-th generator.  f is a LatticeIsometry, checked when it was made.
     """
-    m = getattr(f, "matrix", f)
-    if getattr(f, "lattice", None) is not lat:
-        g = lat.gram
-        if not intmat.is_integer_matrix(m) or abs(intmat.det(m)) != 1:
-            raise ValueError("map is not a lattice isometry")
-        if intmat.mat_mul(intmat.transpose(m), intmat.mat_mul(g, m)) != g:
-            raise ValueError("map does not preserve the Gram matrix")
+    if f.lattice.gram != lat.gram:
+        raise ValueError("isometry does not act on this lattice")
     mod = discriminant_form(lat)
-    cols = [mod._dual_class(intmat.mat_vec(m, u), d)
+    cols = [mod._dual_class(intmat.mat_vec(f.matrix, u), d)
             for u, d in zip(mod.lifts, mod.orders)]
     iso = FqmIsometry(mod, [list(row) for row in zip(*cols)])
     assert iso.preserves_q

@@ -22,8 +22,7 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
+    assert not a or len(a[0]) == len(b)
     bt = transpose(b)
     return [[sum(map(mul, ra, cb)) for cb in bt] for ra in a]
 
@@ -38,10 +37,6 @@ def vec_mat(v, a):
 
 def scalar_mul(c, a):
     return [[c * x for x in row] for row in a]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):
@@ -233,12 +228,6 @@ def frac_inverse(a):
                 f = m[i][k]
                 m[i] = [x - f * y for x, y in zip(m[i], m[k])]
     return [row[n:] for row in m]
-
-
-def frac_solve(a, rhs):
-    """Solve a x = rhs exactly; a square nonsingular, rhs a vector."""
-    inv = frac_inverse(a)
-    return mat_vec(inv, rhs)
 
 
 def smith_normal_form(m):

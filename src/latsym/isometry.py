@@ -341,214 +341,44 @@ def symplectic_status(model, f):
 
 
 # ---------------------------------------------------------------------------
-# order-p nonsymplectic criterion over the real cyclotomic subfields
+# order-p nonsymplectic criterion by integer shifts
 
-class _RealSubfield:
-    """Q[x]/(minpoly) with isolating intervals for its real roots.
-
-    Elements are tuples of Fractions in the power basis.  Signs at a chosen
-    root are decided by interval bisection with an exact error bound; the
-    zero element is recognized exactly, so every sign query terminates.
-    """
-
-    def __init__(self, minpoly, intervals):
-        self.minpoly = [Fraction(c) for c in minpoly]
-        self.deg = len(minpoly) - 1
-        self.intervals = intervals
-
-    def reduce(self, coeffs):
-        c = [Fraction(t) for t in coeffs]
-        d = self.deg
-        for k in range(len(c) - 1, d - 1, -1):
-            lead = c[k]
-            if lead:
-                for j in range(d + 1):
-                    c[k - d + j] -= lead * self.minpoly[j]
-            c.pop()
-        while len(c) < d:
-            c.append(Fraction(0))
-        return tuple(c)
-
-    def zero(self):
-        return tuple([Fraction(0)] * self.deg)
-
-    def one(self):
-        return self.reduce([1])
-
-    def from_int(self, a):
-        return self.reduce([a])
-
-    def gen(self):
-        return self.reduce([0, 1])
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def mul(self, a, b):
-        conv = [Fraction(0)] * (2 * self.deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        return self.reduce(conv)
-
-    def inverse(self, a):
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero in the subfield")
-        cols = []
-        pw = self.one()
-        for _ in range(self.deg):
-            cols.append(self.mul(pw, a))
-            pw = self.mul(pw, self.gen())
-        mat = [[cols[j][i] for j in range(self.deg)] for i in range(self.deg)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (self.deg - 1)
-        return tuple(intmat.frac_solve(mat, rhs))
-
-    def sign(self, a, power):
-        """Sign of a at the real root isolated by the given interval."""
-        if not any(a):
-            return 0
-        if self.deg == 1:
-            return 1 if a[0] > 0 else -1
-        lo, hi = (Fraction(t) for t in self.intervals[power])
-        big = max(abs(lo), abs(hi), Fraction(1))
-        slope = sum(abs(c) * k * big ** (k - 1) for k, c in enumerate(a) if k)
-        while True:
-            mid = (lo + hi) / 2
-            val = _poly_eval(a, mid)
-            if abs(val) > slope * (hi - lo) / 2:
-                return 1 if val > 0 else -1
-            fmid = _poly_eval(self.minpoly, mid)
-            if fmid == 0:
-                raise RuntimeError("isolating interval hit a rational root")
-            if _poly_eval(self.minpoly, lo) * fmid < 0:
-                hi = mid
-            else:
-                lo = mid
-
-
-def _poly_eval(coeffs, x):
-    out = Fraction(0)
-    for c in reversed(list(coeffs)):
-        out = out * x + c
-    return out
-
-
-_REAL_SUBFIELD = {
-    2: ([2, 1], None),
-    3: ([1, 1], None),
-    5: ([-1, 1, 1], {1: (0, 1), 2: (-2, -1)}),
-    7: ([-1, -2, 1, 1], {1: (1, 2), 2: (-1, 0), 3: (-2, -1)}),
+# integer brackets lo < 2cos(2 pi k / p) < hi, one cosine in each
+_COS_BRACKETS = {
+    2: {1: (-3, -1)},
+    3: {1: (-2, 0)},
+    5: {1: (0, 1), 2: (-2, -1)},
+    7: {1: (1, 2), 2: (-1, 0), 3: (-2, -1)},
 }
 
 
-def _field_kernel(field, mat):
-    """Right kernel basis of a square matrix over the subfield."""
-    m = [list(row) for row in mat]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivot_cols = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if any(m[i][c])), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.inverse(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(nr):
-            if i != r and any(m[i][c]):
-                lead = m[i][c]
-                m[i] = [field.sub(x, field.mul(lead, y)) for x, y in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nr:
-            break
-    basis = []
-    for c in range(nc):
-        if c in pivot_cols:
-            continue
-        v = [field.zero()] * nc
-        v[c] = field.one()
-        for i, pc in enumerate(pivot_cols):
-            v[pc] = field.neg(m[i][c])
-        basis.append(v)
-    return basis
+def _cos_signatures(f, coinv, p):
+    """{k: (s+, s-)} of the form on the 2cos(2 pi k / p)-eigenspace of
+    T = f + f^-1, for f of prime order p with coinvariant lattice coinv.
 
+    The coinvariant space is ker Phi_p(f), the b-orthogonal sum of the
+    eigenspaces V_k of the self-adjoint T, each of dimension
+    rank / (p // 2).  On it b(x, (T - r) y) has the integer Gram
+    B + B^T - r Q, with B = C G M C^T and Q = C G C^T for the basis rows C.
+    By Sylvester's law of inertia its positive index is the sum of s_k+
+    over t_k > r and of s_k- over t_k < r, so with t_k the only cosine in
+    (lo, hi), plus(lo) - plus(hi) = s_k+ - s_k-.
+    """
+    c, q = coinv.rows, coinv.lattice.gram
+    b = intmat.mat_mul(c, intmat.mat_mul(
+        intmat.mat_mul(f.lattice.gram, f.matrix), intmat.transpose(c)))
 
-def _field_diag_signs(field, b, power):
-    """Signs of a congruence diagonalization of b at the chosen root."""
-    a = [row[:] for row in b]
-    n = len(a)
-    signs = []
-    for k in range(n):
-        if not any(a[k][k]):
-            j = next((t for t in range(k + 1, n) if any(a[t][t])), None)
-            if j is not None:
-                a[k], a[j] = a[j], a[k]
-                for row in a:
-                    row[k], row[j] = row[j], row[k]
-            else:
-                j = next((t for t in range(k + 1, n) if any(a[k][t])), None)
-                if j is None:
-                    signs.append(0)
-                    continue
-                for t in range(n):
-                    a[k][t] = field.add(a[k][t], a[j][t])
-                for t in range(n):
-                    a[t][k] = field.add(a[t][k], a[t][j])
-        dinv = field.inverse(a[k][k])
-        for i in range(k + 1, n):
-            if any(a[i][k]):
-                c = field.mul(a[i][k], dinv)
-                a[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(a[i], a[k])]
-                for t in range(n):
-                    a[t][i] = field.sub(a[t][i], field.mul(c, a[t][k]))
-        signs.append(field.sign(a[k][k], power))
-    return signs
+    def plus(r):
+        shifted = [[x + y - r * z for x, y, z in zip(row, col, qrow)]
+                   for row, col, qrow in zip(b, zip(*b), q)]
+        return intmat.det_signature(shifted)[1][0]
 
-
-def _cos_kernel_signature(f, p, pw):
-    """Real signature of ker(f + f^-1 - 2cos(2 pi pw / p)) as a quadratic space."""
-    field = _RealSubfield(*_REAL_SUBFIELD[p])
-    lat = f.lattice
-    n = lat.rank
-    s = intmat.mat_add(f.matrix, inverse(f).matrix)
-    gen = field.gen()
-    a = [[field.from_int(s[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        a[i][i] = field.sub(a[i][i], gen)
-    ker = _field_kernel(field, a)
-    if not ker:
-        return 0, 0
-    g = lat.gram
-    gk = []
-    for v in ker:
-        img = []
-        for i in range(n):
-            acc = field.zero()
-            for j in range(n):
-                if g[i][j]:
-                    acc = field.add(acc, field.mul(field.from_int(g[i][j]), v[j]))
-            img.append(acc)
-        gk.append(img)
-    b = [[None] * len(ker) for _ in ker]
-    for i, v in enumerate(ker):
-        for j in range(i, len(ker)):
-            acc = field.zero()
-            for t in range(n):
-                if any(v[t]):
-                    acc = field.add(acc, field.mul(v[t], gk[j][t]))
-            b[i][j] = acc
-            b[j][i] = acc
-    signs = _field_diag_signs(field, b, pw)
-    return signs.count(1), signs.count(-1)
+    dim = coinv.rank // (p // 2)
+    out = {}
+    for k, (lo, hi) in _COS_BRACKETS[p].items():
+        pos = (dim + plus(lo) - plus(hi)) // 2
+        out[k] = (pos, dim - pos)
+    return out
 
 
 def nonsymplectic_prime_profile(f, p):
@@ -557,20 +387,14 @@ def nonsymplectic_prime_profile(f, p):
     Maps k to the result obtained by evaluating at 2cos(2 pi k / p), for
     k = 1 .. (p-1)/2; the values for k and p-k coincide.
     """
-    if p not in _REAL_SUBFIELD:
+    if p not in _COS_BRACKETS:
         raise ValueError("p must be one of 2, 3, 5, 7")
     if order_of(f) != p:
         raise ValueError("isometry does not have order %d" % p)
-    inv, _coinv = invariant_coinvariant(f)
-    if inv.rank == 0:
-        inv_ok = False
-    else:
-        inv_ok = inv.lattice.signature()[0] == 1
-    out = {}
-    for pw in range(1, p // 2 + 1):
-        pos, _neg = _cos_kernel_signature(f, p, pw)
-        out[pw] = inv_ok and pos == 2
-    return out
+    inv, coinv = invariant_coinvariant(f)
+    inv_ok = inv.lattice.signature()[0] == 1
+    return {k: inv_ok and pos == 2
+            for k, (pos, _neg) in _cos_signatures(f, coinv, p).items()}
 
 
 def nonsymplectic_prime_check(f, p):

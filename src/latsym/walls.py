@@ -156,11 +156,9 @@ def coinvariant_wall_scan(model, f, pex_only=False):
     """
     from . import isometry
 
-    lat = model.lattice
-    m = getattr(f, "matrix", f)
-    if intmat.mat_mul(intmat.transpose(m), intmat.mat_mul(lat.gram, m)) != lat.gram:
-        raise ValueError("map does not preserve the Gram matrix")
-    _inv, coinv = isometry.invariant_coinvariant(isometry.LatticeIsometry(lat, m))
+    if f.lattice.gram != model.lattice.gram:
+        raise ValueError("isometry does not act on the model lattice")
+    _inv, coinv = isometry.invariant_coinvariant(f)
     if not coinv.rank:
         return []
     if coinv.lattice.signature() != (0, coinv.rank):

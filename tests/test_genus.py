@@ -197,3 +197,44 @@ def test_power_root_is_exact(r, k):
     assume(r % q)
     assert genus._power_root(r**k * q) is None
 
+
+
+GENUS_SUMMANDS = ("U", "U(2)", "V", "A1", "A1(-1)", "A2", "A3(2)", "D4", "A2(-3)",
+                  "E8", "K7", "H5(2)", "D4v(2)")
+
+
+@st.composite
+def named_sums(draw):
+    """Summand names, a permutation of them and a unimodular base change."""
+    terms = draw(st.lists(st.sampled_from(GENUS_SUMMANDS), min_size=1, max_size=4))
+    perm = draw(st.permutations(terms))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return terms, perm, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(named_sums())
+def test_genus_invariants_of_named_sums(case):
+    """The canonical string is the same under a unimodular change of basis
+    and a permutation of the summands; the rendered symbol parses back to
+    itself; every computed symbol satisfies the oddity formula."""
+    terms, perm, rng = case
+    lat = lattice.build_named("+".join(terms))
+    sym = genus.genus_symbol(lat)
+    text = genus.canonical_string(sym)
+    if sym.even:  # parse_genus reads even symbols only
+        assert genus.render_genus(genus.parse_genus(genus.render_genus(sym))) == \
+            genus.render_genus(sym)
+        assert genus.canonical_string(genus.parse_genus(text)) == text
+    n = lat.rank
+    b = intmat.identity(n)
+    for _step in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        b[i] = [x + c * y for x, y in zip(b[i], b[j])]
+    moved = intmat.mat_mul(b, intmat.mat_mul(lat.gram, intmat.transpose(b)))
+    others = [genus.genus_symbol(lattice.build_named("+".join(perm))),
+              genus.genus_symbol(lattice.Lattice(moved))]
+    for s in [sym] + others:
+        assert genus.signature_consistent(s)
+    assert [genus.canonical_string(s) for s in others] == [text, text]

@@ -53,11 +53,6 @@ def test_frac_inverse():
         intmat.frac_inverse([[1, 2], [2, 4]])
 
 
-def test_frac_solve():
-    m = [[2, 0], [0, 3]]
-    assert intmat.frac_solve(m, [4, 9]) == [2, 3]
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_smith_normal_form_properties(m):

@@ -24,6 +24,18 @@ def chain_product(refls):
     return out
 
 
+def sample_reflections(model):
+    """Reflections in the monodromy sample, then in e_b + f_b and e_b - f_b
+    for the blocks b = 0, 1, 2."""
+    lam = model.lattice
+    refls = [isometry.reflection(lam, v) for v in cli.monodromy_sample(model)]
+    for b in range(3):
+        e, f = model.hyperbolic_pair(b)
+        refls += [isometry.reflection(lam, [x + s * y for x, y in zip(e, f)])
+                  for s in (1, -1)]
+    return refls
+
+
 @pytest.fixture(scope="module")
 def model():
     return standard_model()
@@ -50,6 +62,12 @@ def test_validation(model):
     f = isometry.make_isometry(lam, one)
     assert f.matrix == intmat.identity(16)
     assert {type(x) for row in f.matrix for x in row} == {int}
+
+
+def test_rank_zero_isometry():
+    ident = isometry.make_isometry(lattice.Lattice([]), [])
+    assert ident.is_identity()
+    assert isometry.compose(ident, ident) == ident
 
 
 def test_reflection_errors(model):
@@ -215,6 +233,18 @@ def test_nonsymplectic_prime_check(model):
     profile = isometry.nonsymplectic_prime_profile(seven, 7)
     assert sorted(profile) == [1, 2, 3]
     assert not any(profile.values())
+
+    # words whose eigenspace at one cosine has signature (2, *)
+    refls = sample_reflections(model)
+    for p, picks, profile in (
+            (3, [29, 11, 21, 8, 25, 14], {1: True}),
+            (5, [39, 23, 20, 9, 27, 17], {1: True, 2: False}),
+            (5, [12, 5, 33, 7, 40, 7, 40], {1: False, 2: True}),
+            (7, [0, 34, 30, 16, 40, 7, 15, 30, 11, 1, 28, 43],
+             {1: True, 2: False, 3: False})):
+        f = chain_product([refls[i] for i in picks])
+        f = isometry.power(f, isometry.order_of(f) // p)
+        assert isometry.nonsymplectic_prime_profile(f, p) == profile
 
 
 def test_nonsymplectic_prime_errors(model):

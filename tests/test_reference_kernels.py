@@ -10,10 +10,13 @@ determinant and signature (Gaussian elimination over Q), the Bareiss
 pass that updated the whole trailing block, the Jordan splitting over
 Z_p (rational elimination read p-adically), the
 discriminant action (Fraction lifts, q and b, and the order of the
-permutation of all elements) and the wall scan that classifies every
-enumerated vector.  The integer versions must agree with them on random
-isometries of Lambda and of small lattices of every signature type, on
-random symmetric Grams, and on random maps of small discriminant modules.
+permutation of all elements), the wall scan that classifies every
+enumerated vector, and the eigenspace signatures of f + f^-1 over the real
+cyclotomic subfield (Fraction tuples, signs by interval bisection).  The
+integer versions must agree with them on random isometries of Lambda and
+of small lattices of every signature type, on random symmetric Grams, on
+random maps of small discriminant modules, and on isometries of order 2,
+3, 5 and 7.
 """
 
 import itertools
@@ -938,8 +941,6 @@ def test_induced_disc_isometry_matches_reference(picks_f, picks_g):
     df = discform.induced_disc_isometry(lam, f)
     dg = discform.induced_disc_isometry(lam, g)
     assert df.matrix == ref.induced(f.matrix)
-    # a raw matrix takes the checked path and gives the same map
-    assert discform.induced_disc_isometry(lam, f.matrix) == df
     assert df.preserves_q and ref.preserves_q(df.matrix)
     assert df.order() == ref.order(df.matrix)
     fg = discform.induced_disc_isometry(lam, isometry.compose(f, g))
@@ -1148,3 +1149,276 @@ def test_wall_scan_matches_reference(base, conj, picks):
             fast = walls._scan_sublattice(model, rows, gram, pex_only)
             slow = ref_wall_scan(model, rows, gram, pex_only)
             assert [w.as_dict() for w in fast] == [w.as_dict() for w in slow]
+
+
+# ---------------------------------------------------------------------------
+# eigenspace signatures: the earlier real-subfield arithmetic
+
+
+
+class RefRealSubfield:
+    """Q[x]/(minpoly) with isolating intervals for its real roots.
+
+    Elements are tuples of Fractions in the power basis.  Signs at a chosen
+    root are decided by interval bisection with an exact error bound; the
+    zero element is recognized exactly, so every sign query terminates.
+    """
+
+    def __init__(self, minpoly, intervals):
+        self.minpoly = [Fraction(c) for c in minpoly]
+        self.deg = len(minpoly) - 1
+        self.intervals = intervals
+
+    def reduce(self, coeffs):
+        c = [Fraction(t) for t in coeffs]
+        d = self.deg
+        for k in range(len(c) - 1, d - 1, -1):
+            lead = c[k]
+            if lead:
+                for j in range(d + 1):
+                    c[k - d + j] -= lead * self.minpoly[j]
+            c.pop()
+        while len(c) < d:
+            c.append(Fraction(0))
+        return tuple(c)
+
+    def zero(self):
+        return tuple([Fraction(0)] * self.deg)
+
+    def one(self):
+        return self.reduce([1])
+
+    def from_int(self, a):
+        return self.reduce([a])
+
+    def gen(self):
+        return self.reduce([0, 1])
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def mul(self, a, b):
+        conv = [Fraction(0)] * (2 * self.deg - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+        return self.reduce(conv)
+
+    def inverse(self, a):
+        if not any(a):
+            raise ZeroDivisionError("inverse of zero in the subfield")
+        cols = []
+        pw = self.one()
+        for _ in range(self.deg):
+            cols.append(self.mul(pw, a))
+            pw = self.mul(pw, self.gen())
+        mat = [[cols[j][i] for j in range(self.deg)] for i in range(self.deg)]
+        rhs = [Fraction(1)] + [Fraction(0)] * (self.deg - 1)
+        return tuple(intmat.mat_vec(intmat.frac_inverse(mat), rhs))
+
+    def sign(self, a, power):
+        """Sign of a at the real root isolated by the given interval."""
+        if not any(a):
+            return 0
+        if self.deg == 1:
+            return 1 if a[0] > 0 else -1
+        lo, hi = (Fraction(t) for t in self.intervals[power])
+        big = max(abs(lo), abs(hi), Fraction(1))
+        slope = sum(abs(c) * k * big ** (k - 1) for k, c in enumerate(a) if k)
+        while True:
+            mid = (lo + hi) / 2
+            val = _ref_poly_eval(a, mid)
+            if abs(val) > slope * (hi - lo) / 2:
+                return 1 if val > 0 else -1
+            fmid = _ref_poly_eval(self.minpoly, mid)
+            if fmid == 0:
+                raise RuntimeError("isolating interval hit a rational root")
+            if _ref_poly_eval(self.minpoly, lo) * fmid < 0:
+                hi = mid
+            else:
+                lo = mid
+
+
+def _ref_poly_eval(coeffs, x):
+    out = Fraction(0)
+    for c in reversed(list(coeffs)):
+        out = out * x + c
+    return out
+
+
+REF_REAL_SUBFIELD = {
+    2: ([2, 1], None),
+    3: ([1, 1], None),
+    5: ([-1, 1, 1], {1: (0, 1), 2: (-2, -1)}),
+    7: ([-1, -2, 1, 1], {1: (1, 2), 2: (-1, 0), 3: (-2, -1)}),
+}
+
+
+def _ref_field_kernel(field, mat):
+    """Right kernel basis of a square matrix over the subfield."""
+    m = [list(row) for row in mat]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivot_cols = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if any(m[i][c])), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.inverse(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(nr):
+            if i != r and any(m[i][c]):
+                lead = m[i][c]
+                m[i] = [field.sub(x, field.mul(lead, y)) for x, y in zip(m[i], m[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == nr:
+            break
+    basis = []
+    for c in range(nc):
+        if c in pivot_cols:
+            continue
+        v = [field.zero()] * nc
+        v[c] = field.one()
+        for i, pc in enumerate(pivot_cols):
+            v[pc] = field.neg(m[i][c])
+        basis.append(v)
+    return basis
+
+
+def _ref_field_diag_signs(field, b, power):
+    """Signs of a congruence diagonalization of b at the chosen root."""
+    a = [row[:] for row in b]
+    n = len(a)
+    signs = []
+    for k in range(n):
+        if not any(a[k][k]):
+            j = next((t for t in range(k + 1, n) if any(a[t][t])), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((t for t in range(k + 1, n) if any(a[k][t])), None)
+                if j is None:
+                    signs.append(0)
+                    continue
+                for t in range(n):
+                    a[k][t] = field.add(a[k][t], a[j][t])
+                for t in range(n):
+                    a[t][k] = field.add(a[t][k], a[t][j])
+        dinv = field.inverse(a[k][k])
+        for i in range(k + 1, n):
+            if any(a[i][k]):
+                c = field.mul(a[i][k], dinv)
+                a[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(a[i], a[k])]
+                for t in range(n):
+                    a[t][i] = field.sub(a[t][i], field.mul(c, a[t][k]))
+        signs.append(field.sign(a[k][k], power))
+    return signs
+
+
+def ref_cos_kernel_signature(f, p, pw):
+    """Real signature of ker(f + f^-1 - 2cos(2 pi pw / p)) as a quadratic space."""
+    field = RefRealSubfield(*REF_REAL_SUBFIELD[p])
+    lat = f.lattice
+    n = lat.rank
+    s = [[x + y for x, y in zip(ra, rb)]
+         for ra, rb in zip(f.matrix, isometry.inverse(f).matrix)]
+    gen = field.gen()
+    a = [[field.from_int(s[i][j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        a[i][i] = field.sub(a[i][i], gen)
+    ker = _ref_field_kernel(field, a)
+    if not ker:
+        return 0, 0
+    g = lat.gram
+    gk = []
+    for v in ker:
+        img = []
+        for i in range(n):
+            acc = field.zero()
+            for j in range(n):
+                if g[i][j]:
+                    acc = field.add(acc, field.mul(field.from_int(g[i][j]), v[j]))
+            img.append(acc)
+        gk.append(img)
+    b = [[None] * len(ker) for _ in ker]
+    for i, v in enumerate(ker):
+        for j in range(i, len(ker)):
+            acc = field.zero()
+            for t in range(n):
+                if any(v[t]):
+                    acc = field.add(acc, field.mul(v[t], gk[j][t]))
+            b[i][j] = acc
+            b[j][i] = acc
+    signs = _ref_field_diag_signs(field, b, pw)
+    return signs.count(1), signs.count(-1)
+
+
+@lru_cache(maxsize=None)
+def prime_order_generators():
+    """Reflections in the monodromy sample, then in e_b + f_b and
+    e_b - f_b for the blocks b = 0, 1, 2."""
+    model = standard_model()
+    lam = model.lattice
+    gens = [isometry.reflection(lam, v) for v in cli.monodromy_sample(model)]
+    for b in range(3):
+        e, f = model.hyperbolic_pair(b)
+        gens += [isometry.reflection(lam, [x + s * y for x, y in zip(e, f)])
+                 for s in (1, -1)]
+    return tuple(gens)
+
+
+# words whose eigenspace at one cosine has signature (2, *), pinned in
+# test_isometry.py::test_nonsymplectic_prime_check; random words of order
+# divisible by 7 are rare
+PRIME_ORDER_WORDS = ([29, 11, 21, 8, 25, 14], [39, 23, 20, 9, 27, 17],
+                     [12, 5, 33, 7, 40, 7, 40],
+                     [0, 34, 30, 16, 40, 7, 15, 30, 11, 1, 28, 43])
+
+
+def prime_order_corpus(seed, trials):
+    """(h, p) for seeded words f of order o divisible by a prime p in
+    {2, 3, 5, 7}, with h = f^(o/p); then the pinned words and the Coxeter
+    elements of the A4 and A6 chains of E8."""
+    gens = prime_order_generators()
+    rng = random.Random(seed)
+    words = [[rng.randrange(len(gens)) for _ in range(rng.randint(2, 7))]
+             for _ in range(trials)]
+    out = []
+    for picks in words + list(PRIME_ORDER_WORDS):
+        f = word(gens, picks)
+        try:
+            o = isometry.order_of(f)
+        except ValueError:
+            continue
+        out += [(isometry.power(f, o // p), p) for p in (2, 3, 5, 7) if o % p == 0]
+    lam = standard_model().lattice
+    for chain, p in (((6, 8, 9, 10), 5), ((6, 8, 9, 10, 11, 12), 7)):
+        refls = [isometry.reflection(lam, [int(i == j) for i in range(16)])
+                 for j in chain]
+        out.append((word(refls, range(len(refls))), p))
+    return out
+
+
+def test_cos_signatures_match_reference():
+    """The integer shifts give the signature of every eigenspace that the
+    real-subfield kernel gives, at every p, including (2, *) at 3, 5, 7."""
+    positive = set()
+    for h, p in prime_order_corpus(seed=5, trials=150):
+        _inv, coinv = isometry.invariant_coinvariant(h)
+        sigs = isometry._cos_signatures(h, coinv, p)
+        assert sigs == {k: ref_cos_kernel_signature(h, p, k) for k in sigs}
+        positive |= {(p, s[0]) for s in sigs.values()}
+    assert {p for p, _pos in positive} == {2, 3, 5, 7}
+    assert {(3, 2), (5, 2), (7, 2)} <= positive

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latsym import intmat, lattice, walls
+from latsym import discform, intmat, lattice, walls
 from latsym.lattice import standard_model
 
 
@@ -195,10 +195,19 @@ def test_scan_rejects_bad_maps():
 
     model = standard_model()
     lam = model.lattice
+    # a unimodular map that is no isometry never becomes one
     skew = intmat.identity(16)
-    skew[0][0] = 2
-    with pytest.raises(ValueError, match="Gram"):
-        walls.coinvariant_wall_scan(model, skew)
+    skew[0][1] = 1
+    with pytest.raises(ValueError, match="bilinear form"):
+        isometry.make_isometry(lam, skew)
+
+    # an isometry of another lattice is refused by the scan and by the
+    # discriminant action
+    other = isometry.identity_isometry(lattice.build_named("A1^16"))
+    with pytest.raises(ValueError, match="does not act on"):
+        walls.coinvariant_wall_scan(model, other)
+    with pytest.raises(ValueError, match="does not act on"):
+        discform.induced_disc_isometry(lam, other)
 
     refl = isometry.reflection(lam, model.u2_vector(1))
     with pytest.raises(ValueError, match="negative definite"):

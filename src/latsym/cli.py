@@ -64,7 +64,7 @@ def _load_lattice(target):
     if Path(target).exists():
         try:
             return lattice.lattice_from_json(_load_json_file(target))
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise InputError("bad lattice file %s: %s" % (target, exc))
     try:
         return lattice.build_named(target)
@@ -76,7 +76,7 @@ def _load_isometry(path):
     data = _load_json_file(path)
     try:
         return isometry.isometry_from_json(data)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise InputError("bad isometry file %s: %s" % (path, exc))
 
 
@@ -145,8 +145,6 @@ def cmd_disc(args, emit):
 def cmd_walls(args, emit):
     f = _load_isometry(args.isometry)
     model = lattice.standard_model()
-    if f.lattice.gram != model.lattice.gram:
-        raise InputError("wall scans need an isometry of the standard lattice")
     try:
         witnesses = walls.coinvariant_wall_scan(model, f, pex_only=args.pex_only)
     except ValueError as exc:

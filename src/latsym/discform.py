@@ -146,19 +146,21 @@ class TorsionQuadModule:
         """Class of a dual-lattice vector given in rational lattice coordinates."""
         y = [Fraction(c) for c in y]
         den = lcm(*(c.denominator for c in y))
-        return self._dual_class([(c * den).numerator for c in y], den)
+        if self._coords is None:
+            raise ValueError("module has no source lattice")
+        num = [(c * den).numerator for c in y]
+        return self._dual_class(intmat.mat_vec(self.source.gram, num), den)
 
-    def _dual_class(self, num, den):
-        """Class of the vector num / den, for an integer vector num.
+    def _dual_class(self, gnum, den):
+        """Class of the vector num / den, for an integer vector num, given
+        its pairings gnum = G num.
 
         num / den lies in the dual lattice iff den divides G num; the
         quotient w then has class coordinates (V^T w)_i mod orders[i] for
         the right Smith transform V of G.
         """
-        if self._coords is None:
-            raise ValueError("module has no source lattice")
         w = []
-        for p in intmat.mat_vec(self.source.gram, num):
+        for p in gnum:
             quo, rem = divmod(p, den)
             if rem:
                 raise ValueError("vector is not in the dual lattice")
@@ -420,12 +422,13 @@ def induced_disc_isometry(lat, f):
     """Action of a lattice isometry on the discriminant group of lat.
 
     Column j is the class of M u_j / d_j, the image of the lift of the
-    j-th generator.  f is a LatticeIsometry, checked when it was made.
+    j-th generator, read off G M u_j.  f is a LatticeIsometry, checked
+    when it was made.
     """
     if f.lattice.gram != lat.gram:
         raise ValueError("isometry does not act on this lattice")
     mod = discriminant_form(lat)
-    cols = [mod._dual_class(intmat.mat_vec(f.matrix, u), d)
+    cols = [mod._dual_class(intmat.mat_vec(f.gram_matrix, u), d)
             for u, d in zip(mod.lifts, mod.orders)]
     iso = FqmIsometry(mod, [list(row) for row in zip(*cols)])
     assert iso.preserves_q

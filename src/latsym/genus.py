@@ -141,13 +141,23 @@ def _power_root(n):
     return None
 
 
+# rho steps in all before giving up: about 2 sqrt(q) for a prime factor q
+# of up to 40 bits, a few seconds
+_RHO_STEPS = 1 << 21
+
+
 def _rho_divisor(n):
     """A proper divisor of a composite n: Pollard's rho on x -> x^2 + c
     with Brent's cycle search, moving on to the next c when a cycle
-    closes without one."""
+    closes without one.  Raises ValueError beyond _RHO_STEPS steps."""
+    steps = 0
     for c in range(1, n):
         y, r, g = 2, 1, 1
         while g == 1:
+            steps += r
+            if steps > _RHO_STEPS:
+                raise ValueError("cannot factor %d: no divisor within %d "
+                                 "Pollard rho steps" % (n, _RHO_STEPS))
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -22,17 +22,28 @@ def transpose(a):
 
 
 def mat_mul(a, b):
+    """a b.  When a and b hold ints and more than half of a is zero, each
+    row of the product is a combination of the rows of b over the nonzero
+    coefficients; else each entry is a dot product with a column of b (an
+    entry is then a Fraction wherever a Fraction takes part)."""
     assert not a or len(a[0]) == len(b)
-    bt = transpose(b)
-    return [[sum(map(mul, ra, cb)) for cb in bt] for ra in a]
+    if (2 * sum(row.count(0) for row in a) <= len(a) * len(b)
+            or not set(map(type, chain(*a, *b))) <= {int}):
+        bt = transpose(b)
+        return [[sum(map(mul, ra, cb)) for cb in bt] for ra in a]
+    out = []
+    for ra in a:
+        acc = None
+        for c, rb in zip(ra, b):
+            if c:
+                acc = ((list(rb) if c == 1 else [c * y for y in rb])
+                       if acc is None else [x + c * y for x, y in zip(acc, rb)])
+        out.append([0] * len(b[0]) if acc is None else acc)
+    return out
 
 
 def mat_vec(a, v):
     return [sum(map(mul, row, v)) for row in a]
-
-
-def vec_mat(v, a):
-    return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
 
 
 def scalar_mul(c, a):
@@ -236,107 +247,75 @@ def smith_normal_form(m):
     Returns (d, u, v) with u * m * v == d, u and v unimodular, and d diagonal
     with nonnegative entries d[0][0] | d[1][1] | ...
     """
-    a = [[int(x) for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u = identity(rows)
-    v = identity(cols)
+    d, u, vt = _smith(m, True)
+    return d, u, transpose(vt)
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):
-        # row_i += c * row_j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, c):
-        # col_i += c * col_j
-        for row in a:
-            row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
+def _smith(m, with_u):
+    """(d, u, v^T) of smith_normal_form, u only if with_u.  Row operations
+    act on the rows of m followed by those of u, column operations on the
+    rows of v^T and on the rows of m that are nonzero in the pivot column.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [[int(x) for x in row] + ([int(i == j) for j in range(rows)] if with_u
+                                  else []) for i, row in enumerate(m)]
+    vt = identity(cols)
     t = 0
     while t < min(rows, cols):
-        # find a pivot of smallest absolute value in the remaining block
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    best = x
-                    piv = (i, j)
-        if piv is None:
+        # a pivot of least absolute value, the first in row order
+        mins = [min(map(abs, filter(None, row[t:cols])), default=0)
+                for row in a[t:]]
+        best = min(filter(None, mins), default=0)
+        if not best:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        # clear row and column t; restart if a remainder creates a smaller entry
+        i = t + mins.index(best)
+        j = t + [abs(x) for x in a[i][t:cols]].index(best)
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        vt[t], vt[j] = vt[j], vt[t]
+        top, p = a[t], a[t][t]
         dirty = False
         for i in range(t + 1, rows):
             if a[i][t]:
-                q = a[i][t] // a[t][t]
-                add_row(i, t, -q)
-                if a[i][t]:
-                    dirty = True
+                c = -(a[i][t] // p)
+                a[i] = [x + c * y for x, y in zip(a[i], top)]
+                dirty = dirty or a[i][t] != 0
         for j in range(t + 1, cols):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                add_col(j, t, -q)
-                if a[t][j]:
-                    dirty = True
+            if top[j]:
+                c = -(top[j] // p)
+                for row in a:
+                    if row[t]:
+                        row[j] += c * row[t]
+                vt[j] = [x + c * y for x, y in zip(vt[j], vt[t])]
+                dirty = dirty or top[j] != 0
         if dirty:
             continue
-        # enforce divisibility of the remaining block by the pivot
-        d = a[t][t]
-        culprit = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % d:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
-        if culprit is not None:
-            add_row(t, culprit, 1)
-            continue
-        if a[t][t] < 0:
-            negate_row(t)
+        # every entry of the remaining block must be a multiple of p
+        if p not in (1, -1):
+            i = next((i for i in range(t + 1, rows)
+                      if any(x % p for x in a[i][t + 1:cols])), None)
+            if i is not None:
+                a[t] = [x + y for x, y in zip(top, a[i])]
+                continue
+        if p < 0:
+            a[t] = [-x for x in top]
         t += 1
-    return a, u, v
+    return ([row[:cols] for row in a],
+            [row[cols:] for row in a] if with_u else None, vt)
 
 
 def kernel_basis(m):
     """Basis of the integer kernel {x : m x = 0}, as a list of row vectors.
 
-    The returned basis spans a saturated (primitive) sublattice of Z^n.
+    The returned basis spans a saturated (primitive) sublattice of Z^n:
+    with u m v = d, m (v e_j) = u^-1 d e_j = 0 for the zero columns j of d.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if rows == 0:
-        return [list(r) for r in identity(cols)]
-    d, _u, v = smith_normal_form(m)
-    r = 0
-    for i in range(min(rows, cols)):
-        if d[i][i] != 0:
-            r += 1
-    # m (v e_j) = u^-1 d e_j = 0 exactly for the zero diagonal columns
-    out = []
-    for j in range(r, cols):
-        out.append([v[i][j] for i in range(cols)])
-    return out
+    if not m:
+        return []
+    d, _u, vt = _smith(m, False)
+    return vt[sum(1 for k in range(min(len(d), len(d[0]))) if d[k][k]):]
 
 
 def saturate_rows(m):

@@ -7,6 +7,7 @@ table.  The supporting operations are usable on any integral lattice.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd
 from pathlib import Path
@@ -25,14 +26,15 @@ class LatticeIsometry:
             if not intmat.is_integer_matrix(m):
                 raise ValueError("matrix is not unimodular over the integers")
             m = intmat.to_int_matrix(m)
-        g = lat.gram
+        gm = intmat.mat_mul(lat.gram, m)
         # m^T G m = G with det G != 0 forces det m = +-1
-        if intmat.mat_mul(intmat.transpose(m), intmat.mat_mul(g, m)) != g:
+        if intmat.mat_mul(intmat.transpose(m), gm) != lat.gram:
             if intmat.det(m) not in (1, -1):
                 raise ValueError("matrix is not unimodular over the integers")
             raise ValueError("matrix does not preserve the bilinear form")
         self.lattice = lat
         self.matrix = m
+        self.gram_matrix = gm
 
     def __call__(self, x):
         return intmat.mat_vec(self.matrix, list(x))
@@ -190,18 +192,15 @@ def _cyclotomic(d):
     return _CYCLOTOMIC[d]
 
 
-def _totient(d):
-    out = d
-    k = 2
-    while k * k <= d:
-        if d % k == 0:
-            out -= out // k
-            while d % k == 0:
-                d //= k
-        k += 1
-    if d > 1:
-        out -= out // d
-    return out
+@lru_cache(maxsize=None)
+def _cyclotomic_indices(n):
+    """The d with phi(d) <= n, ascending; all lie below 2 n^2 + 2."""
+    phi = list(range(2 * n * n + 2))
+    for p in range(2, len(phi)):
+        if phi[p] == p:     # p is prime
+            for k in range(p, len(phi), p):
+                phi[k] -= phi[k] // p
+    return tuple(d for d in range(1, len(phi)) if phi[d] <= n)
 
 
 def order_of(f, cap=10**6):
@@ -209,7 +208,9 @@ def order_of(f, cap=10**6):
 
     The characteristic polynomial chi is divided by the cyclotomic Phi_d,
     phi(d) <= n, all mod the prime _P = 2^61 - 1; the lcm L of the d found
-    is confirmed by one exact power M^L = I.  This is exact: _P exceeds
+    is confirmed by one exact power M^L = I, which for L = 2 is the
+    symmetry of G M (M^T G M = G gives M^-1 = G^-1 M^T G, so M^2 = I iff
+    G M = M^T G = (G M)^T).  This is exact: _P exceeds
     every d tried, so the Phi_d are squarefree and pairwise coprime mod _P,
     and reduction mod _P is a ring map.  If f has finite order, chi =
     prod Phi_d^(m_d) over Z, the same factors divide out mod _P with the
@@ -223,9 +224,7 @@ def order_of(f, cap=10**6):
         raise ValueError("rank too large for the modulus of order_of")
     poly = _char_poly_mod(f.matrix)
     order = 1
-    for d in range(1, 2 * n * n + 2):
-        if _totient(d) > n:
-            continue
+    for d in _cyclotomic_indices(n):
         cyc = _cyclotomic(d)
         hit = False
         while len(poly) >= len(cyc):
@@ -238,7 +237,9 @@ def order_of(f, cap=10**6):
             order = order * d // gcd(order, d)
         if len(poly) == 1:
             break
-    if len(poly) > 1 or _mat_power(f.matrix, order) != intmat.identity(n):
+    if len(poly) > 1 or not (
+            f.gram_matrix == intmat.transpose(f.gram_matrix) if order == 2
+            else _mat_power(f.matrix, order) == intmat.identity(n)):
         raise ValueError("isometry has infinite order, beyond any cap")
     if order > cap:
         raise ValueError("isometry order exceeds the cap of %d" % cap)
@@ -254,7 +255,10 @@ class Sublattice:
     def __init__(self, ambient, rows, name=None):
         self.ambient = ambient
         self.rows = [list(r) for r in rows]
-        gram = lattice.restricted_gram(ambient, self.rows)
+        # the pairing rows G r (G is symmetric), for the Gram, the
+        # orthogonal complement and the wall scan
+        self.gram_rows = intmat.mat_mul(self.rows, ambient.gram)
+        gram = lattice.restricted_gram(ambient, self.rows, self.gram_rows)
         self.lattice = lattice.Lattice(gram, name=name)
 
     @property
@@ -274,10 +278,10 @@ def invariant_coinvariant(f):
     """The fixed sublattice of f and its orthogonal complement."""
     lat = f.lattice
     delta = intmat.mat_sub(f.matrix, intmat.identity(lat.rank))
-    inv_rows = intmat.kernel_basis(delta)
-    coinv_rows = lattice.orthogonal_complement(lat, inv_rows)
-    return (Sublattice(lat, inv_rows, name="invariant"),
-            Sublattice(lat, coinv_rows, name="coinvariant"))
+    inv = Sublattice(lat, intmat.kernel_basis(delta), name="invariant")
+    coinv_rows = ([] if inv.rank == lat.rank else
+                  lattice.orthogonal_complement(lat, inv.rows, inv.gram_rows))
+    return inv, Sublattice(lat, coinv_rows, name="coinvariant")
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +339,8 @@ def symplectic_status(model, f):
         return False, False, []
     if coinv.rank == 0:
         return True, True, []
-    witnesses = walls._scan_sublattice(model, coinv.rows, coinv.lattice.gram)
+    witnesses = walls._scan_sublattice(model, coinv.rows, coinv.lattice.gram,
+                                       gram_rows=coinv.gram_rows)
     symplectic = not any(w.wclass in walls.PEX_CLASSES for w in witnesses)
     return symplectic, not witnesses, witnesses
 
@@ -365,8 +370,7 @@ def _cos_signatures(f, coinv, p):
     (lo, hi), plus(lo) - plus(hi) = s_k+ - s_k-.
     """
     c, q = coinv.rows, coinv.lattice.gram
-    b = intmat.mat_mul(c, intmat.mat_mul(
-        intmat.mat_mul(f.lattice.gram, f.matrix), intmat.transpose(c)))
+    b = intmat.mat_mul(c, intmat.mat_mul(f.gram_matrix, intmat.transpose(c)))
 
     def plus(r):
         shifted = [[x + y - r * z for x, y, z in zip(row, col, qrow)]
@@ -499,7 +503,8 @@ def report(model, f, fixture=None):
     coinv_sym = genus.genus_symbol(coinv.lattice) if coinv.rank else None
     oplus = in_O_plus(f)
     neg_def = _coinv_neg_def(coinv)
-    witnesses = (walls._scan_sublattice(model, coinv.rows, coinv.lattice.gram)
+    witnesses = (walls._scan_sublattice(model, coinv.rows, coinv.lattice.gram,
+                                        gram_rows=coinv.gram_rows)
                  if neg_def else [])
     symplectic = (oplus and neg_def
                   and not any(w.wclass in walls.PEX_CLASSES for w in witnesses))

@@ -269,22 +269,39 @@ def _build_atom(name):
     raise ValueError("unknown lattice name %r" % name)
 
 
+# input bounds of build_named and lattice_from_json, above every size used:
+# genus symbols of rank 28-34 with small entries, and of A_400
+MAX_RANK = 512
+MAX_ENTRY_BITS = 128
+
+
+def _check_size(rank, numbers):
+    if rank > MAX_RANK:
+        raise ValueError("rank %d exceeds the cap of %d" % (rank, MAX_RANK))
+    if numbers and max(max(numbers), -min(numbers)).bit_length() > MAX_ENTRY_BITS:
+        raise ValueError("an entry exceeds the cap of %d bits" % MAX_ENTRY_BITS)
+
+
 def build_named(expr):
     """Build a lattice from a direct-sum expression.
 
     Grammar: terms joined by "+"; a term is NAME, NAME(m), NAME^k or
     NAME(m)^k, where NAME is U, V, E8, An, Dn, Kp or Hp, optionally with a
     "v" suffix for the dual (taken before rescaling, as in "D8v(2)").
+    The rank and the numbers p and m are capped before anything is built.
     """
     parts = [t.strip() for t in expr.replace(" ", "").split("+")]
     if not parts or not parts[0]:
         raise ValueError("empty lattice expression")
-    summands = []
+    summands, rank = [], 0
     for part in parts:
         m = _TERM_RE.match(part)
         if not m:
             raise ValueError("cannot parse lattice term %r" % part)
         name, take_dual, scale, mult = m.group(1), m.group(6), m.group(7), m.group(8)
+        k = int(mult) if mult else 1
+        rank += k * (int(name[1:]) if name[0] in "AD" else 8 if name == "E8" else 2)
+        _check_size(rank, [int(x) for x in m.group(4, 5, 7) if x])
         lat = _build_atom(name)
         if take_dual:
             lat = dual(lat)
@@ -296,8 +313,7 @@ def build_named(expr):
                     name="%sv(%d)" % (name, s))
             else:
                 lat = rescale(_build_atom(name), s)
-        for _ in range(int(mult) if mult else 1):
-            summands.append(lat)
+        summands += [lat] * k
     if len(summands) == 1:
         return summands[0]
     return direct_sum(*summands)
@@ -306,20 +322,29 @@ def build_named(expr):
 # ---------------------------------------------------------------------------
 # sublattices of a fixed ambient lattice
 
-def restricted_gram(lat, rows):
-    """Gram matrix of the sublattice spanned by the given row vectors."""
+def restricted_gram(lat, rows, pair=None):
+    """Gram matrix of the sublattice spanned by the given row vectors;
+    pair, when given, holds their pairing rows G r."""
     for r in rows:
         if len(r) != lat.rank:
             raise ValueError("vector length does not match rank")
-    images = [intmat.mat_vec(lat.gram, s) for s in rows]
-    return [[_as_exact(intmat.dot(r, gs)) for gs in images] for r in rows]
+    if pair is None:
+        pair = intmat.mat_mul(rows, lat.gram)
+    k = len(rows)
+    gram = [[0] * k for _ in range(k)]
+    for i, gr in enumerate(pair):
+        for j in range(i, k):
+            gram[i][j] = gram[j][i] = _as_exact(intmat.dot(rows[j], gr))
+    return gram
 
 
-def orthogonal_complement(lat, rows):
-    """Basis of {x in L : <x, r> = 0 for all r}, a saturated sublattice."""
+def orthogonal_complement(lat, rows, pair=None):
+    """Basis of {x in L : <x, r> = 0 for all r}, a saturated sublattice;
+    pair, when given, holds the pairing rows G r."""
     if not rows:
         return [list(r) for r in intmat.identity(lat.rank)]
-    pair = [intmat.mat_vec(lat.gram, list(r)) for r in rows]
+    if pair is None:
+        pair = intmat.mat_mul(rows, lat.gram)
     if set(map(type, chain.from_iterable(pair))) <= {int}:
         return intmat.kernel_basis(pair)
     frac = [[Fraction(x) for x in row] for row in pair]
@@ -448,7 +473,13 @@ def lattice_from_json(data):
     """Inverse of lattice_to_json; accepts int or "p/q" string entries."""
     if "gram" not in data:
         raise ValueError("lattice data needs a gram field")
-    gram = [[_as_exact(x) for x in row] for row in data["gram"]]
+    gram = data["gram"]
+    _check_size(len(gram), ())
+    flat = list(chain.from_iterable(gram))
+    if not set(map(type, flat)) <= {int}:
+        gram = [[_as_exact(x) for x in row] for row in gram]
+        flat = [y for row in gram for x in row for y in (x.numerator, x.denominator)]
+    _check_size(0, flat)
     blocks = data.get("blocks")
     if blocks:
         blocks = [(str(label), int(rank)) for label, rank in blocks]

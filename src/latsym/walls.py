@@ -7,7 +7,6 @@ coordinates of the scaled hyperbolic blocks all even).  The first two form
 the pointlike-exceptional set; all four together form the full wall set.
 """
 
-from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
@@ -67,12 +66,11 @@ def short_vectors(lat_or_gram, n):
         raise ValueError("target square must be negative")
     if rank == 0:
         return []
-    target = Fraction(n)
-    den = lcm(target.denominator,
-              *(Fraction(x).denominator for row in gram for x in row))
-    # Bareiss pivot rows e: with D_k = e[k][k] and D_-1 = 1,
+    # Bareiss pivot rows e of the negated form, scaled together with the
+    # target to integers: with D_k = e[k][k] and D_-1 = 1,
     # Q(x) = sum_k (D_k x_k + sum_{j>k} e[k][j] x_j)^2 / (D_k D_{k-1})
-    e = [[(-x * den).numerator for x in row] for row in gram]
+    e = intmat._scaled([[-x for x in row] for row in gram] + [[-n]])[1]
+    target = e.pop()[0]
     intmat.bareiss(e, symmetric=True)
     minors = [1] + [e[k][k] for k in range(rank)]
     if min(minors) <= 0:
@@ -81,7 +79,7 @@ def short_vectors(lat_or_gram, n):
     weight = [minors[k + 1] * minors[k] for k in range(rank)]
     scale = lcm(*weight)
     weight = [scale // w for w in weight]
-    budget = (-target * den).numerator * scale
+    budget = target * scale
     out = []
     x = [0] * rank
 
@@ -163,7 +161,8 @@ def coinvariant_wall_scan(model, f, pex_only=False):
         return []
     if coinv.lattice.signature() != (0, coinv.rank):
         raise ValueError("coinvariant lattice is not negative definite")
-    return _scan_sublattice(model, coinv.rows, coinv.lattice.gram, pex_only)
+    return _scan_sublattice(model, coinv.rows, coinv.lattice.gram, pex_only,
+                            coinv.gram_rows)
 
 
 # the divisibility each wall square needs, and the class it then gives
@@ -190,9 +189,10 @@ def _parity_sublattice(gram, masks, bits):
     return basis, intmat.mat_mul(basis, intmat.mat_mul(gram, intmat.transpose(basis)))
 
 
-def _scan_sublattice(model, rows, gram, pex_only=False):
+def _scan_sublattice(model, rows, gram, pex_only=False, gram_rows=None):
     """Wall witnesses among the vectors of a negative definite sublattice,
-    given by its basis rows in the model's coordinates and its Gram.
+    given by its basis rows in the model's coordinates and its Gram, and
+    optionally their pairing rows G rows_i.
 
     A vector with coordinates x is v = sum x_i rows_i.  The parity of G v
     and of v on the hyperbolic-block coordinates 0..5 is linear mod 2 in
@@ -207,7 +207,8 @@ def _scan_sublattice(model, rows, gram, pex_only=False):
     if not rows:
         return []
     n = model.rank
-    gram_rows = [intmat.mat_vec(model.lattice.gram, r) for r in rows]
+    if gram_rows is None:
+        gram_rows = intmat.mat_mul(rows, model.lattice.gram)
     # bits 0..n-1: G row mod 2; bits n..n+5: row mod 2 on the blocks
     masks = [sum((c & 1) << i for i, c in enumerate(gr + list(r[:6])))
              for r, gr in zip(rows, gram_rows)]
@@ -223,8 +224,8 @@ def _scan_sublattice(model, rows, gram, pex_only=False):
             found = short_vectors(gram, t)
         else:
             basis, sub_gram = parity[even_bits]
-            found = sorted(_first_positive(intmat.vec_mat(y, basis))
-                           for y in short_vectors(sub_gram, t))
+            found = sorted(map(_first_positive, intmat.mat_mul(
+                short_vectors(sub_gram, t), basis)))
         for coords in found:
             acc = 0
             for c, mask in zip(coords, masks):

@@ -102,6 +102,34 @@ def test_info_two_large_prime_factors():
     assert "det: 1000000000100000000002379" in done.stdout
 
 
+def test_info_two_61_bit_prime_factors():
+    # det (2^61 - 1)(2^61 - 31): rho would need about 2^30 steps, so it
+    # gives up at its step bound and names the cofactor it could not split
+    done = latsym_process(["info", "K2305843009213693951+K2305843009213693921"],
+                          timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "cannot factor %d" % (2305843009213693951 * 2305843009213693921) \
+        in done.stderr
+
+
+@pytest.mark.parametrize("expr", ["A100000", "U^100000", "E8^64+A1",
+                                  "A2(%d)" % 2**130, "K%d" % (2**521 - 1)])
+def test_oversized_expression_exits_quickly(expr):
+    done = latsym_process(["info", expr], timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "exceeds the cap" in done.stderr
+
+
+@pytest.mark.parametrize("gram", [[[2]] * 513, [[2, 1], [1, 2**130]],
+                                  [["1/%d" % 2**130]]])
+def test_oversized_lattice_file_exits_quickly(tmp_path, gram):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"gram": gram}))
+    done = latsym_process(["info", str(path)], timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "exceeds the cap" in done.stderr
+
+
 @pytest.mark.parametrize("power", [2, 3])
 def test_info_power_of_large_prime(power):
     # det (2^61 - 1)^2 or ^3: rho needs about 2^30 steps there, so the
@@ -202,6 +230,25 @@ def test_report_invalid_file(capsys, tmp_path):
     rc, _out, err = run(capsys, ["report", str(bad)])
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command, data", [
+    ("info", {"gram": 5}), ("info", {"gram": [[None]]}),
+    ("report", {"lattice": "Lambda", "matrix": 5})])
+def test_malformed_file(capsys, tmp_path, command, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    rc, out, err = run(capsys, [command, str(bad)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: bad ")
+
+
+def test_walls_of_another_lattice(capsys, tmp_path):
+    e8 = lattice.root_E8()
+    path = write_isometry(tmp_path / "e8.json", isometry.identity_isometry(e8))
+    rc, out, err = run(capsys, ["walls", path])
+    assert (rc, out) == (2, "")
+    assert err == "error: isometry does not act on the model lattice\n"
 
 
 def test_walls_command(capsys, tmp_path, model):

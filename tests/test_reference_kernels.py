@@ -26,6 +26,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, gcd, isqrt
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -1422,3 +1423,169 @@ def test_cos_signatures_match_reference():
         positive |= {(p, s[0]) for s in sigs.values()}
     assert {p for p, _pos in positive} == {2, 3, 5, 7}
     assert {(3, 2), (5, 2), (7, 2)} <= positive
+
+
+# ---------------------------------------------------------------------------
+# products and eliminations: the dot-product mat_mul and the Smith routine
+# that built u for every kernel
+
+
+def ref_mat_mul(a, b):
+    bt = [list(col) for col in zip(*b)]
+    return [[sum(map(mul, ra, cb)) for cb in bt] for ra in a]
+
+
+def ref_smith_normal_form(m):
+    a = [[int(x) for x in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    u = intmat.identity(rows)
+    v = intmat.identity(cols)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a + v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(i, j, c):
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+
+    def add_col(i, j, c):
+        for row in a + v:
+            row[i] += c * row[j]
+
+    t = 0
+    while t < min(rows, cols):
+        piv = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                x = abs(a[i][j])
+                if x and (best is None or x < best):
+                    best = x
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        dirty = False
+        for i in range(t + 1, rows):
+            if a[i][t]:
+                add_row(i, t, -(a[i][t] // a[t][t]))
+                dirty = dirty or a[i][t] != 0
+        for j in range(t + 1, cols):
+            if a[t][j]:
+                add_col(j, t, -(a[t][j] // a[t][t]))
+                dirty = dirty or a[t][j] != 0
+        if dirty:
+            continue
+        d = a[t][t]
+        culprit = next((i for i in range(t + 1, rows)
+                        for j in range(t + 1, cols) if a[i][j] % d), None)
+        if culprit is not None:
+            add_row(t, culprit, 1)
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return a, u, v
+
+
+def ref_kernel_basis(m):
+    if not m:
+        return []
+    d, _u, v = ref_smith_normal_form(m)
+    r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
+    return [[row[j] for row in v] for j in range(r, len(v))]
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a, b), a r x k and b k x c, any of them possibly 0, with any share
+    of zeros and entries up to 2^62."""
+    r, k, c = (draw(st.integers(0, 7)) for _ in range(3))
+    entry = st.sampled_from((0,) * draw(st.integers(0, 24))
+                            + (1, -1, 2, -3, 7, 2**62, -2**62))
+    return ([[draw(entry) for _ in range(k)] for _ in range(r)],
+            [[draw(entry) for _ in range(c)] for _ in range(k)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs())
+def test_mat_mul_forms_agree(pair):
+    a, b = pair
+    assert intmat.mat_mul(a, b) == ref_mat_mul(a, b)
+
+
+def test_mat_mul_form_follows_zeros_and_types(monkeypatch):
+    """The row-combination form runs on a left factor of ints that is more
+    than half zero; a dense or rational one keeps the dot products and
+    their entry types."""
+    calls = []
+    transpose = intmat.transpose
+    monkeypatch.setattr(intmat, "transpose", lambda a: calls.append(1) or transpose(a))
+    gram = standard_model().lattice.gram
+    dense = [[(3 * i + j) % 7 - 3 for j in range(16)] for i in range(16)]
+    for a, b, dot_form in ((gram, dense, False), (dense, gram, True),
+                           ([[Fraction(x) for x in row] for row in gram], gram, True),
+                           (gram, [[Fraction(x, 2) for x in row] for row in dense], True)):
+        calls.clear()
+        out = intmat.mat_mul(a, b)
+        assert out == ref_mat_mul(a, b)
+        assert [list(map(type, row)) for row in out] == [
+            list(map(type, row)) for row in ref_mat_mul(a, b)]
+        assert bool(calls) == dot_form
+
+
+@lru_cache(maxsize=None)
+def classify_pairing_matrices():
+    """For each golden isometry and seeded word in Lambda: M - I, and the
+    pairing rows G r of its invariant basis, whose kernel is the
+    coinvariant lattice."""
+    lam = standard_model().lattice
+    fs = [isometry.isometry_from_json(json.loads(p.read_text()))
+          for p in sorted((Path(__file__).parent / "data" / "golden").glob("*.json"))]
+    rng = random.Random(11)
+    fs += [word(lambda_generators(), [rng.randrange(10**6) for _ in range(rng.randint(1, 4))])
+           for _ in range(20)]
+    out = []
+    for f in fs:
+        delta = intmat.mat_sub(f.matrix, intmat.identity(16))
+        rows = ref_kernel_basis(delta)
+        out += [delta] + ([intmat.mat_mul(rows, lam.gram)] if rows else [])
+    return out
+
+
+def test_kernel_basis_matches_reference_on_classify_matrices():
+    for m in classify_pairing_matrices():
+        assert intmat.kernel_basis(m) == ref_kernel_basis(m)
+        assert intmat.smith_normal_form(m) == ref_smith_normal_form(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs())
+def test_kernel_basis_matches_reference_on_small_matrices(pair):
+    for m in pair:
+        m = [[x % 19 - 9 for x in row] for row in m]
+        assert intmat.kernel_basis(m) == ref_kernel_basis(m)
+        assert intmat.smith_normal_form(m) == ref_smith_normal_form(m)
+
+
+def test_order_of_rejects_negated_eichler_transvection():
+    """E: x -> x + <x, e1> e2 - <x, e2> e1 on U + U is unipotent, so -E has
+    chi = (x + 1)^4 and the cyclotomic division alone says order 2; but
+    (-E)^2 = E^2 != I, which the symmetry test on G M must catch."""
+    uu = lattice.build_named("U^2")
+    e = [[1, 0, 0, -1], [0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+    neg = isometry.make_isometry(uu, [[-x for x in row] for row in e])
+    assert isometry._char_poly_mod(neg.matrix) == [1, 4, 6, 4, 1]
+    assert isometry.power(neg, 2).matrix != intmat.identity(4)
+    with pytest.raises(ValueError, match="infinite order"):
+        isometry.order_of(neg)
+    with pytest.raises(ValueError, match="infinite order"):
+        ref_order_of(neg)

@@ -53,7 +53,7 @@ def _load_json_file(path):
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise InputError("%s is not valid JSON: %s" % (path, exc))
 
 
@@ -315,7 +315,7 @@ def cmd_verify_monodromy(args, emit):
 def _table_file_result(model, rows, path):
     try:
         data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return {"file": path.name, "status": "error", "detail": str(exc)}
     try:
         f = isometry.isometry_from_json(data)

@@ -513,6 +513,8 @@ def parse_genus(text):
         scales = [c.scale for c in cs]
         if scales != sorted(scales) or len(set(scales)) != len(scales):
             raise ValueError("repeated or unsorted scales in %r" % text)
+    if not even and sum(c.rank for c in pieces.get(2, [])) >= rank:
+        raise ValueError("odd symbol without a unimodular part in %r" % text)
     det = 1
     for p, cs in pieces.items():
         for c in cs:
@@ -530,9 +532,10 @@ def parse_genus(text):
             unit = det // p ** sum(c.scale * c.rank for c in cs)
             if p == 2:
                 total = 1 if unit % 8 in (1, 7) else -1
-                if not even:
-                    raise ValueError("odd-lattice symbols are not supported")
-                c0 = Constituent(0, n0, total, "II", 0)
+                # an odd symbol's unimodular oddity, from the oddity formula
+                odd = 0 if even else (pos - neg - _two_adic_oddity(cs) + sum(
+                    _p_excess(qs, q) for q, qs in pieces.items() if q != 2)) % 8
+                c0 = Constituent(0, n0, total, "II" if even else "I", odd)
             else:
                 total = _legendre_int(unit, p)
                 c0 = Constituent(0, n0, total)

@@ -1,10 +1,10 @@
 """Exact integer and rational matrix helpers.
 
 Matrices are lists of row lists holding ints or Fractions.  Everything here
-is exact: no floats anywhere.  Determinants, signatures and the short-vector
-data all come from one fraction-free Bareiss elimination on plain ints
-(rational matrices are first scaled by the lcm of their denominators), which
-stays cheap on the dense rank 28-34 Grams that genus symbols are asked for.
+is exact: no floats anywhere.  Determinants, signatures, the short-vector
+data, inverses and the positive frame all come from one fraction-free
+Bareiss elimination on plain ints (rational matrices are first scaled by the
+lcm of their denominators), cheap on the dense rank 28-34 genus Grams.
 """
 
 from fractions import Fraction
@@ -46,30 +46,16 @@ def mat_vec(a, v):
     return [sum(map(mul, row, v)) for row in a]
 
 
-def scalar_mul(c, a):
-    return [[c * x for x in row] for row in a]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def is_integer_matrix(a):
-    return all(Fraction(x).denominator == 1 for row in a for x in row)
-
-
 def to_int_matrix(a):
-    """Cast a matrix of integral Fractions to plain ints."""
-    out = []
-    for row in a:
-        r = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("matrix entry %s is not an integer" % (x,))
-            r.append(f.numerator)
-        out.append(r)
-    return out
+    """a with its entries as ints, or None if one of them is not integral."""
+    fa = [[Fraction(x) for x in row] for row in a]
+    if any(x.denominator != 1 for row in fa for x in row):
+        return None
+    return [[x.numerator for x in row] for row in fa]
 
 
 def dot(u, v):
@@ -122,7 +108,10 @@ def is_prime(n):
 
 
 def bareiss(m, symmetric=False):
-    """Fraction-free Gaussian elimination of a square int matrix, in place.
+    """Fraction-free Gaussian elimination of an int matrix, in place.
+
+    The pivots come from the leading n x n block of the n rows of m; any
+    further columns (an appended identity, say) are carried along.
 
     After step k, m[k][k] is the leading (k+1)-minor D_k of the matrix as
     rearranged so far and m[k][j], j > k, the rest of pivot row k; every
@@ -133,8 +122,9 @@ def bareiss(m, symmetric=False):
     A positive definite matrix needs neither.  Returns (r, sign): r < n
     pivots when m is singular, sign the parity of the plain row swaps.
 
-    With symmetric=True the matrix must be symmetric, and only the upper
-    triangle is updated: each intermediate entry is a bordered minor
+    With symmetric=True that block must be symmetric, and only its upper
+    triangle is updated (a congruence's column operations stay inside it):
+    each intermediate entry is a bordered minor
     det(rows 0..k-1, i; columns 0..k-1, j), symmetric in i and j, so row i
     needs columns i.. only, with its multiplier read from the pivot row.
     The strict lower triangle is left stale; the trailing block is
@@ -219,26 +209,27 @@ def det_signature(g):
 
 
 def frac_inverse(a):
-    """Exact inverse of a square matrix, as Fractions.  Raises on singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return [row[n:] for row in m]
+    """Exact inverse, ints where integral, else Fractions; ValueError on a
+    singular matrix.  bareiss on the rows of [L a | I], L the lcm of the
+    denominators of a, leaves U Y = D B with D the last pivot; Y = D (L a)^-1
+    is integral (Cramer's rule), so Y_i = (D B_i - sum_{j>i} u_ij Y_j) / u_ii
+    divides exactly, and a^-1 = L Y / D."""
+    den, m = _scaled(a)
+    n = len(m)
+    for i, row in enumerate(m):
+        row += [int(i == j) for j in range(n)]
+    if bareiss(m)[0] < n:
+        raise ValueError("matrix is singular")
+    d = m[n - 1][n - 1] if n else 1
+    y = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc, u = [d * x for x in m[i][n:]], m[i]
+        for j in range(i + 1, n):
+            if u[j]:
+                acc = [x - u[j] * z for x, z in zip(acc, y[j])]
+        y[i] = [x // u[i] for x in acc]
+    return [[x // d if x % d == 0 else Fraction(x, d)
+             for x in (den * z for z in row)] for row in y]
 
 
 def smith_normal_form(m):
@@ -316,20 +307,6 @@ def kernel_basis(m):
         return []
     d, _u, vt = _smith(m, False)
     return vt[sum(1 for k in range(min(len(d), len(d[0]))) if d[k][k]):]
-
-
-def saturate_rows(m):
-    """Saturation of the row span: basis of span_Q(rows) ∩ Z^n."""
-    cols = len(m[0]) if m else 0
-    nonzero = [row for row in m if any(row)]
-    if not nonzero:
-        return []
-    # span_Q(rows) is the orthogonal complement (standard dot) of ker(m),
-    # and the integer kernel of an integer matrix is always saturated.
-    k = kernel_basis(nonzero)
-    if not k:
-        return [list(r) for r in identity(cols)]
-    return kernel_basis(k)
 
 
 def symmetric_signature(g):

@@ -6,7 +6,6 @@ spinor norm, wall scan) and matches the result against the bundled class
 table.  The supporting operations are usable on any integral lattice.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd
@@ -23,9 +22,9 @@ class LatticeIsometry:
         if len(m) != lat.rank or any(len(row) != lat.rank for row in m):
             raise ValueError("matrix size does not match the lattice rank")
         if not set(map(type, chain.from_iterable(m))) <= {int}:
-            if not intmat.is_integer_matrix(m):
-                raise ValueError("matrix is not unimodular over the integers")
             m = intmat.to_int_matrix(m)
+            if m is None:
+                raise ValueError("matrix is not unimodular over the integers")
         gm = intmat.mat_mul(lat.gram, m)
         # m^T G m = G with det G != 0 forces det m = +-1
         if intmat.mat_mul(intmat.transpose(m), gm) != lat.gram:
@@ -65,19 +64,20 @@ def identity_isometry(lat):
 
 
 def reflection(lat, v):
-    """The reflection in v, when it preserves the lattice."""
+    """The reflection x -> x - 2 <x, v> / <v, v> v, when it preserves the
+    lattice: entry (i, j) of its matrix is delta_ij - 2 v_i (G v)_j / q."""
     q = lat.square(v)
     if q == 0:
         raise ValueError("cannot reflect in an isotropic vector")
-    n = lat.rank
-    m = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        c = Fraction(2 * lat.inner(e, v), q)
-        for i in range(n):
-            m[i][j] -= c * v[i]
-    if not intmat.is_integer_matrix(m):
-        raise ValueError("reflection in this vector does not preserve the lattice")
+    gv = intmat.mat_vec(lat.gram, v)
+    m = intmat.identity(lat.rank)
+    for vi, row in zip(v, m):
+        for j, c in enumerate(gv):
+            t, r = divmod(2 * vi * c, q)
+            if r:
+                raise ValueError(
+                    "reflection in this vector does not preserve the lattice")
+            row[j] -= t
     return LatticeIsometry(lat, m)
 
 
@@ -93,8 +93,7 @@ def compose(f, g):
 
 
 def inverse(f):
-    inv = intmat.frac_inverse([[Fraction(x) for x in row] for row in f.matrix])
-    return LatticeIsometry(f.lattice, inv)
+    return LatticeIsometry(f.lattice, intmat.frac_inverse(f.matrix))
 
 
 def conjugate(f, g):
@@ -264,14 +263,6 @@ class Sublattice:
     @property
     def rank(self):
         return len(self.rows)
-
-    def to_ambient(self, coords):
-        """Ambient vector of a coordinate tuple in the basis rows."""
-        out = [0] * self.ambient.rank
-        for c, row in zip(coords, self.rows):
-            for i in range(self.ambient.rank):
-                out[i] += c * row[i]
-        return out
 
 
 def invariant_coinvariant(f):
@@ -565,4 +556,5 @@ def isometry_from_json(data):
         lat = lattice.lattice_from_json(ref)
     else:
         raise ValueError("unknown lattice reference %r" % (ref,))
-    return make_isometry(lat, data["matrix"])
+    return make_isometry(lat, [[lattice.parse_entry(x) for x in row]
+                               for row in data["matrix"]])

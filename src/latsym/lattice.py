@@ -7,7 +7,6 @@ for non-integral forms).  Vectors are coordinate lists in the lattice basis.
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
 import re
 
 from . import intmat
@@ -81,14 +80,22 @@ class Lattice:
 
         The p are pairwise orthogonal primitive integer vectors spanning the
         subspace; each w is a positive integer multiple of G p, so that
-        dot(w, y) has the sign of <p, y> for every lattice vector y.
+        dot(w, y) has the sign of <p, y> for every lattice vector y.  Row k
+        of the right block of bareiss([G | I], symmetric=True) is orthogonal
+        to the other rows, with a square of the sign of D_k D_{k-1}.
         """
         if self._positive_frame is None:
+            n = self.rank
+            _den, g = intmat._scaled(self.gram)
+            m = [row + [int(i == j) for j in range(n)]
+                 for i, row in enumerate(g)]
+            intmat.bareiss(m, symmetric=True)
+            pivots = [1] + [m[k][k] for k in range(n)]
             frame = []
-            for v, q in zip(*_orthogonal_basis(self.gram)):
-                if q > 0:
-                    p = _primitive(v)
-                    frame.append((p, _primitive(intmat.mat_vec(self.gram, p))))
+            for k in range(n):
+                if pivots[k] * pivots[k + 1] > 0:
+                    p = _primitive(m[k][n:])
+                    frame.append((p, _primitive(intmat.mat_vec(g, p))))
             self._positive_frame = frame
         return self._positive_frame
 
@@ -99,7 +106,7 @@ class Lattice:
     def int_gram(self):
         if not self.is_integral:
             raise ValueError("lattice is not integral")
-        return intmat.to_int_matrix(self.gram)
+        return self.gram
 
 
 def _as_exact(x):
@@ -111,39 +118,9 @@ def _as_exact(x):
 
 
 def _primitive(v):
-    """The primitive integer vector on the ray of a nonzero rational vector."""
-    den = lcm(*(Fraction(x).denominator for x in v))
-    w = [(x * den).numerator for x in v]
-    return [x // intmat.gcd_vec(w) for x in w]
-
-
-def _orthogonal_basis(g):
-    """A basis of pairwise orthogonal vectors and their squares.
-
-    Symmetric Gaussian elimination that records the base change; a zero
-    pivot is replaced by a sum with a vector it pairs with.
-    """
-    n = len(g)
-    a = [[Fraction(x) for x in row] for row in g]
-    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def add(k, j, c):
-        # basis vector k += c * basis vector j, as a congruence of a
-        basis[k] = [x + c * y for x, y in zip(basis[k], basis[j])]
-        a[k] = [x + c * y for x, y in zip(a[k], a[j])]
-        for t in range(n):
-            a[t][k] = a[k][t] if t != k else a[k][k] + c * a[k][j]
-
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((t for t in range(k + 1, n) if a[k][t]), None)
-            if j is None:
-                raise ValueError("degenerate quadratic form")
-            add(k, j, 1 if a[j][j] != -2 * a[k][j] else -1)
-        for i in range(k + 1, n):
-            if a[i][k]:
-                add(i, k, -a[i][k] / a[k][k])
-    return basis, [a[k][k] for k in range(n)]
+    """The primitive vector on the ray of a nonzero int vector."""
+    g = intmat.gcd_vec(v)
+    return [x // g for x in v]
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +324,7 @@ def orthogonal_complement(lat, rows, pair=None):
         pair = intmat.mat_mul(rows, lat.gram)
     if set(map(type, chain.from_iterable(pair))) <= {int}:
         return intmat.kernel_basis(pair)
-    frac = [[Fraction(x) for x in row] for row in pair]
-    # clear denominators rowwise so the integer kernel applies
-    cleared = []
-    for row in frac:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        cleared.append([int(x * den) for x in row])
-    return intmat.kernel_basis(cleared)
+    return intmat.kernel_basis(intmat._scaled(pair)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -409,41 +378,12 @@ class StandardModel:
             raise ValueError("block must be 0, 1 or 2")
         return _unit(self.rank, 2 * block), _unit(self.rank, 2 * block + 1)
 
-    def orbit_sample(self):
-        """Six vectors, one per orbit of the monodromy wall analysis.
-
-        Returns a list of (vector, square, divisibility) triples in a fixed
-        order: three of square -4 and divisibility 2, one of square -2 and
-        divisibility 2, two of square -2 and divisibility 1.
-        """
-        n = self.named
-        u2 = self.u2_vector
-        vecs = [
-            u2(-1),
-            n["a1_sum"],
-            _lincomb((2, u2(1)), (2, n["e8_root_pair"]), (-1, n["a1_sum"])),
-            n["a1_first"],
-            _lincomb((1, u2(1)), (1, n["e8_root_pair"]), (-1, n["a1_first"])),
-            n["e8_root"],
-        ]
-        lat = self.lattice
-        return [(v, lat.square(v), lat.divisibility(v)) for v in vecs]
-
 
 def _unit(n, *idx):
     v = [0] * n
     for i in idx:
         v[i] = 1
     return v
-
-
-def _lincomb(*terms):
-    n = len(terms[0][1])
-    out = [0] * n
-    for c, v in terms:
-        for i in range(n):
-            out[i] += c * v[i]
-    return out
 
 
 _standard = None
@@ -469,15 +409,37 @@ def lattice_to_json(lat):
     }
 
 
+_ENTRY_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# digits of the longest number within MAX_ENTRY_BITS
+_MAX_DIGITS = len(str(2 ** MAX_ENTRY_BITS))
+
+
+def parse_entry(x):
+    """A JSON matrix entry as an exact number: an int (not a bool), or a
+    string "n" or "p/q" of decimal digits, refused before conversion if a
+    number in it has more digits than 2^MAX_ENTRY_BITS.  Anything else
+    raises ValueError."""
+    if type(x) is int:
+        return x
+    if type(x) is not str or not _ENTRY_RE.fullmatch(x):
+        raise ValueError('entry %.40r is neither an int nor a "p/q" string' % (x,))
+    num, _, den = x.partition("/")
+    if max(len(num.lstrip("-")), len(den)) > _MAX_DIGITS:
+        raise ValueError("an entry exceeds the cap of %d bits" % MAX_ENTRY_BITS)
+    if den and not int(den):
+        raise ValueError("entry %r has a zero denominator" % x)
+    return _as_exact(Fraction(int(num), int(den or 1)))
+
+
 def lattice_from_json(data):
-    """Inverse of lattice_to_json; accepts int or "p/q" string entries."""
+    """Inverse of lattice_to_json; entries as parse_entry reads them."""
     if "gram" not in data:
         raise ValueError("lattice data needs a gram field")
     gram = data["gram"]
     _check_size(len(gram), ())
     flat = list(chain.from_iterable(gram))
     if not set(map(type, flat)) <= {int}:
-        gram = [[_as_exact(x) for x in row] for row in gram]
+        gram = [[parse_entry(x) for x in row] for row in gram]
         flat = [y for row in gram for x in row for y in (x.numerator, x.denominator)]
     _check_size(0, flat)
     blocks = data.get("blocks")

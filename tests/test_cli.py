@@ -130,6 +130,41 @@ def test_oversized_lattice_file_exits_quickly(tmp_path, gram):
     assert "exceeds the cap" in done.stderr
 
 
+def _identity_with_float():
+    m = intmat.identity(16)
+    m[0][0] = 1.0
+    return json.dumps({"lattice": "Lambda", "matrix": m})
+
+
+@pytest.mark.parametrize("command, text", [
+    ("info", '{"gram": [[2.0, 1], [1, 2]]}'),
+    ("info", '{"gram": [[true]]}'),
+    ("info", '{"gram": [["1e3"]]}'),
+    ("info", '{"gram": [["1/0"]]}'),
+    ("info", '{"gram": [["1e500000"]]}'),
+    ("info", '{"gram": [["1e5000000"]]}'),
+    ("info", '{"gram": [["1e50000000"]]}'),
+    ("report", _identity_with_float()),
+    # beyond the interpreter's limit on digits in an int
+    ("report", '{"matrix": [[%s]]}' % ("9" * 5000))],
+    ids=["float", "bool", "exponent", "zero-denominator", "1e500000",
+         "1e5000000", "1e50000000", "float-in-isometry", "5000-digit-int"])
+def test_non_exact_json_numbers_exit_quickly(tmp_path, command, text):
+    # floats, booleans and exponent strings are refused before conversion
+    path = tmp_path / "entry.json"
+    path.write_text(text)
+    done = latsym_process([command, str(path)], timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ")
+
+
+def test_info_of_large_dual_exits_quickly():
+    # the inverse behind A160v is fraction-free; the dual is not integral
+    done = latsym_process(["info", "A160v"], timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "integral Gram matrix" in done.stderr
+
+
 @pytest.mark.parametrize("power", [2, 3])
 def test_info_power_of_large_prime(power):
     # det (2^61 - 1)^2 or ^3: rho needs about 2^30 steps there, so the

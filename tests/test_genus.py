@@ -92,6 +92,9 @@ def test_parse_errors():
         genus.parse_genus("II_(3,13)2^8_6junk")
     with pytest.raises(ValueError):
         genus.parse_genus("X_(1,1)")
+    # an odd lattice has an odd unimodular constituent at 2
+    with pytest.raises(ValueError, match="unimodular part"):
+        genus.parse_genus("I_(1,0)2^1_1")
 
 
 def test_genus_equal_distinct_presentations():
@@ -222,10 +225,9 @@ def test_genus_invariants_of_named_sums(case):
     lat = lattice.build_named("+".join(terms))
     sym = genus.genus_symbol(lat)
     text = genus.canonical_string(sym)
-    if sym.even:  # parse_genus reads even symbols only
-        assert genus.render_genus(genus.parse_genus(genus.render_genus(sym))) == \
-            genus.render_genus(sym)
-        assert genus.canonical_string(genus.parse_genus(text)) == text
+    assert genus.render_genus(genus.parse_genus(genus.render_genus(sym))) == \
+        genus.render_genus(sym)
+    assert genus.canonical_string(genus.parse_genus(text)) == text
     n = lat.rank
     b = intmat.identity(n)
     for _step in range(2 * n if n > 1 else 0):
@@ -238,3 +240,35 @@ def test_genus_invariants_of_named_sums(case):
     for s in [sym] + others:
         assert genus.signature_consistent(s)
     assert [genus.canonical_string(s) for s in others] == [text, text]
+
+
+@st.composite
+def odd_grams(draw):
+    """Nondegenerate odd symmetric int matrices of rank 1..8; all rows but
+    one odd-diagonal row may be scaled by powers of 2, so that constituents
+    at higher 2-adic scales occur."""
+    n = draw(st.integers(1, 8))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.integers(-6, 6))
+    odd = draw(st.integers(0, n - 1))
+    g[odd][odd] |= 1
+    d = [1 if i == odd else 2 ** draw(st.integers(0, 3)) for i in range(n)]
+    g = [[d[i] * x * d[j] for j, x in enumerate(row)] for i, row in enumerate(g)]
+    assume(intmat.det(g) != 0)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_grams())
+def test_odd_symbols_parse_back(g):
+    """parse_genus restores the unimodular oddity of an odd symbol from the
+    oddity formula, so rendered and canonical strings round-trip."""
+    sym = genus.genus_symbol(lattice.Lattice(g))
+    assert not sym.even
+    text = genus.render_genus(sym)
+    back = genus.parse_genus(text)
+    assert genus.render_genus(back) == text and genus.genus_equal(back, sym)
+    canon = genus.canonical_string(sym)
+    assert genus.canonical_string(genus.parse_genus(canon)) == canon

@@ -95,16 +95,6 @@ def test_kernel_basis_rank():
     assert intmat.kernel_basis([[1, 0], [0, 1]]) == []
 
 
-def test_saturate_rows():
-    sat = intmat.saturate_rows([[2, 0], [0, 2]])
-    d, _u, _v = intmat.smith_normal_form(sat)
-    assert [d[i][i] for i in range(2)] == [1, 1]
-    assert intmat.saturate_rows([[0, 0]]) == []
-    # index-2 sublattice of a line
-    sat = intmat.saturate_rows([[2, 4]])
-    assert len(sat) == 1 and sorted(map(abs, sat[0])) == [1, 2]
-
-
 def test_is_prime():
     primes = [n for n in range(-3, 60) if intmat.is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,

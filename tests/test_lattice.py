@@ -130,17 +130,6 @@ def test_standard_model_invariants():
         model.hyperbolic_pair(3)
 
 
-def test_orbit_sample():
-    model = lattice.standard_model()
-    sample = model.orbit_sample()
-    assert len(sample) == 6
-    for vec, sq, dv in sample:
-        assert model.lattice.square(vec) == sq
-        assert model.lattice.divisibility(vec) == dv
-    assert sorted((sq, dv) for _v, sq, dv in sample) == [
-        (-4, 2), (-4, 2), (-4, 2), (-2, 1), (-2, 1), (-2, 2)]
-
-
 def test_sublattice_helpers():
     lam = lattice.standard_model().lattice
     last = [0] * 16

@@ -3,20 +3,20 @@
 The reference implementations below are the earlier versions of the
 characteristic polynomial (Faddeev-LeVerrier over Q, and over Z with exact
 divisions), the multiplicative order (exact cyclotomic division over Z),
-the O+ test (a
-decomposition into rational reflections, counting the positive mirrors),
+the O+ test (a decomposition into rational reflections, counting the
+positive mirrors, whose orthogonal basis also checks the positive frame),
 the short-vector enumeration (Fincke-Pohst on an exact LDL), the
-determinant and signature (Gaussian elimination over Q), the Bareiss
-pass that updated the whole trailing block, the Jordan splitting over
-Z_p (rational elimination read p-adically), the
-discriminant action (Fraction lifts, q and b, and the order of the
-permutation of all elements), the wall scan that classifies every
-enumerated vector, and the eigenspace signatures of f + f^-1 over the real
-cyclotomic subfield (Fraction tuples, signs by interval bisection).  The
-integer versions must agree with them on random isometries of Lambda and
-of small lattices of every signature type, on random symmetric Grams, on
-random maps of small discriminant modules, and on isometries of order 2,
-3, 5 and 7.
+determinant and signature (Gaussian elimination over Q), the inverse
+(Gauss-Jordan over Q), the Bareiss pass that updated the whole trailing
+block, the Jordan splitting over Z_p (rational elimination read
+p-adically), the discriminant action (Fraction lifts, q and b, and the
+order of the permutation of all elements), the wall scan that classifies
+every enumerated vector, and the eigenspace signatures of f + f^-1 over
+the real cyclotomic subfield (Fraction tuples, signs by interval
+bisection).  The integer versions must agree with them on random
+isometries of Lambda and of small lattices of every signature type, on
+random symmetric Grams, on random square matrices, on random maps of
+small discriminant modules, and on isometries of order 2, 3, 5 and 7.
 """
 
 import itertools
@@ -265,7 +265,7 @@ def lambda_generators():
     for b in range(3):
         e, f = model.hyperbolic_pair(b)
         gens.append(isometry.reflection(lam, [x + y for x, y in zip(e, f)]))
-    gens.append(isometry.make_isometry(lam, intmat.scalar_mul(-1, intmat.identity(16))))
+    gens.append(isometry.make_isometry(lam, [[-x for x in row] for row in intmat.identity(16)]))
     return tuple(gens)
 
 
@@ -398,7 +398,7 @@ def test_small_short_vectors_match_reference(name):
 def test_orientation_conventions():
     model = standard_model()
     lam = model.lattice
-    minus = isometry.make_isometry(lam, intmat.scalar_mul(-1, intmat.identity(16)))
+    minus = isometry.make_isometry(lam, [[-x for x in row] for row in intmat.identity(16)])
     assert not isometry.in_O_plus(minus)
     assert isometry.in_O_plus(isometry.reflection(lam, model.named["e8_root"]))
     assert not isometry.in_O_plus(isometry.reflection(lam, model.u2_vector(1)))
@@ -825,6 +825,88 @@ def test_degenerate_grams_rejected():
 
 
 # ---------------------------------------------------------------------------
+# inverse and positive frame: Gauss-Jordan and symmetric elimination over Q
+
+
+def ref_frac_inverse(a):
+    """intmat.frac_inverse as it was: Gauss-Jordan over Fraction."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        m[k], m[piv] = m[piv], m[k]
+        inv = 1 / m[k][k]
+        m[k] = [x * inv for x in m[k]]
+        for i in range(n):
+            if i != k and m[i][k]:
+                f = m[i][k]
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return [row[n:] for row in m]
+
+
+def assert_inverse_matches(a):
+    try:
+        expect = ref_frac_inverse(a)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            intmat.frac_inverse(a)
+        return
+    inv = intmat.frac_inverse(a)
+    assert inv == expect
+    # ints where integral, Fractions only where not
+    assert all(type(x) is int for row in inv for x in row if x.denominator == 1)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square int or rational matrices of size 0..7, often singular or with
+    a zero leading pivot."""
+    n = draw(st.integers(0, 7))
+    entry = st.integers(-4, 4)
+    if draw(st.booleans()):
+        entry = st.builds(Fraction, entry, st.integers(1, 6))
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        m[0][0] = 0
+    if n > 1 and draw(st.booleans()):
+        m[-1] = [2 * x for x in m[0]]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_frac_inverse_matches_reference(a):
+    assert_inverse_matches(a)
+
+
+@pytest.mark.parametrize("a", [
+    [[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[0, 2], [3, 0]],
+    [[Fraction(1, 2), 0], [0, Fraction(2, 3)]], [[1, 2], [2, 4]],
+    [[0, 0], [0, 1]], [[0]], []])
+def test_frac_inverse_examples(a):
+    assert_inverse_matches(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_grams(), st.lists(st.integers(1, 6), min_size=12, max_size=12))
+def test_positive_frame_matches_reference(g, dens):
+    """Scaled on both sides by diag(1 / d_i), g stays nondegenerate of the
+    same signature and gets mixed denominators."""
+    h = [[Fraction(x, dens[i] * dens[j]) for j, x in enumerate(row)]
+         for i, row in enumerate(g)]
+    lat = lattice.Lattice(h)
+    frame = lat.positive_frame()
+    positives = sum(1 for v in _ref_orthogonal_basis(h) if _bform(h, v, v) > 0)
+    assert len(frame) == positives == lat.signature()[0]
+    assert all(lat.square(p) > 0 for p, _w in frame)
+    assert all(lat.inner(p, q) == 0
+               for (p, _), (q, _) in itertools.combinations(frame, 2))
+
+
+# ---------------------------------------------------------------------------
 # discriminant action: the earlier Fraction lifts, q, b and permutation order
 
 
@@ -1099,7 +1181,7 @@ def test_scan_enumerates_exactly_the_parity_vectors(monkeypatch):
                 for t in (-2, -4) if pex_only else (-2, -4, -6, -12):
                     count = 0
                     for x in ref_short_vectors(gram, t):
-                        v = coinv.to_ambient(x)
+                        v = intmat.mat_vec(intmat.transpose(coinv.rows), x)
                         count += (t == -2 or (
                             all(c % 2 == 0 for c in intmat.mat_vec(model.lattice.gram, v))
                             and (t != -12 or all(c % 2 == 0 for c in v[:6]))))
@@ -1118,7 +1200,7 @@ def test_wall_bases_cover_every_class():
             model, coinv.rows, coinv.lattice.gram)}
         # square -12 and divisibility 2, rejected only by the WALL12 parity
         for x in walls.short_vectors(coinv.lattice.gram, -12):
-            v = coinv.to_ambient(x)
+            v = intmat.mat_vec(intmat.transpose(coinv.rows), x)
             if (model.lattice.divisibility(v) == 2
                     and walls.wall_class(model, v) is None):
                 found.add("WALL12 parity")

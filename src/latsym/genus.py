@@ -9,7 +9,7 @@ adjacent scales.  Rendered symbols look like "II_(3,13)2^8_6".
 """
 
 import re
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from . import intmat, lattice
 
@@ -177,32 +177,18 @@ def _row(u, k):
     return [u[s][k - s] for s in range(k)] + u[k]
 
 
-def _local_pieces(gram, p, det):
-    """Split the form over Z_p into rank-1 pieces (and even rank-2 at p=2).
+def _local_pieces(u, p, mod):
+    """(scale, 1, pivot / p^scale) pieces of a form over Z_p, p odd, given
+    as upper rows u[i] = (i, i..) modulo mod = p^N, N = v_p(det) + 3, which
+    fixes the Jordan constituents (Conway-Sloane, SPLAG ch. 15).
 
-    Returns (scale, kind, value) triples: kind "unit" carries the unit
-    pivot / p^scale, kind "pair" the determinant / 4^scale of an even 2x2
-    block, each as a residue modulo p^(N - scale).  The pivot is the first
-    entry of least valuation v, moved to the first diagonal entry of that
-    valuation; failing one, at odd p a row-and-column addition moves it
-    onto the diagonal, and at p = 2 it forces an even block.
-
-    The Gram matrix is reduced modulo p^N, N = v_p(det) + 3, which fixes
-    the Jordan constituents (Conway-Sloane, SPLAG ch. 15): every remaining
-    block has an entry of valuation at most v_p(det) < N, so the pivots are
-    those of exact rational elimination, and the Schur complement stays
-    known modulo p^N because the pivot column is divided by p^v exactly
-    and by the pivot's unit part through its inverse modulo p^N.
-
-    Every block is symmetric, so only its upper rows u[i] = (i, i..) are
-    kept, and each complement entry is computed once.  No entry has
-    valuation below v, so x % p^(v+1) finds one of valuation v; when none
-    is left, the next v is that of the gcd of all entries.
+    The pivot is the first entry of least valuation v (the first with
+    x % p^(v+1) nonzero), moved to a diagonal entry of that valuation or
+    else there by a row-and-column addition; when none is left, the next
+    v is that of the gcd of all entries.  Dividing the pivot column by p^v
+    and by the unit's inverse modulo p^N keeps each complement modulo p^N.
     """
-    mod = p ** (_valuation(det, p) + 3)
-    u = [[x % mod for x in row[i:]] for i, row in enumerate(gram)]
-    pieces = []
-    low = 0
+    pieces, low = [], 0
     while u:
         q = p ** (low + 1)
         bi = next((i for i, row in enumerate(u) if gcd(q, *row) < q), None)
@@ -214,11 +200,11 @@ def _local_pieces(gram, p, det):
                 raise ValueError("degenerate form")
             low = _valuation(g, p)
             continue
-        bj = bi + next(j for j, x in enumerate(u[bi]) if x % q)
         pv = p ** low
         diag = next((k for k, row in enumerate(u) if row[0] % q), None)
-        if diag is None and p != 2:
-            # a_ii + 2a_ij + a_jj has valuation v exactly when p is odd
+        if diag is None:
+            # a_ii + 2a_ij + a_jj has valuation v exactly, p being odd
+            bj = bi + next(j for j, x in enumerate(u[bi]) if x % q)
             ri, rj = _row(u, bi), _row(u, bj)
             s = [(x + y) % mod for x, y in zip(ri, rj)]
             s[bi] = (s[bi] + ri[bj] + rj[bj]) % mod
@@ -226,63 +212,62 @@ def _local_pieces(gram, p, det):
                 u[r][bi - r] = s[r]
             u[bi] = s[bi:]
             diag = bi
-        if diag is not None:
-            unit = u[diag][0] // pv
-            pieces.append((low, "unit", unit))
-            inv = pow(unit, -1, mod)
-            top = _row(u, diag)
-            new = []
-            for r, row in enumerate(u):
-                if r != diag:
-                    c = top[r] // pv * inv % mod
-                    new.append([(x - c * y) % mod
-                                for x, y in zip(row, top[r:])])
-                    if r < diag:
-                        del new[-1][diag - r]
-        else:
-            r1, r2 = _row(u, bi), _row(u, bj)
-            a, b, c = r1[bi] // pv, r1[bj] // pv, r2[bj] // pv
-            w = (a * c - b * b) % (mod // pv)
-            pieces.append((low, "pair", w))
-            inv = pow(w, -1, mod)
-            new = []
-            for r, row in enumerate(u):
-                if r != bi and r != bj:
-                    x1, x2 = r1[r] // pv, r2[r] // pv
-                    k1 = (x1 * c - x2 * b) * inv % mod
-                    k2 = (x2 * a - x1 * b) * inv % mod
-                    new.append([(x - k1 * y - k2 * z) % mod
-                                for x, y, z in zip(row, r1[r:], r2[r:])])
-                    for t in (bj - r, bi - r):
-                        if t > 0:
-                            del new[-1][t]
+        unit = u[diag][0] // pv
+        pieces.append((low, 1, unit))
+        inv = pow(unit, -1, mod)
+        top = _row(u, diag)
+        new = []
+        for r, row in enumerate(u):
+            if r != diag:
+                c = top[r] // pv * inv % mod
+                new.append([(x - c * y) % mod for x, y in zip(row, top[r:])])
+                if r < diag:
+                    del new[-1][diag - r]
         u = new
     return pieces
 
 
-def _local_symbol(gram, p, det):
+def _odd_part(x):
+    return x >> (x & -x).bit_length() - 1
+
+
+def _pieces(lat, p):
+    """(scale, rank, det / p^(scale rank)) Jordan pieces over Z_p of an
+    integral lattice, from lat.jordan.  At p = 2 a 1x1 block at k of
+    scale s has (D_k / D_{k-1}) / 2^s and a pair (D_{k+1} / D_{k-1}) / 4^s,
+    modulo 8.  At odd p the last scale boundary k with p prime to D_{k-1}
+    (or k = n) leaves a unimodular leading block, and _local_pieces
+    splits the Schur complement B / D_{k-1} of its trailing block B."""
+    pivots, steps, bounds = lat.jordan
+    minors = [1] + pivots
+    if p == 2:
+        return [(s, size, _odd_part(minors[k + size]) * _odd_part(minors[k]) % 8)
+                for k, s, size in steps]
+    k, u = next((k, u) for k, u in reversed(bounds + [(lat.rank, [])])
+                if minors[k] % p)
+    mod = p ** (_valuation(minors[-1], p) + 3)
+    inv = pow(minors[k], -1, mod)
+    pieces = _local_pieces([[x * inv % mod for x in row] for row in u], p, mod)
+    return pieces + [(0, k, minors[k])] if k else pieces
+
+
+def _local_symbol(pieces, p):
+    """Constituents from (scale, rank, unit) pieces; at p = 2 a piece of
+    rank 1 is odd and one of rank 2 an even pair."""
     by_scale = {}
-    for v, kind, value in _local_pieces(gram, p, det):
-        by_scale.setdefault(v, []).append((kind, value))
+    for v, rank, value in pieces:
+        by_scale.setdefault(v, []).append((rank, value))
     out = []
     for v in sorted(by_scale):
         group = by_scale[v]
+        rank = sum(r for r, _ in group)
         if p == 2:
-            rank = sum(2 if kind == "pair" else 1 for kind, _ in group)
-            d = 1
-            for _, value in group:
-                d = d * value % 8
-            units = [val % 8 for kind, val in group if kind == "unit"]
-            eps = 1 if d in (1, 7) else -1
-            if units:
-                out.append(Constituent(v, rank, eps, "I", sum(units) % 8))
-            else:
-                out.append(Constituent(v, rank, eps, "II", 0))
+            eps = 1 if prod(value for _, value in group) % 8 in (1, 7) else -1
+            units = [value for r, value in group if r == 1]
+            out.append(Constituent(v, rank, eps, "I" if units else "II",
+                                   sum(units) % 8))
         else:
-            rank = len(group)
-            eps = 1
-            for _, value in group:
-                eps *= _legendre_int(value, p)
+            eps = prod(_legendre_int(value, p) for _, value in group)
             out.append(Constituent(v, rank, eps))
     return out
 
@@ -304,8 +289,7 @@ def padic_jordan(lat, p):
     """
     if not intmat.is_prime(p):
         raise ValueError("p must be prime")
-    lat = _integral_lattice(lat)
-    return _local_symbol(lat.gram, p, lat.det())
+    return _local_symbol(_pieces(_integral_lattice(lat), p), p)
 
 
 def genus_symbol(lat):
@@ -313,7 +297,7 @@ def genus_symbol(lat):
     lat = _integral_lattice(lat)
     pos, neg = lat.signature()
     det = lat.det()
-    local = {p: _local_symbol(lat.gram, p, det)
+    local = {p: _local_symbol(_pieces(lat, p), p)
              for p in sorted(set([2] + _prime_factors(det)))}
     return GenusSymbol(pos, neg, lat.is_even, local)
 

@@ -1,16 +1,18 @@
 """Exact integer and rational matrix helpers.
 
 Matrices are lists of row lists holding ints or Fractions.  Everything here
-is exact: no floats anywhere.  Determinants, signatures, the short-vector
-data, inverses and the positive frame all come from one fraction-free
-Bareiss elimination on plain ints (rational matrices are first scaled by the
-lcm of their denominators), cheap on the dense rank 28-34 genus Grams.
+is exact: no floats anywhere.  Fraction-free Bareiss elimination on plain
+ints (rational matrices are first scaled by the lcm of their denominators)
+gives determinants, inverses, the positive frame and the short-vector data;
+its variant scale_pass gives a symmetric matrix's determinant, signature
+and, by its pivot order, 2-adic Jordan splitting.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import add, eq, mul, or_
 
 
 def identity(n):
@@ -190,22 +192,103 @@ def frac_det(a):
     return Fraction(det(m), den ** len(m))
 
 
+def _parity_order(bits):
+    """Pivot blocks, in order, of an elimination by swaps only of a
+    symmetric matrix over F_2 given as bit rows: (i,) for an odd diagonal
+    entry, failing one (i, j) for the first odd entry, a pair whose
+    inverse is [[0, 1], [1, 0]].  Their total size is the rank."""
+    live, blocks = list(range(len(bits))), []
+    while live:
+        mask = sum(1 << t for t in live)
+        i = next((i for i in live if bits[i] >> i & 1), None)
+        if i is not None:
+            block = (i,)
+        elif (i := next((i for i in live if bits[i] & mask), None)) is None:
+            break
+        else:
+            low = bits[i] & mask
+            block = (i, (low & -low).bit_length() - 1)
+        live = [t for t in live if t not in block]
+        for t in live:
+            x = bits[t]
+            for b, c in zip(block, reversed(block)):
+                if x >> b & 1:
+                    bits[t] ^= bits[c]
+        blocks.append(block)
+    return blocks
+
+
+def scale_pass(g):
+    """Symmetric Bareiss elimination of an int Gram matrix whose pivots,
+    ordered scale by scale, are its 2-adic Jordan splitting.
+
+    Returns None for a degenerate form, else (pivots, steps, bounds):
+    pivots[k] = D_k, the leading (k+1)-minor of the rearranged form; steps
+    the (k, s, size) of each piece of scale 2^s, a 1x1 block at k or a
+    pair at k, k+1; bounds the (k, upper rows (i, i..)) of the trailing
+    block B = D_{k-1} S at each scale boundary k, S the Schur complement
+    of the leading k x k block.  With v the lowest set bit of B,
+    s = v - v_2(D_{k-1}) and (x >> v) & 1 is S / 2^s modulo 2.  A pivot
+    2^s u, u odd, updates S / 2^s by x y modulo 2, so the blocks of
+    _parity_order on those bits, moved to the front, are the pieces of
+    scale s.  A pair with first diagonal entry 0 is swapped with its
+    partner, or folded by row/col k += row/col k+1 when both are 0, which
+    keeps it odd; so no pivot is 0.
+    """
+    n, t = len(g), [row[i:] for i, row in enumerate(g)]
+    pivots, steps, bounds, prev = [], [], [], 1
+    while t:
+        k = n - len(t)
+        bounds.append((k, t))
+        low = reduce(or_, chain.from_iterable(t), 0)
+        if not low:
+            return None
+        one = low & -low
+        scale = one.bit_length() - (prev & -prev).bit_length()
+        full = [[t[c][b - c] for c in range(b)] + row for b, row in enumerate(t)]
+        blocks = _parity_order(
+            [sum(1 << c for c, x in enumerate(row) if x & one) for row in full])
+        perm = [i for block in blocks for i in block]
+        perm += sorted(set(range(len(t))) - set(perm))
+        t = [[full[i][j] for j in perm[a:]] for a, i in enumerate(perm)]
+        a = 0
+        for block in blocks:
+            steps.append((k + a, scale, len(block)))
+            if len(block) == 2 and not t[a][0]:
+                ua, ub = t[a], t[a + 1]
+                if ub[0]:
+                    t[a], t[a + 1] = [ub[0], ua[1]] + ub[1:], [0] + ua[2:]
+                else:
+                    t[a] = [2 * ua[1], ua[1]] + list(map(add, ua[2:], ub[1:]))
+            for i in range(a, a + len(block)):
+                ui, d = t[i], t[i][0]
+                for b in range(i + 1, len(t)):
+                    c = ui[b - i]
+                    t[b] = [(x * d - c * y) // prev
+                            for x, y in zip(t[b], ui[b - i:])]
+                pivots.append(d)
+                prev = d
+            a += len(block)
+        t = t[a:]
+    return pivots, steps, bounds
+
+
+def pivot_form(pivots, den=1):
+    """Determinant and signature of a symmetric matrix, scaled by den to
+    ints, from the leading minors D_k of a congruent form: Jacobi's rule
+    reads the signature off the signs of D_k / D_{k-1}."""
+    signs = [True] + [d > 0 for d in pivots]
+    n, plus = len(pivots), sum(map(eq, signs, signs[1:]))
+    d = pivots[-1] if n else 1
+    return (d if den == 1 else Fraction(d, den ** n)), (plus, n - plus)
+
+
 def det_signature(g):
     """Determinant and signature (n_plus, n_minus) of a symmetric matrix,
-    from one symmetric Bareiss pass.
-
-    The signs of the pivots D_k / D_{k-1} of a congruent form give the
-    signature (Jacobi).  A degenerate form gives (0, None).
-    """
+    from one scale_pass.  A degenerate form gives (0, None)."""
     den, m = _scaled(g)
-    n = len(m)
-    r, _sign = bareiss(m, symmetric=True)
-    if r < n:
-        return 0, None
-    pivots = [1] + [m[k][k] for k in range(n)]
-    plus = sum(1 for k in range(n) if (pivots[k] > 0) == (pivots[k + 1] > 0))
-    d = pivots[n] if den == 1 else Fraction(pivots[n], den ** n)
-    return d, (plus, n - plus)
+    jordan = scale_pass(m)
+    return (0, None) if jordan is None else pivot_form(jordan[0], den)
 
 
 def frac_inverse(a):

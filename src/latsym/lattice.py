@@ -25,20 +25,23 @@ class Lattice:
              else [[_as_exact(x) for x in row] for row in gram])
         if g != intmat.transpose(g):
             raise ValueError("Gram matrix must be symmetric")
-        det, sig = intmat.det_signature(g)
-        if sig is None:
+        den, m = intmat._scaled(g)
+        jordan = intmat.scale_pass(m)
+        if jordan is None:
             raise ValueError("Gram matrix must be nondegenerate")
+        det, sig = intmat.pivot_form(jordan[0], den)
         self.gram = g
         self.rank = n
         self.name = name
         # optional list of (label, rank) pairs recording a direct-sum shape
         self.blocks = blocks
         # _as_exact leaves exactly the integral entries as ints
-        self.is_integral = exact or all(type(x) is int
-                                        for row in g for x in row)
+        self.is_integral = den == 1
         self._signature = sig
         self._det = _as_exact(det)
         self._positive_frame = None
+        # intmat.scale_pass of an integral Gram: its 2-adic Jordan splitting
+        self.jordan = jordan if den == 1 else None
 
     def __repr__(self):
         label = self.name if self.name else "rank %d" % self.rank
@@ -200,9 +203,17 @@ def rescale(lat, m):
 
 
 def dual(lat):
-    """L^v: the dual lattice, with its form written in the dual basis."""
-    base = lat.name or "?"
-    return Lattice(lat.dual_gram(), name="%sv" % base)
+    """L^v: the dual lattice, with its form written in the dual basis.  Its
+    det is 1 / det G, and G^-1 = G^-1 G G^-1 is congruent to G, so the
+    signature is lat's: G^-1 is not eliminated again."""
+    out = Lattice.__new__(Lattice)
+    out.__dict__.update(vars(lat))
+    out.gram, out.name, out.blocks = lat.dual_gram(), "%sv" % (lat.name or "?"), None
+    out.is_integral = all(type(x) is int for row in out.gram for x in row)
+    out._det = _as_exact(1 / Fraction(lat.det()))
+    out._positive_frame = None
+    out.jordan = intmat.scale_pass(out.gram) if out.is_integral else None
+    return out
 
 
 def direct_sum(*lats):
@@ -417,18 +428,22 @@ _MAX_DIGITS = len(str(2 ** MAX_ENTRY_BITS))
 def parse_entry(x):
     """A JSON matrix entry as an exact number: an int (not a bool), or a
     string "n" or "p/q" of decimal digits, refused before conversion if a
-    number in it has more digits than 2^MAX_ENTRY_BITS.  Anything else
-    raises ValueError."""
-    if type(x) is int:
+    number in it has more digits than 2^MAX_ENTRY_BITS.  A number beyond
+    MAX_ENTRY_BITS, and anything else, raises ValueError."""
+    if type(x) is int and x.bit_length() <= MAX_ENTRY_BITS:
         return x
-    if type(x) is not str or not _ENTRY_RE.fullmatch(x):
-        raise ValueError('entry %.40r is neither an int nor a "p/q" string' % (x,))
-    num, _, den = x.partition("/")
-    if max(len(num.lstrip("-")), len(den)) > _MAX_DIGITS:
-        raise ValueError("an entry exceeds the cap of %d bits" % MAX_ENTRY_BITS)
-    if den and not int(den):
-        raise ValueError("entry %r has a zero denominator" % x)
-    return _as_exact(Fraction(int(num), int(den or 1)))
+    if type(x) is not int:
+        if type(x) is not str or not _ENTRY_RE.fullmatch(x):
+            raise ValueError('entry %.40r is neither an int nor a "p/q" string'
+                             % (x,))
+        num, _, den = x.partition("/")
+        if max(len(num.lstrip("-")), len(den)) > _MAX_DIGITS:
+            raise ValueError("an entry exceeds the cap of %d bits" % MAX_ENTRY_BITS)
+        if den and not int(den):
+            raise ValueError("entry %r has a zero denominator" % x)
+        x = Fraction(int(num), int(den or 1))
+    _check_size(0, [x.numerator, x.denominator])
+    return _as_exact(x)
 
 
 def lattice_from_json(data):
@@ -438,10 +453,10 @@ def lattice_from_json(data):
     gram = data["gram"]
     _check_size(len(gram), ())
     flat = list(chain.from_iterable(gram))
-    if not set(map(type, flat)) <= {int}:
+    if set(map(type, flat)) <= {int}:
+        _check_size(0, flat)
+    else:
         gram = [[parse_entry(x) for x in row] for row in gram]
-        flat = [y for row in gram for x in row for y in (x.numerator, x.denominator)]
-    _check_size(0, flat)
     blocks = data.get("blocks")
     if blocks:
         blocks = [(str(label), int(rank)) for label, rank in blocks]

@@ -158,6 +158,19 @@ def test_non_exact_json_numbers_exit_quickly(tmp_path, command, text):
     assert done.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("entry", [2**128, str(2**128), "1/%d" % 2**128],
+                         ids=["int", "string", "denominator"])
+def test_isometry_entry_beyond_bit_cap(capsys, tmp_path, entry):
+    # 129 bits, within the digit count of 2^128
+    m = intmat.identity(16)
+    m[0][0] = entry
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"lattice": "Lambda", "matrix": m}))
+    rc, out, err = run(capsys, ["report", str(path)])
+    assert (rc, out) == (2, "")
+    assert "exceeds the cap of 128 bits" in err
+
+
 def test_info_of_large_dual_exits_quickly():
     # the inverse behind A160v is fraction-free; the dual is not integral
     done = latsym_process(["info", "A160v"], timeout=10)

@@ -19,6 +19,8 @@ random symmetric Grams, on random square matrices, on random maps of
 small discriminant modules, and on isometries of order 2, 3, 5 and 7.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import random
@@ -30,7 +32,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from latsym import cli, discform, genus, intmat, isometry, lattice, walls
@@ -604,6 +606,97 @@ def ref_local_pieces(gram, p):
     return pieces
 
 
+def _ref_row(u, k):
+    return [u[s][k - s] for s in range(k)] + u[k]
+
+
+def ref_mod_local_pieces(gram, p, det):
+    """The Jordan splitting over Z_p as genus_symbol ran it before the scale
+    pass, at every prime: the Gram matrix modulo p^N, N = v_p(det) + 3, as
+    upper rows; the first entry of least valuation v as pivot, moved to a
+    diagonal entry of that valuation, else by a row-and-column addition
+    at odd p and as an even 2x2 block at p = 2.  Returns (scale, kind,
+    value) with the value a residue modulo p^(N - scale)."""
+    mod = p ** (genus._valuation(det, p) + 3)
+    u = [[x % mod for x in row[i:]] for i, row in enumerate(gram)]
+    pieces = []
+    low = 0
+    while u:
+        q = p ** (low + 1)
+        bi = next((i for i, row in enumerate(u) if gcd(q, *row) < q), None)
+        if bi is None:
+            g = 0
+            for row in u:
+                g = gcd(g, *row)
+            if not g:
+                raise ValueError("degenerate form")
+            low = genus._valuation(g, p)
+            continue
+        bj = bi + next(j for j, x in enumerate(u[bi]) if x % q)
+        pv = p ** low
+        diag = next((k for k, row in enumerate(u) if row[0] % q), None)
+        if diag is None and p != 2:
+            ri, rj = _ref_row(u, bi), _ref_row(u, bj)
+            s = [(x + y) % mod for x, y in zip(ri, rj)]
+            s[bi] = (s[bi] + ri[bj] + rj[bj]) % mod
+            for r in range(bi):
+                u[r][bi - r] = s[r]
+            u[bi] = s[bi:]
+            diag = bi
+        if diag is not None:
+            unit = u[diag][0] // pv
+            pieces.append((low, "unit", unit))
+            inv = pow(unit, -1, mod)
+            top = _ref_row(u, diag)
+            new = []
+            for r, row in enumerate(u):
+                if r != diag:
+                    c = top[r] // pv * inv % mod
+                    new.append([(x - c * y) % mod
+                                for x, y in zip(row, top[r:])])
+                    if r < diag:
+                        del new[-1][diag - r]
+        else:
+            r1, r2 = _ref_row(u, bi), _ref_row(u, bj)
+            a, b, c = r1[bi] // pv, r1[bj] // pv, r2[bj] // pv
+            w = (a * c - b * b) % (mod // pv)
+            pieces.append((low, "pair", w))
+            inv = pow(w, -1, mod)
+            new = []
+            for r, row in enumerate(u):
+                if r != bi and r != bj:
+                    x1, x2 = r1[r] // pv, r2[r] // pv
+                    k1 = (x1 * c - x2 * b) * inv % mod
+                    k2 = (x2 * a - x1 * b) * inv % mod
+                    new.append([(x - k1 * y - k2 * z) % mod
+                                for x, y, z in zip(row, r1[r:], r2[r:])])
+                    for t in (bj - r, bi - r):
+                        if t > 0:
+                            del new[-1][t]
+        u = new
+    return pieces
+
+
+def ref_constituents(pieces, p):
+    """Constituents of (scale, kind, value) pieces, values read modulo 8
+    at p = 2 and modulo p at odd p."""
+    q = 8 if p == 2 else p
+    return genus._local_symbol(
+        [(v, 1 if kind == "unit" else 2,
+          _residue(Fraction(value), q)) for v, kind, value in pieces], p)
+
+
+def ref_genus_symbol(g):
+    """The genus symbol from the rational determinant and signature and
+    the splitting of ref_mod_local_pieces at every prime dividing 2 det."""
+    det = int(ref_frac_det(g))
+    pos, neg = ref_symmetric_signature(g)
+    local = {p: ref_constituents(ref_mod_local_pieces(g, p, det), p)
+             for p in sorted(set([2] + genus._prime_factors(det)))}
+    return genus.GenusSymbol(pos, neg, all(row[i] % 2 == 0
+                                           for i, row in enumerate(g)), local)
+
+
 def _congruence(g, i, j, c):
     """g after basis vector i += c * basis vector j."""
     g = [row[:] for row in g]
@@ -692,14 +785,31 @@ def assert_matches_reference(g):
     assert intmat.symmetric_signature(g) == sig
     lat = lattice.Lattice(g)
     assert (lat.det(), lat.signature()) == (det, sig)
+    assert genus.canonical_string(lat) == genus.canonical_string(
+        ref_genus_symbol(g))
     for p in sorted(set([2] + genus._prime_factors(int(det)))):
         # the exact values agree with the residues modulo p^(N - scale)
         top = genus._valuation(int(det), p) + 3
         ref = ref_local_pieces(g, p)
-        got = genus._local_pieces(g, p, int(det))
-        assert [(v, kind) for v, kind, _ in got] == [(v, kind) for v, kind, _ in ref]
-        for (v, _kind, value), (_, _, exact) in zip(got, ref):
-            assert value == _residue(exact, p ** (top - v))
+        splits = [ref_mod_local_pieces(g, p, int(det))]
+        if p != 2:
+            u = [[x % p ** top for x in row] for row in _upper(g)]
+            splits.append([(v, "unit", x) for v, _rank, x in
+                           genus._local_pieces(u, p, p ** top)])
+        for split in splits:
+            assert [(v, kind) for v, kind, _ in split] == [(v, kind) for v, kind, _ in ref]
+            for (v, _kind, value), (_, _, exact) in zip(split, ref):
+                assert value == _residue(exact, p ** (top - v))
+        want = ref_constituents(ref, p)
+        got = genus.padic_jordan(lat, p)
+        if p == 2:
+            # scale by scale the same ranks; signs and oddities agree
+            # after the walk to the canonical representative
+            assert [(c.scale, c.rank) for c in got] == [(c.scale, c.rank) for c in want]
+            assert ([c.key() for c in genus._canonical_two_adic(got)]
+                    == [c.key() for c in genus._canonical_two_adic(want)])
+        else:
+            assert [c.key() for c in got] == [c.key() for c in want]
 
 
 @settings(max_examples=120, deadline=None)
@@ -726,7 +836,9 @@ def _rebased(gram, rng, steps, cap=100):
 # and zero diagonals at p = 2, and 3-adic scales up to 3^4
 WORKLOAD_SHAPED = ("U(2)^3+E8+A1^2+D7(2)+A5+A3(2)",
                    "U^2+U(2)+D4(2)+A1^2+E8(2)+D8(2)+D6(2)",
-                   "U+U(3)+U(6)+A1+E8(2)+D7(2)+A5+A3(2)")
+                   "U+U(3)+U(6)+A1+E8(2)+D7(2)+A5+A3(2)",
+                   # even pairs at scales 2, 4 and 8 beside odd pieces
+                   "U(2)^3+U(4)^2+U(8)+E8(2)+D8(4)+A1(8)+A1^2")
 
 
 @pytest.mark.parametrize("expr", WORKLOAD_SHAPED)
@@ -736,6 +848,31 @@ def test_workload_shaped_grams_match_reference(expr):
     assert 28 <= len(g) <= 34
     assert genus._valuation(int(ref_frac_det(g)), 2) >= 20
     assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("pair", [[[0, 4], [4, 0]], [[0, 4], [4, 8]],
+                                  [[8, 4], [4, 0]]], ids=["fold", "swap", "plain"])
+def test_scale_pass_pair_above_scale_zero(pair):
+    """A pair of scale 4 after a 1x1 piece of scale 2: its first diagonal
+    entry 0 is swapped with its partner's, or folded when both are 0, so
+    that D_1 = -2 * 8 in every case."""
+    g = [[-2, 0, 0], [0] + pair[0], [0] + pair[1]]
+    pivots, steps, bounds = intmat.scale_pass(g)
+    assert steps == [(0, 1, 1), (1, 2, 2)]
+    assert pivots == [-2, -16, 32]
+    assert bounds == [(0, _upper(g)), (1, [[-2 * x for x in row[i:]]
+                                           for i, row in enumerate(pair)])]
+    assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("expr", ["U(2)^3", "U(4)", "A1+U(4)+V(8)",
+                                  "U(2)^3+U(4)+A1(8)+E8(4)"])
+def test_pair_grams_match_reference(expr):
+    # pairs with zero diagonal at scale 0 and above, then dense rebasings
+    g = lattice.build_named(expr).gram
+    assert_matches_reference(g)
+    for seed in range(4):
+        assert_matches_reference(_rebased(g, random.Random(seed), 3 * len(g)))
 
 
 @st.composite
@@ -822,6 +959,56 @@ def test_degenerate_grams_rejected():
             ref_symmetric_signature(g)
         with pytest.raises(ValueError, match="nondegenerate"):
             lattice.Lattice(g)
+
+
+@st.composite
+def lattice_files(draw):
+    """Gram entries of small lattice files: rank 0..8, ints or "p/q"
+    strings, with odd, even, zero or random diagonals, and degenerate
+    Grams whose last basis vector repeats the first."""
+    n = draw(st.integers(0, 8))
+    flavour = draw(st.sampled_from(
+        ("random", "even diagonal", "zero diagonal", "degenerate", "rational")))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.integers(-6, 6)) * 2 ** draw(st.integers(0, 3))
+        if flavour == "even diagonal":
+            g[i][i] *= 2
+        elif flavour == "zero diagonal":
+            g[i][i] = 0
+    if flavour == "degenerate" and n:
+        g[n - 1] = list(g[0])
+        for row in g:
+            row[n - 1] = row[0]
+    if flavour == "rational":
+        den = [[1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                den[i][j] = den[j][i] = draw(st.integers(1, 4))
+        return [["%d/%d" % (x, d) for x, d in zip(row, drow)]
+                for row, drow in zip(g, den)]
+    return g
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lattice_files(), st.sampled_from(("info", "genus")))
+def test_cli_info_and_genus_on_lattice_files(tmp_path, gram, command):
+    """Each file exits 0 or 2 without a traceback, and on 0 prints the
+    genus of the reference path."""
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"gram": gram}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([command, str(path), "--format", "json"])
+    if rc == 2:
+        assert (out.getvalue(), err.getvalue()[:7]) == ("", "error: ")
+        return
+    assert rc == 0
+    g = [[lattice.parse_entry(x) for x in row] for row in gram]
+    assert json.loads(out.getvalue())["genus"] == genus.canonical_string(
+        ref_genus_symbol(g))
 
 
 # ---------------------------------------------------------------------------

@@ -113,12 +113,18 @@ def cmd_genus(args, emit):
     return 0
 
 
+DISC_LIST_CAP = 1 << 16     # elements; 2^16 take about 3 s to list
+
+
 def cmd_disc(args, emit):
     lat = _load_lattice(args.target)
     try:
         mod = discform.discriminant_form(lat)
     except ValueError as exc:
         raise InputError(str(exc))
+    if emit.fmt == "json" and mod.order() > DISC_LIST_CAP:
+        raise InputError("the discriminant group has %d elements; --format "
+                         "json lists at most %d" % (mod.order(), DISC_LIST_CAP))
     rec = {
         "lattice": lat.name,
         "orders": list(mod.orders),

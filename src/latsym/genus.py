@@ -141,30 +141,39 @@ def _power_root(n):
     return None
 
 
-# rho steps in all before giving up: about 2 sqrt(q) for a prime factor q
-# of up to 40 bits, a few seconds
-_RHO_STEPS = 1 << 21
+# rho steps in all: about 2 sqrt(q) for a prime factor q of up to 40 bits;
+# a cofactor of k * 128 bits, whose steps cost k^2 as much, gets 1 / k^2
+_RHO_STEPS, _RHO_BATCH = 1 << 21, 100
 
 
 def _rho_divisor(n):
     """A proper divisor of a composite n: Pollard's rho on x -> x^2 + c
-    with Brent's cycle search, moving on to the next c when a cycle
-    closes without one.  Raises ValueError beyond _RHO_STEPS steps."""
+    with Brent's cycle search and one gcd per _RHO_BATCH steps (a batch
+    whose product is 0 mod n is gone over step by step), moving on to the
+    next c when a cycle closes without one.  Raises ValueError beyond its
+    share of _RHO_STEPS."""
+    budget = _RHO_STEPS // max(1, n.bit_length() // 128) ** 2
     steps = 0
     for c in range(1, n):
         y, r, g = 2, 1, 1
         while g == 1:
             steps += r
-            if steps > _RHO_STEPS:
+            if steps > budget:
                 raise ValueError("cannot factor %d: no divisor within %d "
-                                 "Pollard rho steps" % (n, _RHO_STEPS))
-            x = y
-            for _ in range(r):
+                                 "Pollard rho steps" % (n, budget))
+            x, k = y, 0
+            while k < r and g == 1:
+                ys, q = y, 1
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (y - x) % n
+                g, k = gcd(q, n), k + _RHO_BATCH
+            r *= 2
+        if g == n:
+            y, g = ys, 1
+            while g == 1:
                 y = (y * y + c) % n
                 g = gcd(y - x, n)
-                if g != 1:
-                    break
-            r *= 2
         if g != n:
             return g
 

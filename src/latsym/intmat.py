@@ -131,12 +131,24 @@ def bareiss(m, symmetric=False):
     needs columns i.. only, with its multiplier read from the pivot row.
     The strict lower triangle is left stale; the trailing block is
     mirrored from its upper triangle before a zero pivot is replaced.
+
+    A step only scales a row with multiplier 0 by D_k / D_{k-1}, so such a
+    row keeps the D_j it was last scaled to, and x D_{k-1} / D_j (exact)
+    brings it up to date when it is next used or at a zero pivot.
     """
-    n = len(m)
-    sign = 1
-    prev = 1
+    n, sign, prev = len(m), 1, 1
+    scale = [1] * n     # the D_j row i was last scaled to
+
+    def catch_up(i, k):     # to prev = D_{k-1}
+        old = scale[i]
+        if old != prev:
+            m[i][k:] = [x * prev // old for x in m[i][k:]]
+            scale[i] = prev
+
     for k in range(n):
         if m[k][k] == 0:
+            for i in range(k, n):
+                catch_up(i, k)
             if symmetric:
                 for i in range(k + 1, n):
                     m[i][k:i] = [m[j][i] for j in range(k, i)]
@@ -158,11 +170,15 @@ def bareiss(m, symmetric=False):
                     return k, sign
                 sign = -sign
             m[k], m[piv] = m[piv], m[k]
+        catch_up(k, k)
         d, rk = m[k][k], m[k]
         for i in range(k + 1, n):
-            ri = m[i]
-            s, c = (i, rk[i]) if symmetric else (k + 1, ri[k])
-            ri[s:] = [(x * d - c * y) // prev for x, y in zip(ri[s:], rk[s:])]
+            if rk[i] if symmetric else m[i][k]:
+                catch_up(i, k)
+                ri = m[i]
+                s, c = (i, rk[i]) if symmetric else (k + 1, ri[k])
+                ri[s:] = [(x * d - c * y) // prev for x, y in zip(ri[s:], rk[s:])]
+                scale[i] = d
         prev = d
     return n, sign
 

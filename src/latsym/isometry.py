@@ -34,6 +34,7 @@ class LatticeIsometry:
         self.lattice = lat
         self.matrix = m
         self.gram_matrix = gm
+        self._split = None      # kept by invariant_coinvariant
 
     def __call__(self, x):
         return intmat.mat_vec(self.matrix, list(x))
@@ -266,13 +267,16 @@ class Sublattice:
 
 
 def invariant_coinvariant(f):
-    """The fixed sublattice of f and its orthogonal complement."""
-    lat = f.lattice
-    delta = intmat.mat_sub(f.matrix, intmat.identity(lat.rank))
-    inv = Sublattice(lat, intmat.kernel_basis(delta), name="invariant")
-    coinv_rows = ([] if inv.rank == lat.rank else
-                  lattice.orthogonal_complement(lat, inv.rows, inv.gram_rows))
-    return inv, Sublattice(lat, coinv_rows, name="coinvariant")
+    """The fixed sublattice of f and its orthogonal complement, found once
+    per isometry and kept on it."""
+    if f._split is None:
+        lat = f.lattice
+        delta = intmat.mat_sub(f.matrix, intmat.identity(lat.rank))
+        inv = Sublattice(lat, intmat.kernel_basis(delta), name="invariant")
+        coinv_rows = ([] if inv.rank == lat.rank else lattice.orthogonal_complement(
+            lat, inv.rows, inv.gram_rows))
+        f._split = inv, Sublattice(lat, coinv_rows, name="coinvariant")
+    return f._split
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +310,6 @@ def exceptional_involution(model):
     return LatticeIsometry(model.lattice, m)
 
 
-def _coinv_neg_def(coinv):
-    if coinv.rank == 0:
-        return True
-    return coinv.lattice.signature() == (0, coinv.rank)
-
-
 def symplectic_status(model, f):
     """(symplectic, regular, witnesses) for an isometry of the model lattice.
 
@@ -326,12 +324,9 @@ def symplectic_status(model, f):
     if not in_O_plus(f):
         raise ValueError("isometry is outside O+ (non-effective)")
     _inv, coinv = invariant_coinvariant(f)
-    if not _coinv_neg_def(coinv):
+    if coinv.lattice.signature() != (0, coinv.rank):
         return False, False, []
-    if coinv.rank == 0:
-        return True, True, []
-    witnesses = walls._scan_sublattice(model, coinv.rows, coinv.lattice.gram,
-                                       gram_rows=coinv.gram_rows)
+    witnesses = walls.coinvariant_wall_scan(model, f)
     symplectic = not any(w.wclass in walls.PEX_CLASSES for w in witnesses)
     return symplectic, not witnesses, witnesses
 
@@ -423,14 +418,9 @@ class IsometryReport:
         return out
 
 
-_D10_2_SYMBOL = None
-
-
+@lru_cache(maxsize=None)
 def _d10_2_symbol():
-    global _D10_2_SYMBOL
-    if _D10_2_SYMBOL is None:
-        _D10_2_SYMBOL = genus.genus_symbol(lattice.rescale(lattice.root_D(10), 2))
-    return _D10_2_SYMBOL
+    return genus.genus_symbol(lattice.rescale(lattice.root_D(10), 2))
 
 
 def _fixture_rows(fixture):
@@ -493,10 +483,8 @@ def report(model, f, fixture=None):
     inv_sym = genus.genus_symbol(inv.lattice) if inv.rank else None
     coinv_sym = genus.genus_symbol(coinv.lattice) if coinv.rank else None
     oplus = in_O_plus(f)
-    neg_def = _coinv_neg_def(coinv)
-    witnesses = (walls._scan_sublattice(model, coinv.rows, coinv.lattice.gram,
-                                        gram_rows=coinv.gram_rows)
-                 if neg_def else [])
+    neg_def = coinv.lattice.signature() == (0, coinv.rank)
+    witnesses = walls.coinvariant_wall_scan(model, f) if neg_def else []
     symplectic = (oplus and neg_def
                   and not any(w.wclass in walls.PEX_CLASSES for w in witnesses))
     regular = symplectic and not witnesses

@@ -17,6 +17,8 @@ PEX4 = "PEX4"
 WALL6 = "WALL6"
 WALL12 = "WALL12"
 PEX_CLASSES = (PEX2, PEX4)
+# the wall class of each (square, divisibility)
+_CLASSES = {(-2, 1): PEX2, (-4, 2): PEX4, (-6, 2): WALL6, (-12, 2): WALL12}
 
 
 class WallWitness:
@@ -134,15 +136,10 @@ def wall_class(model, x):
     gx = intmat.mat_vec(gram, x)
     square = intmat.dot(x, gx)
     div = intmat.gcd_vec(gx)
-    if square == -2 and div == 1:
-        return WallWitness(x, square, div, PEX2)
-    if square == -4 and div == 2:
-        return WallWitness(x, square, div, PEX4)
-    if square == -6 and div == 2:
-        return WallWitness(x, square, div, WALL6)
-    if square == -12 and div == 2 and all(c % 2 == 0 for c in x[:6]):
-        return WallWitness(x, square, div, WALL12)
-    return None
+    wclass = _CLASSES.get((square, div))
+    if wclass is None or (wclass == WALL12 and any(c % 2 for c in x[:6])):
+        return None
+    return WallWitness(x, square, div, wclass)
 
 
 def coinvariant_wall_scan(model, f, pex_only=False):
@@ -151,6 +148,14 @@ def coinvariant_wall_scan(model, f, pex_only=False):
     Enumerates coinvariant vectors of the wall squares and classifies them
     in the ambient lattice; an empty list means the wall condition holds.
     Raises when the coinvariant lattice is not negative definite.
+
+    For v = sum x_i rows_i, G v and v on the blocks (coordinates 0..5) are
+    linear mod 2 in x, by per-row bit masks: -2 is walked in the whole
+    coinvariant lattice, -4 and -6 where G v is even, -12 where v is also
+    even on the blocks (_parity_sublattice).  wall_class alone decides.
+    Lambda is even with a 2-elementary discriminant group, so a primitive
+    v has div 1 or 2, and one of square -4, -6 or -12 is primitive (else
+    2u with u^2 = -1 or -3): only the -2 vectors of div 2 are no walls.
     """
     from . import isometry
 
@@ -161,12 +166,27 @@ def coinvariant_wall_scan(model, f, pex_only=False):
         return []
     if coinv.lattice.signature() != (0, coinv.rank):
         raise ValueError("coinvariant lattice is not negative definite")
-    return _scan_sublattice(model, coinv.rows, coinv.lattice.gram, pex_only,
-                            coinv.gram_rows)
-
-
-# the divisibility each wall square needs, and the class it then gives
-_WALL_DIV = {-2: (1, PEX2), -4: (2, PEX4), -6: (2, WALL6), -12: (2, WALL12)}
+    rows, gram = coinv.rows, coinv.lattice.gram
+    # bits 0..n-1: G row mod 2; bits n..n+5: row mod 2 on the blocks
+    masks = [sum((c & 1) << i for i, c in enumerate(gr + r[:6]))
+             for r, gr in zip(rows, coinv.gram_rows)]
+    even = (1 << model.rank) - 1
+    walks = ((-2, 0), (-4, even), (-6, even), (-12, -1))[:2 if pex_only else 4]
+    parity = {bits: _parity_sublattice(gram, masks, bits)
+              for _t, bits in walks if bits}
+    witnesses = []
+    for t, bits in walks:
+        if bits:
+            basis, sub_gram = parity[bits]
+            found = sorted(map(_first_positive, intmat.mat_mul(
+                short_vectors(sub_gram, t), basis)))
+        else:
+            found = short_vectors(gram, t)
+        for v in intmat.mat_mul(found, rows):
+            w = wall_class(model, v)
+            if w is not None:
+                witnesses.append(w)
+    return witnesses
 
 
 def _parity_sublattice(gram, masks, bits):
@@ -187,67 +207,3 @@ def _parity_sublattice(gram, masks, bits):
         else:
             basis.append([comb >> j & 1 for j in range(len(masks))])
     return basis, intmat.mat_mul(basis, intmat.mat_mul(gram, intmat.transpose(basis)))
-
-
-def _scan_sublattice(model, rows, gram, pex_only=False, gram_rows=None):
-    """Wall witnesses among the vectors of a negative definite sublattice,
-    given by its basis rows in the model's coordinates and its Gram, and
-    optionally their pairing rows G rows_i.
-
-    A vector with coordinates x is v = sum x_i rows_i.  The parity of G v
-    and of v on the hyperbolic-block coordinates 0..5 is linear mod 2 in
-    x, given by per-row bit masks: PEX2 needs G v odd somewhere, the other
-    classes need G v even, and WALL12 also needs v even on the blocks.
-    Only PEX2 is enumerated in the whole sublattice; the other classes in
-    the sublattice of their parity (_parity_sublattice).  Every vector
-    still passes an XOR of the masks, a survivor gets G v as the sum of
-    x_i (G rows_i) and its exact divisibility, and only a wall is built as
-    an ambient vector, through the checked wall_class.
-    """
-    if not rows:
-        return []
-    n = model.rank
-    if gram_rows is None:
-        gram_rows = intmat.mat_mul(rows, model.lattice.gram)
-    # bits 0..n-1: G row mod 2; bits n..n+5: row mod 2 on the blocks
-    masks = [sum((c & 1) << i for i, c in enumerate(gr + list(r[:6])))
-             for r, gr in zip(rows, gram_rows)]
-    div_bits = (1 << n) - 1
-    targets = (-2, -4) if pex_only else (-2, -4, -6, -12)
-    parity = {bits: _parity_sublattice(gram, masks, bits)
-              for bits in ((div_bits,) if pex_only else (div_bits, -1))}
-    witnesses = []
-    for t in targets:
-        need_div, wclass = _WALL_DIV[t]
-        even_bits = -1 if wclass == WALL12 else div_bits
-        if need_div == 1:
-            found = short_vectors(gram, t)
-        else:
-            basis, sub_gram = parity[even_bits]
-            found = sorted(map(_first_positive, intmat.mat_mul(
-                short_vectors(sub_gram, t), basis)))
-        for coords in found:
-            acc = 0
-            for c, mask in zip(coords, masks):
-                if c & 1:
-                    acc ^= mask
-            if need_div == 1:
-                if not acc & div_bits:      # G v even: div is not 1
-                    continue
-            elif acc & even_bits:           # G v odd, or odd on the blocks
-                continue
-            gv = [0] * n
-            for c, gr in zip(coords, gram_rows):
-                if c:
-                    gv = [a + c * b for a, b in zip(gv, gr)]
-            if intmat.gcd_vec(gv) != need_div:
-                continue
-            ambient = [0] * n
-            for c, r in zip(coords, rows):
-                if c:
-                    ambient = [a + c * b for a, b in zip(ambient, r)]
-            w = wall_class(model, ambient)
-            if w is None or w.wclass != wclass:
-                raise RuntimeError("wall filter disagrees with wall_class")
-            witnesses.append(w)
-    return witnesses

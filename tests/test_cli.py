@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latsym import cli, intmat, isometry, lattice
 from latsym.lattice import standard_model
@@ -112,6 +117,22 @@ def test_info_two_61_bit_prime_factors():
         in done.stderr
 
 
+def test_info_many_80_bit_prime_factors(tmp_path):
+    # det the product of sixteen 80-bit primes, 1280 bits: one rho step
+    # there costs about 100 of a 128-bit one, so rho gets 1/100 of the steps
+    primes, x = [], 2**79 + 1
+    while len(primes) < 16:
+        if intmat.is_prime(x):
+            primes.append(x)
+        x += 2
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps({"gram": [[p * (i == j) for j in range(16)]
+                                         for i, p in enumerate(primes)]}))
+    done = latsym_process(["info", str(path)], timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "Pollard rho steps" in done.stderr
+
+
 @pytest.mark.parametrize("expr", ["A100000", "U^100000", "E8^64+A1",
                                   "A2(%d)" % 2**130, "K%d" % (2**521 - 1)])
 def test_oversized_expression_exits_quickly(expr):
@@ -172,10 +193,12 @@ def test_isometry_entry_beyond_bit_cap(capsys, tmp_path, entry):
 
 
 def test_info_of_large_dual_exits_quickly():
-    # the inverse behind A160v is fraction-free; the dual is not integral
-    done = latsym_process(["info", "A160v"], timeout=10)
-    assert (done.returncode, done.stdout) == (2, "")
-    assert "integral Gram matrix" in done.stderr
+    # the inverse behind the dual is fraction-free and leaves the rows with
+    # multiplier 0 alone; the dual is not integral
+    for target in ("A160v", "A400v", "A512v"):
+        done = latsym_process(["info", target], timeout=10)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "integral Gram matrix" in done.stderr
 
 
 @pytest.mark.parametrize("power", [2, 3])
@@ -236,6 +259,60 @@ def test_disc_small_lattice(capsys):
     rc, out, _err = run(capsys, ["disc", "A1"])
     assert rc == 0
     assert "orders: [2]" in out
+
+
+def test_disc_json_refuses_a_group_too_large_to_list():
+    # 2^24 elements, one line each, are too many to list
+    done = latsym_process(["disc", "A1^24", "--format", "json"], timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "16777216 elements" in done.stderr
+
+
+@st.composite
+def lattice_expressions(draw):
+    """Direct-sum expressions: known and unknown names, planes Kp and Hp
+    with p prime or not, dual suffixes, scales (zero and negative ones
+    too) and powers, the names of rank 1 and 2 to high powers, joined by
+    "+" or by a malformed join."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from("UUVEEAAADDKH"))
+        if name == "E":
+            name = draw(st.sampled_from(("E8", "E8", "E7")))
+        elif name in "AD":
+            name += str(draw(st.integers(0, 16)))
+        elif name in "KH":
+            name += str(draw(st.sampled_from((3, 5, 7, 11, 37, 59, 1, 9, 15))))
+        term = name + draw(st.sampled_from(("", "", "v")))
+        if draw(st.booleans()):
+            term += "(%d)" % draw(st.integers(-3, 40))
+        if draw(st.booleans()):
+            small = name[0] in "UVKH" or name in ("A1", "A2", "D2")
+            term += "^%d" % draw(st.integers(0, 24 if small else 4))
+        terms.append(term)
+    join = draw(st.sampled_from(("+",) * 5 + ("++", " + ", "+(", "^", "")))
+    ends = ("",) * 7 + ("+",)
+    return (draw(st.sampled_from(ends)) + join.join(terms)
+            + draw(st.sampled_from(ends + (")",))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattice_expressions(), st.sampled_from(("info", "genus", "disc")))
+@example("A1^20", "disc")
+@example("U(4)^5+A2", "disc")
+def test_cli_on_random_expressions(expr, command):
+    """Each expression exits 0 or 2 within 10 s, with no traceback; exit 1
+    is kept for verification outcomes."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([command, expr, "--format", "json"])
+    assert time.perf_counter() - start < 10
+    if rc == 2:
+        assert (out.getvalue(), err.getvalue()[:7]) == ("", "error: ")
+    else:
+        assert rc == 0
+        assert json.loads(out.getvalue().splitlines()[0])
 
 
 def test_report_exceptional(capsys, tmp_path, model):

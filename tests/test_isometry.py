@@ -198,6 +198,24 @@ def test_symplectic_status(model):
         isometry.symplectic_status(model, minus_one)
 
 
+def test_split_found_once_per_isometry(model, monkeypatch):
+    """report, symplectic_status, the wall scan and the prime profile on
+    one isometry find its invariant/coinvariant split once between them."""
+    calls = []
+    real = intmat.kernel_basis
+    monkeypatch.setattr(intmat, "kernel_basis",
+                        lambda m: calls.append(m) or real(m))
+    root = model.named["e8_root"]
+    isometry.invariant_coinvariant(isometry.reflection(model.lattice, root))
+    one_split = len(calls)
+    f = isometry.reflection(model.lattice, root)
+    isometry.report(model, f)
+    isometry.symplectic_status(model, f)
+    walls.coinvariant_wall_scan(model, f)
+    isometry.nonsymplectic_prime_profile(f, 2)
+    assert one_split and len(calls) == 2 * one_split
+
+
 def test_symplectic_status_infinite_order(model):
     lam = model.lattice
     sample = cli.monodromy_sample(model)

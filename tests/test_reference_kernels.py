@@ -921,6 +921,34 @@ def test_bareiss_late_pivot_examples():
     assert intmat.bareiss([row[:] for row in singular], True)[0] == 1
 
 
+@st.composite
+def sparse_grams(draw):
+    """Tridiagonal Grams, zero diagonal entries allowed, and block-diagonal
+    sums of two late-pivot Grams: most multipliers are 0, and a zero pivot
+    in the second block meets rows left at the first block's scale."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = draw(st.integers(-3, 3))
+            if i:
+                g[i][i - 1] = g[i - 1][i] = draw(st.integers(-3, 3))
+        return g
+    a, b = draw(late_pivot_grams()), draw(late_pivot_grams())
+    return ([row + [0] * len(b) for row in a]
+            + [[0] * len(a) + row for row in b])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_grams(), st.booleans())
+def test_bareiss_matches_reference_on_sparse_grams(g, carry):
+    """Also on the rows of [G | I], as the inverse and the frame use them."""
+    if carry:
+        g = [row + [int(i == j) for j in range(len(g))]
+             for i, row in enumerate(g)]
+    assert_bareiss_matches(g)
+
+
 @settings(max_examples=60, deadline=None)
 @given(symmetric_grams(), st.integers(1, 6))
 def test_rational_det_signature_match_reference(g, den):
@@ -1374,7 +1402,7 @@ def test_scan_enumerates_exactly_the_parity_vectors(monkeypatch):
                             and (t != -12 or all(c % 2 == 0 for c in v[:6]))))
                     expect.append((t, count))
                 walked.clear()
-                walls._scan_sublattice(model, rows, gram, pex_only)
+                walls.coinvariant_wall_scan(model, h, pex_only)
                 assert walked == expect
 
 
@@ -1383,8 +1411,7 @@ def test_wall_bases_cover_every_class():
     found = set()
     for f in wall_bases():
         _inv, coinv = isometry.invariant_coinvariant(f)
-        found |= {w.wclass for w in walls._scan_sublattice(
-            model, coinv.rows, coinv.lattice.gram)}
+        found |= {w.wclass for w in walls.coinvariant_wall_scan(model, f)}
         # square -12 and divisibility 2, rejected only by the WALL12 parity
         for x in walls.short_vectors(coinv.lattice.gram, -12):
             v = intmat.mat_vec(intmat.transpose(coinv.rows), x)
@@ -1416,7 +1443,7 @@ def test_wall_scan_matches_reference(base, conj, picks):
             continue
         rows, gram = coinv.rows, coinv.lattice.gram
         for pex_only in (False, True):
-            fast = walls._scan_sublattice(model, rows, gram, pex_only)
+            fast = walls.coinvariant_wall_scan(model, f, pex_only)
             slow = ref_wall_scan(model, rows, gram, pex_only)
             assert [w.as_dict() for w in fast] == [w.as_dict() for w in slow]
 

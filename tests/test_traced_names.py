@@ -10,10 +10,11 @@ from pathlib import Path
 
 from latsym import cli, discform, fixtures, genus, intmat, isometry, lattice, walls
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def test_tracer_installs_over_latsym():
+def installed_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -22,8 +23,27 @@ def test_tracer_installs_over_latsym():
               "intmat": intmat, "fixtures": fixtures}
     tr = tracing.Tracer()
     tr.install(layers)
+    return tr
+
+
+def test_tracer_installs_over_latsym():
+    tr = installed_tracer()
     try:
         assert hasattr(isometry.reflection, "__wrapped__")
     finally:
         tr.uninstall()
     assert not hasattr(isometry.reflection, "__wrapped__")
+
+
+def test_report_scans_through_the_traced_wall_scan(capsys):
+    """report reaches the wall scan by its public name, so a traced
+    classify run counts its time and witnesses."""
+    golden = ROOT / "tests" / "data" / "golden" / "e8_roots_orthogonal_4.json"
+    tr = installed_tracer()
+    try:
+        assert cli.main(["report", str(golden), "--format", "json"]) == 0
+    finally:
+        tr.uninstall()
+    witnesses = capsys.readouterr().out.count('"class": "PEX2"')
+    assert tr.calls["walls.coinvariant_wall_scan"] == 1
+    assert tr.counts["walls.witnesses"] == witnesses == 4

@@ -50,11 +50,15 @@ def _check_records(emit, checks):
 
 def _load_json_file(path):
     try:
-        return json.loads(Path(path).read_text())
+        # int refuses NaN and Infinity, which JSON does not have
+        data = json.loads(Path(path).read_text(), parse_constant=int)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # huge ints, deep nesting too
         raise InputError("%s is not valid JSON: %s" % (path, exc))
+    if type(data) is not dict:
+        raise InputError("%s does not hold a JSON object" % path)
+    return data
 
 
 def _load_lattice(target):
@@ -320,12 +324,8 @@ def cmd_verify_monodromy(args, emit):
 
 def _table_file_result(model, rows, path):
     try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        return {"file": path.name, "status": "error", "detail": str(exc)}
-    try:
-        f = isometry.isometry_from_json(data)
-    except ValueError as exc:
+        f = isometry.isometry_from_json(_load_json_file(path))
+    except (InputError, ValueError, TypeError) as exc:
         return {"file": path.name, "status": "error", "detail": str(exc)}
     try:
         rep = isometry.report(model, f, fixture=rows)

@@ -247,7 +247,7 @@ def _pieces(lat, p):
     modulo 8.  At odd p the last scale boundary k with p prime to D_{k-1}
     (or k = n) leaves a unimodular leading block, and _local_pieces
     splits the Schur complement B / D_{k-1} of its trailing block B."""
-    pivots, steps, bounds = lat.jordan
+    pivots, steps, bounds, _rows, _order = lat.jordan
     minors = [1] + pivots
     if p == 2:
         return [(s, size, _odd_part(minors[k + size]) * _odd_part(minors[k]) % 8)

@@ -1,16 +1,16 @@
 """Exact integer and rational matrix helpers.
 
 Matrices are lists of row lists holding ints or Fractions.  Everything here
-is exact: no floats anywhere.  Fraction-free Bareiss elimination on plain
-ints (rational matrices are first scaled by the lcm of their denominators)
-gives determinants, inverses, the positive frame and the short-vector data;
-its variant scale_pass gives a symmetric matrix's determinant, signature
-and, by its pivot order, 2-adic Jordan splitting.
+is exact: no floats anywhere.  Fraction-free Bareiss elimination runs on
+plain ints (rational matrices are first scaled by the lcm of their
+denominators): bareiss, with row swaps, gives determinants and inverses;
+scale_pass, the one symmetric elimination, gives a symmetric matrix's
+determinant, signature, 2-adic Jordan splitting, frame and short vectors.
 """
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, lcm
 from operator import add, eq, mul, or_
 
@@ -109,7 +109,7 @@ def is_prime(n):
     return True
 
 
-def bareiss(m, symmetric=False):
+def bareiss(m):
     """Fraction-free Gaussian elimination of an int matrix, in place.
 
     The pivots come from the leading n x n block of the n rows of m; any
@@ -117,68 +117,38 @@ def bareiss(m, symmetric=False):
 
     After step k, m[k][k] is the leading (k+1)-minor D_k of the matrix as
     rearranged so far and m[k][j], j > k, the rest of pivot row k; every
-    division is exact.  A zero pivot is replaced by a row swap or, with
-    symmetric=True, by a congruence that keeps the form: a swap of row and
-    column with a later nonzero diagonal entry, else row/col i += row/col j
-    for the first nonzero off-diagonal entry (i, j) of the remaining block.
-    A positive definite matrix needs neither.  Returns (r, sign): r < n
-    pivots when m is singular, sign the parity of the plain row swaps.
-
-    With symmetric=True that block must be symmetric, and only its upper
-    triangle is updated (a congruence's column operations stay inside it):
-    each intermediate entry is a bordered minor
-    det(rows 0..k-1, i; columns 0..k-1, j), symmetric in i and j, so row i
-    needs columns i.. only, with its multiplier read from the pivot row.
-    The strict lower triangle is left stale; the trailing block is
-    mirrored from its upper triangle before a zero pivot is replaced.
+    division is exact.  A zero pivot is replaced by a row swap.  Returns
+    (r, sign): r < n pivots when m is singular, sign the parity of the
+    swaps.
 
     A step only scales a row with multiplier 0 by D_k / D_{k-1}, so such a
-    row keeps the D_j it was last scaled to, and x D_{k-1} / D_j (exact)
-    brings it up to date when it is next used or at a zero pivot.
+    row keeps the D_j it was last scaled to, at[i], and x D_{k-1} / D_j
+    (exact) brings it up to date when it is next used or at a zero pivot.
     """
-    n, sign, prev = len(m), 1, 1
-    scale = [1] * n     # the D_j row i was last scaled to
-
-    def catch_up(i, k):     # to prev = D_{k-1}
-        old = scale[i]
-        if old != prev:
-            m[i][k:] = [x * prev // old for x in m[i][k:]]
-            scale[i] = prev
-
+    n, sign, prev, at = len(m), 1, 1, [1] * len(m)
     for k in range(n):
         if m[k][k] == 0:
             for i in range(k, n):
-                catch_up(i, k)
-            if symmetric:
-                for i in range(k + 1, n):
-                    m[i][k:i] = [m[j][i] for j in range(k, i)]
-                piv = next((i for i in range(k + 1, n) if m[i][i]), None)
-                if piv is None:
-                    fold = next(((i, j) for i in range(k, n)
-                                 for j in range(i + 1, n) if m[i][j]), None)
-                    if fold is None:
-                        return k, sign
-                    piv, j = fold
-                    m[piv] = [x + y for x, y in zip(m[piv], m[j])]
-                    for row in m:
-                        row[piv] += row[j]
-                for row in m:
-                    row[k], row[piv] = row[piv], row[k]
-            else:
-                piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-                if piv is None:
-                    return k, sign
-                sign = -sign
+                m[i][k:] = [x * prev // at[i] for x in m[i][k:]]
+                at[i] = prev
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return k, sign
+            sign = -sign
             m[k], m[piv] = m[piv], m[k]
-        catch_up(k, k)
-        d, rk = m[k][k], m[k]
+        rk = m[k]
+        if at[k] != prev:
+            rk[k:] = [x * prev // at[k] for x in rk[k:]]
+        d = rk[k]
         for i in range(k + 1, n):
-            if rk[i] if symmetric else m[i][k]:
-                catch_up(i, k)
-                ri = m[i]
-                s, c = (i, rk[i]) if symmetric else (k + 1, ri[k])
-                ri[s:] = [(x * d - c * y) // prev for x, y in zip(ri[s:], rk[s:])]
-                scale[i] = d
+            ri = m[i]
+            if ri[k]:
+                if at[i] != prev:
+                    ri[k:] = [x * prev // at[i] for x in ri[k:]]
+                c = ri[k]
+                ri[k + 1:] = [(x * d - c * y) // prev
+                              for x, y in zip(ri[k + 1:], rk[k + 1:])]
+                at[i] = d
         prev = d
     return n, sign
 
@@ -234,59 +204,90 @@ def _parity_order(bits):
     return blocks
 
 
-def scale_pass(g):
-    """Symmetric Bareiss elimination of an int Gram matrix whose pivots,
-    ordered scale by scale, are its 2-adic Jordan splitting.
+def scale_pass(m):
+    """Symmetric Bareiss elimination of the n rows of an int matrix whose
+    leading n x n block G is symmetric, any further columns carried along.
+    Its pivots, ordered scale by scale, are the 2-adic Jordan splitting.
 
-    Returns None for a degenerate form, else (pivots, steps, bounds):
-    pivots[k] = D_k, the leading (k+1)-minor of the rearranged form; steps
-    the (k, s, size) of each piece of scale 2^s, a 1x1 block at k or a
-    pair at k, k+1; bounds the (k, upper rows (i, i..)) of the trailing
-    block B = D_{k-1} S at each scale boundary k, S the Schur complement
-    of the leading k x k block.  With v the lowest set bit of B,
-    s = v - v_2(D_{k-1}) and (x >> v) & 1 is S / 2^s modulo 2.  A pivot
-    2^s u, u odd, updates S / 2^s by x y modulo 2, so the blocks of
-    _parity_order on those bits, moved to the front, are the pieces of
-    scale s.  A pair with first diagonal entry 0 is swapped with its
-    partner, or folded by row/col k += row/col k+1 when both are 0, which
-    keeps it odd; so no pivot is 0.
+    Returns None for a degenerate G, else (pivots, steps, bounds, rows,
+    order) over the rearranged basis, whose vector k is vector order[k] of
+    G unless a pair was folded: pivots[k] = D_k, its leading (k+1)-minor;
+    rows[k] pivot row k, its entries (k, k..) and then its carried columns,
+    so the form is sum_k (sum_j rows[k][j] x_{k+j})^2 / (D_k D_{k-1}),
+    D_-1 = 1, and the carried T of [G | I] has T G T^T = diag(D_{k-1} D_k);
+    steps the (k, s, size) of each piece of scale 2^s, a 1x1 block at k or
+    a pair at k, k+1; bounds the (k, upper rows (i, i..), carried columns
+    after them) of the trailing block B = D_{k-1} S at each scale boundary
+    k, S the Schur complement of the leading k x k block.
+
+    With v the lowest set bit of B, s = v - v_2(D_{k-1}) and (x >> v) & 1
+    is S / 2^s modulo 2.  A pivot 2^s u, u odd, updates S / 2^s by x y
+    modulo 2, so the blocks of _parity_order on those bits, moved to the
+    front, are the pieces of scale s.  A pair with first diagonal entry 0
+    is swapped with its partner, or folded by row/col k += row/col k+1
+    when both are 0, which keeps it odd; so no pivot is 0.  Rows are kept
+    from the diagonal on (an entry is a bordered minor, symmetric in its
+    row and column, so a row's multiplier is read from the pivot row).  A
+    step leaves a row whose multiplier is 0 alone: it keeps the D_j it was
+    last scaled to, and x D_{k-1} / D_j (exact) brings it up to date when
+    it is next used and at a scale boundary.
     """
-    n, t = len(g), [row[i:] for i, row in enumerate(g)]
-    pivots, steps, bounds, prev = [], [], [], 1
+    n, t, at = len(m), [row[i:] for i, row in enumerate(m)], [1] * len(m)
+    pivots, steps, bounds, rows, order, prev = [], [], [], [], list(range(n)), 1
     while t:
-        k = n - len(t)
+        k, w = n - len(t), len(t)
+        t = [row if s == prev else [x * prev // s for x in row]
+             for row, s in zip(t, at)]
         bounds.append((k, t))
-        low = reduce(or_, chain.from_iterable(t), 0)
+        low = reduce(or_, chain.from_iterable(map(islice, t, range(w, 0, -1))))
         if not low:
             return None
         one = low & -low
         scale = one.bit_length() - (prev & -prev).bit_length()
         full = [[t[c][b - c] for c in range(b)] + row for b, row in enumerate(t)]
-        blocks = _parity_order(
-            [sum(1 << c for c, x in enumerate(row) if x & one) for row in full])
+        blocks = _parity_order([sum(1 << c for c, x in zip(range(w), row)
+                                    if x & one) for row in full])
         perm = [i for block in blocks for i in block]
-        perm += sorted(set(range(len(t))) - set(perm))
-        t = [[full[i][j] for j in perm[a:]] for a, i in enumerate(perm)]
-        a = 0
+        perm += sorted(set(range(w)) - set(perm))
+        t = [[full[i][j] for j in perm[a:]] + full[i][w:]
+             for a, i in enumerate(perm)]
+        order[k:] = [order[k + i] for i in perm]
+        for p, row in enumerate(rows):
+            row[k - p:n - p] = [row[k - p + i] for i in perm]
+        at, a = [prev] * w, 0
         for block in blocks:
             steps.append((k + a, scale, len(block)))
             if len(block) == 2 and not t[a][0]:
-                ua, ub = t[a], t[a + 1]
+                ua, ub = ([x * prev // at[i] for x in t[i]] for i in (a, a + 1))
+                at[a] = at[a + 1] = prev
+                j = k + a
                 if ub[0]:
                     t[a], t[a + 1] = [ub[0], ua[1]] + ub[1:], [0] + ua[2:]
+                    order[j], order[j + 1] = order[j + 1], order[j]
+                    for p, row in enumerate(rows):
+                        row[j - p], row[j - p + 1] = row[j - p + 1], row[j - p]
                 else:
-                    t[a] = [2 * ua[1], ua[1]] + list(map(add, ua[2:], ub[1:]))
+                    t[a], t[a + 1] = [2 * ua[1], ua[1]] + list(
+                        map(add, ua[2:], ub[1:])), ub
+                    for p, row in enumerate(rows):
+                        row[j - p] += row[j - p + 1]
             for i in range(a, a + len(block)):
-                ui, d = t[i], t[i][0]
-                for b in range(i + 1, len(t)):
+                ui = t[i] if at[i] == prev else [x * prev // at[i] for x in t[i]]
+                d = ui[0]
+                for b in range(i + 1, w):
                     c = ui[b - i]
-                    t[b] = [(x * d - c * y) // prev
-                            for x, y in zip(t[b], ui[b - i:])]
+                    if c:
+                        rb = (t[b] if at[b] == prev
+                              else [x * prev // at[b] for x in t[b]])
+                        t[b] = [(x * d - c * y) // prev
+                                for x, y in zip(rb, ui[b - i:])]
+                        at[b] = d
                 pivots.append(d)
+                rows.append(ui)
                 prev = d
             a += len(block)
-        t = t[a:]
-    return pivots, steps, bounds
+        t, at = t[a:], at[a:]
+    return pivots, steps, bounds, rows, order
 
 
 def pivot_form(pivots, den=1):

@@ -84,22 +84,19 @@ class Lattice:
         The p are pairwise orthogonal primitive integer vectors spanning the
         subspace; each w is a positive integer multiple of G p, so that
         dot(w, y) has the sign of <p, y> for every lattice vector y.  Row k
-        of the right block of bareiss([G | I], symmetric=True) is orthogonal
-        to the other rows, with a square of the sign of D_k D_{k-1}.
+        of the carried block T of scale_pass([G | I]) has
+        <T_k, T_j> = 0 for j != k and <T_k, T_k> = D_{k-1} D_k.
         """
         if self._positive_frame is None:
             n = self.rank
             _den, g = intmat._scaled(self.gram)
-            m = [row + [int(i == j) for j in range(n)]
-                 for i, row in enumerate(g)]
-            intmat.bareiss(m, symmetric=True)
-            pivots = [1] + [m[k][k] for k in range(n)]
-            frame = []
-            for k in range(n):
-                if pivots[k] * pivots[k + 1] > 0:
-                    p = _primitive(m[k][n:])
-                    frame.append((p, _primitive(intmat.mat_vec(g, p))))
-            self._positive_frame = frame
+            pivots, _steps, _bounds, rows, _order = intmat.scale_pass(
+                [row + [int(i == j) for j in range(n)] for i, row in enumerate(g)])
+            minors = [1] + pivots
+            frame = [_primitive(row[n - k:]) for k, row in enumerate(rows)
+                     if minors[k] * minors[k + 1] > 0]
+            self._positive_frame = [(p, _primitive(intmat.mat_vec(g, p)))
+                                    for p in frame]
         return self._positive_frame
 
     def dual_gram(self):

@@ -68,15 +68,16 @@ def short_vectors(lat_or_gram, n):
         raise ValueError("target square must be negative")
     if rank == 0:
         return []
-    # Bareiss pivot rows e of the negated form, scaled together with the
-    # target to integers: with D_k = e[k][k] and D_-1 = 1,
-    # Q(x) = sum_k (D_k x_k + sum_{j>k} e[k][j] x_j)^2 / (D_k D_{k-1})
-    e = intmat._scaled([[-x for x in row] for row in gram] + [[-n]])[1]
-    target = e.pop()[0]
-    intmat.bareiss(e, symmetric=True)
-    minors = [1] + [e[k][k] for k in range(rank)]
-    if min(minors) <= 0:
+    # pivot rows e of the negated form over the basis order of scale_pass,
+    # scaled with the target to ints (x is mapped back): with D_k = e[k][0],
+    # D_-1 = 1, Q(x) = sum_k (sum_j e[k][j] x_{k+j})^2 / (D_k D_{k-1})
+    m = intmat._scaled([[-x for x in row] for row in gram] + [[-n]])[1]
+    target = m.pop()[0]
+    jordan = intmat.scale_pass(m)
+    if jordan is None or min(jordan[0]) <= 0:
         raise ValueError("form is not positive definite")
+    minors, e, order = [1] + jordan[0], jordan[3], jordan[4]
+    back = sorted(range(rank), key=order.__getitem__)
     # scale so that every level's weight L / (D_k D_{k-1}) is an integer
     weight = [minors[k + 1] * minors[k] for k in range(rank)]
     scale = lcm(*weight)
@@ -87,9 +88,9 @@ def short_vectors(lat_or_gram, n):
 
     def descend(k, remaining, top):
         # top: every coordinate above k is zero, so x_k >= 0 there keeps
-        # one vector of each antipodal pair
+        # one vector of each antipodal pair; x_k is still 0 in c
         row, d, w = e[k], minors[k + 1], weight[k]
-        c = 0 if top else sum(map(mul, row[k + 1:], x[k + 1:]))
+        c = 0 if top else sum(map(mul, row, x[k:]))
         if k == 0:
             # the last coordinate must use up the budget exactly
             s, r = divmod(remaining, w)
@@ -101,7 +102,7 @@ def short_vectors(lat_or_gram, n):
                 if r or (top and xk <= 0):
                     continue
                 x[0] = xk
-                out.append(_first_positive(x))
+                out.append(_first_positive([x[j] for j in back]))
             x[0] = 0
             return
         b = isqrt(remaining // w)

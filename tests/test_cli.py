@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from latsym import cli, intmat, isometry, lattice
@@ -193,9 +193,10 @@ def test_isometry_entry_beyond_bit_cap(capsys, tmp_path, entry):
 
 
 def test_info_of_large_dual_exits_quickly():
-    # the inverse behind the dual is fraction-free and leaves the rows with
-    # multiplier 0 alone; the dual is not integral
-    for target in ("A160v", "A400v", "A512v"):
+    # the inverse behind the dual and the symmetric elimination of its
+    # Gram are fraction-free and leave the rows with multiplier 0 alone;
+    # the dual is not integral
+    for target in ("A160v", "A400v", "A512v", "A20v^24", "A30v^17"):
         done = latsym_process(["info", target], timeout=10)
         assert (done.returncode, done.stdout) == (2, "")
         assert "integral Gram matrix" in done.stderr
@@ -313,6 +314,105 @@ def test_cli_on_random_expressions(expr, command):
     else:
         assert rc == 0
         assert json.loads(out.getvalue().splitlines()[0])
+
+
+# JSON values of every kind a file may hold where an exact entry belongs
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(2**128, 2**136),
+    st.integers(-2**136, -2**128), st.floats(),
+    st.sampled_from((float("inf"), float("-inf"), float("nan"))),
+    st.sampled_from(("1e3", "1e500000", "-7", "3/4", "1/0", "0x10", "",
+                     "Lambda", "gram", "matrix", str(2**130), "1/%d" % 3**90)),
+    st.text(max_size=6))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda kids: st.lists(kids, max_size=4)
+                           | st.dictionaries(st.sampled_from(
+                               ("gram", "matrix", "lattice", "name", "blocks")),
+                               kids, max_size=3), max_leaves=20)
+
+
+@st.composite
+def lattice_documents(draw):
+    """Any JSON value, or an object with a random gram field, or a small
+    int gram with up to two entries replaced by random leaves, with random
+    name and blocks fields (blocks also as pairs of random leaves)."""
+    kind = draw(st.sampled_from(("any", "gram", "square")))
+    if kind == "any":
+        return draw(JSON_VALUES)
+    doc = draw(st.dictionaries(st.sampled_from(("name", "blocks")), JSON_VALUES,
+                               max_size=2))
+    if draw(st.booleans()):
+        doc["blocks"] = draw(st.lists(st.tuples(JSON_LEAVES, JSON_LEAVES),
+                                      max_size=3))
+    if kind == "gram":
+        doc["gram"] = draw(JSON_VALUES)
+        return doc
+    n = draw(st.integers(0, 4))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        gram[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+            JSON_LEAVES)
+    doc["gram"] = gram
+    return doc
+
+
+@st.composite
+def isometry_documents(draw):
+    """Any JSON value, or an object whose matrix is a random value or the
+    identity of Lambda with up to three entries replaced by random leaves,
+    over Lambda, a random lattice reference or a lattice document."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    if draw(st.booleans()):
+        matrix = draw(JSON_VALUES)
+    else:
+        matrix = intmat.identity(16)
+        for _ in range(draw(st.integers(0, 3))):
+            matrix[draw(st.integers(0, 15))][draw(st.integers(0, 15))] = draw(
+                JSON_LEAVES)
+    ref = draw(st.sampled_from(("Lambda", "value", "lattice", None)))
+    doc = {"matrix": matrix}
+    if ref is not None:
+        doc["lattice"] = {"Lambda": "Lambda", "value": draw(JSON_VALUES),
+                          "lattice": draw(lattice_documents())}[ref]
+    return doc
+
+
+@st.composite
+def json_files(draw):
+    """(command, file text): lattice documents for info and genus, isometry
+    documents for report and walls, some of them nested very deeply."""
+    command = draw(st.sampled_from(("info", "genus", "report", "walls")))
+    text = json.dumps(draw(lattice_documents() if command in ("info", "genus")
+                           else isometry_documents()))
+    depth = draw(st.sampled_from((0,) * 8 + (50, 100000)))
+    return command, "[" * depth + text + "]" * depth
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(json_files())
+@example(("report", '["matrix"]'))
+@example(("info", '{"gram": [[2]], "blocks": [["A1", Infinity]]}'))
+@example(("walls", "[" * 100000 + "]" * 100000))
+def test_cli_on_malformed_json_files(tmp_path, case):
+    """Each file exits 0 or 2 within 10 s, with no traceback."""
+    command, text = case
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([command, str(path), "--format", "json"])
+    assert time.perf_counter() - start < 10
+    if rc == 2:
+        assert (out.getvalue(), err.getvalue()[:7]) == ("", "error: ")
+    else:
+        assert rc == 0
+        assert json.loads(out.getvalue().splitlines()[-1])
 
 
 def test_report_exceptional(capsys, tmp_path, model):
@@ -438,6 +538,18 @@ def test_verify_table_partial_db(capsys, tmp_path, model):
     assert "corrupt.json" in out
     # two valid representatives match, coverage of 32 rows does not
     assert out.splitlines()[-1] == "3 files, 2/32 rows matched (2 regular), 1 failures"
+
+
+def test_verify_table_malformed_files(capsys, tmp_path):
+    """Each malformed file is one failure, not a traceback."""
+    texts = ['["matrix"]', '{"matrix": 5}', '{"matrix": [[NaN]]}',
+             '{"matrix": [[1]', "[" * 100000 + "]" * 100000]
+    for i, text in enumerate(texts):
+        (tmp_path / ("bad%d.json" % i)).write_text(text)
+    rc, out, _err = run(capsys, ["verify-table", str(tmp_path)])
+    assert rc == 1
+    assert out.count("FAIL bad") == len(texts)
+    assert out.splitlines()[-1] == "5 files, 0/32 rows matched (0 regular), 5 failures"
 
 
 def test_verify_table_env(capsys, tmp_path, monkeypatch, model):

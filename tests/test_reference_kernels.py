@@ -397,6 +397,21 @@ def test_small_short_vectors_match_reference(name):
         assert walls.short_vectors(gram, t) == ref_short_vectors(gram, t)
 
 
+@pytest.mark.parametrize("expr, order", [
+    ("A1(2)+A1", [1, 0]), ("D4(2)+A1", [4, 0, 1, 2, 3]),
+    ("A1(4)+A1+A2(2)", [1, 2, 3, 0])])
+def test_short_vectors_in_scale_order(expr, order):
+    """Odd diagonal entries after even ones: scale_pass puts the pieces of
+    the lowest scale first, and each vector is mapped back to the basis
+    of the Gram."""
+    gram = lattice.build_named(expr).gram
+    assert intmat.scale_pass([[-x for x in row] for row in gram])[4] == order
+    for seed in range(-1, 4):
+        g = gram if seed < 0 else _rebased(gram, random.Random(seed), 3 * len(gram))
+        for t in (-2, -4, -6, -8, -12):
+            assert walls.short_vectors(g, t) == ref_short_vectors(g, t)
+
+
 def test_orientation_conventions():
     model = standard_model()
     lam = model.lattice
@@ -484,7 +499,8 @@ def ref_frac_det(a):
 
 
 def ref_bareiss(m, symmetric=False):
-    """intmat.bareiss as it was, updating the whole trailing block."""
+    """intmat.bareiss as it was, updating the whole trailing block; with
+    symmetric=True it pivots by congruence, as its symmetric mode did."""
     n = len(m)
     sign = 1
     prev = 1
@@ -764,15 +780,32 @@ def _upper(m):
     return [row[i:] for i, row in enumerate(m)]
 
 
-def assert_bareiss_matches(g):
-    """The symmetric pass gives the reference's rank and upper triangle;
-    the plain pass is unchanged, lower triangle included."""
-    for symmetric in (True, False):
-        got, ref = [list(row) for row in g], [list(row) for row in g]
-        assert intmat.bareiss(got, symmetric) == ref_bareiss(ref, symmetric)
-        if symmetric:
-            got, ref = _upper(got), _upper(ref)
-        assert got == ref
+def assert_bareiss_matches(g, carry=False):
+    """The plain pass gives the reference's whole matrix, on G or, with
+    carry, on the rows of [G | I].  scale_pass on [G | I] returns None
+    exactly when the reference's symmetric pass finds G degenerate; else
+    its carried block T has T G T^T = diag(D_{k-1} D_k), its last pivot is
+    the determinant and Jacobi's rule on its pivots gives the signature."""
+    n = len(g)
+    gi = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
+    plain = gi if carry else g
+    got, ref = [list(row) for row in plain], [list(row) for row in plain]
+    assert intmat.bareiss(got) == ref_bareiss(ref)
+    assert got == ref
+    ref = [list(row) for row in g]
+    rank, _sign = ref_bareiss(ref, True)
+    jordan = intmat.scale_pass(gi)
+    assert (jordan is None) == (rank < n)
+    if jordan is None:
+        return
+    pivots, _steps, _bounds, rows, _order = jordan
+    minors = [1] + pivots
+    t = [row[n - k:] for k, row in enumerate(rows)]
+    assert intmat.mat_mul(t, intmat.mat_mul(g, intmat.transpose(t))) == [
+        [minors[k] * minors[k + 1] * (j == k) for j in range(n)] for k in range(n)]
+    det = ref_frac_det(g)
+    assert minors[-1] == det == (ref[-1][-1] if n else 1)
+    assert intmat.pivot_form(pivots) == (det, ref_symmetric_signature(g))
 
 
 def assert_matches_reference(g):
@@ -857,7 +890,7 @@ def test_scale_pass_pair_above_scale_zero(pair):
     entry 0 is swapped with its partner's, or folded when both are 0, so
     that D_1 = -2 * 8 in every case."""
     g = [[-2, 0, 0], [0] + pair[0], [0] + pair[1]]
-    pivots, steps, bounds = intmat.scale_pass(g)
+    pivots, steps, bounds, _rows, _order = intmat.scale_pass(g)
     assert steps == [(0, 1, 1), (1, 2, 2)]
     assert pivots == [-2, -16, 32]
     assert bounds == [(0, _upper(g)), (1, [[-2 * x for x in row[i:]]
@@ -918,7 +951,7 @@ def test_bareiss_late_pivot_examples():
         assert g[0][0] * g[1][1] == g[0][1] ** 2 != 0
         assert_bareiss_matches(g)
     assert fold[0][0] * fold[2][2] == fold[0][2] ** 2
-    assert intmat.bareiss([row[:] for row in singular], True)[0] == 1
+    assert intmat.scale_pass(singular) is None
 
 
 @st.composite
@@ -942,11 +975,20 @@ def sparse_grams(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_grams(), st.booleans())
 def test_bareiss_matches_reference_on_sparse_grams(g, carry):
-    """Also on the rows of [G | I], as the inverse and the frame use them."""
-    if carry:
-        g = [row + [int(i == j) for j in range(len(g))]
-             for i, row in enumerate(g)]
-    assert_bareiss_matches(g)
+    """The plain pass also on the rows of [G | I], as the inverse uses them."""
+    assert_bareiss_matches(g, carry)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_grams(), st.lists(st.integers(0, 3), min_size=20, max_size=20))
+def test_scale_pass_matches_reference_on_sparse_grams(g, exps):
+    """Basis vector i scaled by 2^exps[i]: rows left at an old D_j by zero
+    multipliers meet later pieces and scale boundaries, where the trailing
+    block must be up to date for the genus."""
+    g = [[x << exps[i] + exps[j] for j, x in enumerate(row)]
+         for i, row in enumerate(g)]
+    assume(ref_frac_det(g) != 0)
+    assert_matches_reference(g)
 
 
 @settings(max_examples=60, deadline=None)

@@ -119,16 +119,18 @@ def _prime_factors(n):
         if intmat.is_prime(m):
             out.add(m)
         else:
-            f = _power_root(m) or _rho_divisor(m)
+            f = _power_root(m, 1 << 10) or _rho_divisor(m)
             rest += [f, m // f]
     return sorted(out)
 
 
-def _power_root(n):
-    """r with r^k = n for the least k >= 2, or None if n is no power.
-
-    Rho needs about sqrt(q) steps to split a power of a large prime q."""
-    for k in range(2, n.bit_length() + 1):
+def _power_root(n, least=2):
+    """r with r^k = n for the least prime k, or None if n is no power (an
+    r^k is an (r^(k/q))^q for a prime q | k).  With no prime below least
+    dividing n, r >= least and k <= log_least(n): bits / 10 in
+    _prime_factors.  Rho needs about sqrt(q) steps on a power of a prime q."""
+    for k in filter(intmat.is_prime,
+                    range(2, n.bit_length() // (least.bit_length() - 1) + 1)):
         if k == 2:
             r = isqrt(n)
         else:

@@ -6,6 +6,9 @@ plain ints (rational matrices are first scaled by the lcm of their
 denominators): bareiss, with row swaps, gives determinants and inverses;
 scale_pass, the one symmetric elimination, gives a symmetric matrix's
 determinant, signature, 2-adic Jordan splitting, frame and short vectors.
+scale_pass finds each 2-adic piece in the block it is eliminating, one
+bit test per entry; a row with no odd entry keeps none until the scale
+ends, so no search goes over it twice.
 """
 
 from fractions import Fraction
@@ -178,32 +181,6 @@ def frac_det(a):
     return Fraction(det(m), den ** len(m))
 
 
-def _parity_order(bits):
-    """Pivot blocks, in order, of an elimination by swaps only of a
-    symmetric matrix over F_2 given as bit rows: (i,) for an odd diagonal
-    entry, failing one (i, j) for the first odd entry, a pair whose
-    inverse is [[0, 1], [1, 0]].  Their total size is the rank."""
-    live, blocks = list(range(len(bits))), []
-    while live:
-        mask = sum(1 << t for t in live)
-        i = next((i for i in live if bits[i] >> i & 1), None)
-        if i is not None:
-            block = (i,)
-        elif (i := next((i for i in live if bits[i] & mask), None)) is None:
-            break
-        else:
-            low = bits[i] & mask
-            block = (i, (low & -low).bit_length() - 1)
-        live = [t for t in live if t not in block]
-        for t in live:
-            x = bits[t]
-            for b, c in zip(block, reversed(block)):
-                if x >> b & 1:
-                    bits[t] ^= bits[c]
-        blocks.append(block)
-    return blocks
-
-
 def scale_pass(m):
     """Symmetric Bareiss elimination of the n rows of an int matrix whose
     leading n x n block G is symmetric, any further columns carried along.
@@ -220,58 +197,82 @@ def scale_pass(m):
     after them) of the trailing block B = D_{k-1} S at each scale boundary
     k, S the Schur complement of the leading k x k block.
 
-    With v the lowest set bit of B, s = v - v_2(D_{k-1}) and (x >> v) & 1
-    is S / 2^s modulo 2.  A pivot 2^s u, u odd, updates S / 2^s by x y
-    modulo 2, so the blocks of _parity_order on those bits, moved to the
-    front, are the pieces of scale s.  A pair with first diagonal entry 0
-    is swapped with its partner, or folded by row/col k += row/col k+1
-    when both are 0, which keeps it odd; so no pivot is 0.  Rows are kept
-    from the diagonal on (an entry is a bordered minor, symmetric in its
-    row and column, so a row's multiplier is read from the pivot row).  A
-    step leaves a row whose multiplier is 0 alone: it keeps the D_j it was
-    last scaled to, and x D_{k-1} / D_j (exact) brings it up to date when
-    it is next used and at a scale boundary.
+    Rows are kept from the diagonal on (an entry is a bordered minor,
+    symmetric in its row and column, so a row's multiplier is read from
+    the pivot row).  A step leaves a row whose multiplier is 0 alone: it
+    keeps the D_j it was last scaled to, at[i], so it holds D_j S, and
+    x D_{k-1} / D_j (exact) brings it up to date when it is next used and
+    at a scale boundary.  There the lowest set bit v of B gives the scale
+    s = v - v_2(D_{k-1}); S stays divisible by 2^s while pieces of scale s
+    are taken (their inverses have valuation -s), so an entry x of a row
+    at D_j is odd at scale s iff bit v_2(D_j) + s of x is set.  A piece is
+    the first row with an odd diagonal entry; failing one, the first row
+    with an odd entry and its first odd column, a pair whose first
+    diagonal entry 0 is swapped with its partner's, or folded by row/col
+    k += row/col k+1 when both are 0, which keeps it odd; failing both,
+    the scale has ended.  The piece moves ahead of the rows left, which
+    hand it their entries in its columns, and those columns move in the
+    pivot rows taken.  A row with no odd entry has even multipliers onto
+    each piece of the scale, so it gets none: no search goes over it again.
     """
     n, t, at = len(m), [row[i:] for i, row in enumerate(m)], [1] * len(m)
     pivots, steps, bounds, rows, order, prev = [], [], [], [], list(range(n)), 1
     while t:
-        k, w = n - len(t), len(t)
+        w = len(t)
         t = [row if s == prev else [x * prev // s for x in row]
              for row, s in zip(t, at)]
-        bounds.append((k, t))
+        bounds.append((n - w, t))
         low = reduce(or_, chain.from_iterable(map(islice, t, range(w, 0, -1))))
         if not low:
             return None
-        one = low & -low
-        scale = one.bit_length() - (prev & -prev).bit_length()
-        full = [[t[c][b - c] for c in range(b)] + row for b, row in enumerate(t)]
-        blocks = _parity_order([sum(1 << c for c, x in zip(range(w), row)
-                                    if x & one) for row in full])
-        perm = [i for block in blocks for i in block]
-        perm += sorted(set(range(w)) - set(perm))
-        t = [[full[i][j] for j in perm[a:]] + full[i][w:]
-             for a, i in enumerate(perm)]
-        order[k:] = [order[k + i] for i in perm]
-        for p, row in enumerate(rows):
-            row[k - p:n - p] = [row[k - p + i] for i in perm]
-        at, a = [prev] * w, 0
-        for block in blocks:
-            steps.append((k + a, scale, len(block)))
-            if len(block) == 2 and not t[a][0]:
-                ua, ub = ([x * prev // at[i] for x in t[i]] for i in (a, a + 1))
-                at[a] = at[a + 1] = prev
-                j = k + a
-                if ub[0]:
-                    t[a], t[a + 1] = [ub[0], ua[1]] + ub[1:], [0] + ua[2:]
-                    order[j], order[j + 1] = order[j + 1], order[j]
-                    for p, row in enumerate(rows):
-                        row[j - p], row[j - p + 1] = row[j - p + 1], row[j - p]
+        scale = (low & -low).bit_length() - (prev & -prev).bit_length()
+        t, at, even = [row[:] for row in t], [prev] * w, 0
+        while t:
+            # rows t[:even] have no odd entry at this scale
+            k, w = n - len(t), len(t)
+            r = next((r for r in range(even, w)
+                      if t[r][0] & ((at[r] & -at[r]) << scale)), None)
+            block = (r,)
+            if r is None:
+                for r in range(even, w):
+                    b, row = (at[r] & -at[r]) << scale, t[r]
+                    j = next((j for j in range(1, w - r) if row[j] & b), 0)
+                    if j:
+                        break
+                    even = r + 1
                 else:
-                    t[a], t[a + 1] = [2 * ua[1], ua[1]] + list(
+                    break
+                block = (r, r + j)
+            for to, r in enumerate(block):
+                if r == to:
+                    continue
+                # row r moves ahead of rows to..r-1, which hand it their
+                # entries in its column; the rows before them move it
+                row = t[r] if at[r] == prev else [x * prev // at[r] for x in t[r]]
+                new = row[:1]
+                for c in range(to, r):
+                    x = t[c].pop(r - c)
+                    new.append(x if at[c] == prev else x * prev // at[c])
+                for c, rc in enumerate(chain(rows, t[:to]), -k):
+                    rc.insert(to - c, rc.pop(r - c))
+                t[to:r + 1] = [new + row[1:]] + t[to:r]
+                at[to:r + 1] = [prev] + at[to:r]
+                order[k + to:k + r + 1] = [order[k + r]] + order[k + to:k + r]
+            steps.append((k, scale, len(block)))
+            if len(block) == 2 and not t[0][0]:
+                ua, ub = ([x * prev // at[i] for x in t[i]] for i in (0, 1))
+                at[0] = at[1] = prev
+                if ub[0]:
+                    t[0], t[1] = [ub[0], ua[1]] + ub[1:], [0] + ua[2:]
+                    order[k], order[k + 1] = order[k + 1], order[k]
+                    for p, row in enumerate(rows):
+                        row[k - p], row[k - p + 1] = row[k - p + 1], row[k - p]
+                else:
+                    t[0], t[1] = [2 * ua[1], ua[1]] + list(
                         map(add, ua[2:], ub[1:])), ub
                     for p, row in enumerate(rows):
-                        row[j - p] += row[j - p + 1]
-            for i in range(a, a + len(block)):
+                        row[k - p] += row[k - p + 1]
+            for i in range(len(block)):
                 ui = t[i] if at[i] == prev else [x * prev // at[i] for x in t[i]]
                 d = ui[0]
                 for b in range(i + 1, w):
@@ -285,8 +286,7 @@ def scale_pass(m):
                 pivots.append(d)
                 rows.append(ui)
                 prev = d
-            a += len(block)
-        t, at = t[a:], at[a:]
+            del t[:len(block)], at[:len(block)]
     return pivots, steps, bounds, rows, order
 
 

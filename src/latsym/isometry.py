@@ -544,5 +544,4 @@ def isometry_from_json(data):
         lat = lattice.lattice_from_json(ref)
     else:
         raise ValueError("unknown lattice reference %r" % (ref,))
-    return make_isometry(lat, [[lattice.parse_entry(x) for x in row]
-                               for row in data["matrix"]])
+    return make_isometry(lat, lattice.parse_matrix(data["matrix"]))

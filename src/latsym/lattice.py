@@ -443,17 +443,22 @@ def parse_entry(x):
     return _as_exact(x)
 
 
+def parse_matrix(rows):
+    """A JSON matrix with entries as parse_entry reads them: an all-int one
+    is kept as it is after one size check, any other is read entry by entry."""
+    flat = list(chain.from_iterable(rows))
+    if set(map(type, flat)) <= {int}:
+        _check_size(0, flat)
+        return rows
+    return [[parse_entry(x) for x in row] for row in rows]
+
+
 def lattice_from_json(data):
     """Inverse of lattice_to_json; entries as parse_entry reads them."""
     if "gram" not in data:
         raise ValueError("lattice data needs a gram field")
-    gram = data["gram"]
-    _check_size(len(gram), ())
-    flat = list(chain.from_iterable(gram))
-    if set(map(type, flat)) <= {int}:
-        _check_size(0, flat)
-    else:
-        gram = [[parse_entry(x) for x in row] for row in gram]
+    _check_size(len(data["gram"]), ())
+    gram = parse_matrix(data["gram"])
     blocks = data.get("blocks")
     if blocks:
         blocks = [(str(label), int(rank)) for label, rank in blocks]

@@ -10,7 +10,7 @@ the pointlike-exceptional set; all four together form the full wall set.
 from math import isqrt, lcm
 from operator import mul
 
-from . import intmat
+from . import intmat, lattice
 
 PEX2 = "PEX2"
 PEX4 = "PEX4"
@@ -60,26 +60,34 @@ def short_vectors(lat_or_gram, n):
     coordinate is positive; output sorted lexicographically.  Rational
     Grams and targets are scaled to integers first.  The enumeration visits
     one vector of each pair (the last nonzero coordinate positive) and
-    solves for the first coordinate instead of searching it.
+    solves for the first coordinate instead of searching it.  An integral
+    Lattice and an int target reuse the lattice's own scale_pass.
     """
-    gram = lat_or_gram.gram if hasattr(lat_or_gram, "gram") else lat_or_gram
+    lat = lat_or_gram if isinstance(lat_or_gram, lattice.Lattice) else None
+    gram = lat_or_gram if lat is None else lat.gram
     rank = len(gram)
     if n >= 0:
         raise ValueError("target square must be negative")
     if rank == 0:
         return []
-    # pivot rows e of the negated form over the basis order of scale_pass,
-    # scaled with the target to ints (x is mapped back): with D_k = e[k][0],
-    # D_-1 = 1, Q(x) = sum_k (sum_j e[k][j] x_{k+j})^2 / (D_k D_{k-1})
-    m = intmat._scaled([[-x for x in row] for row in gram] + [[-n]])[1]
-    target = m.pop()[0]
-    jordan = intmat.scale_pass(m)
-    if jordan is None or min(jordan[0]) <= 0:
-        raise ValueError("form is not positive definite")
-    minors, e, order = [1] + jordan[0], jordan[3], jordan[4]
-    back = sorted(range(rank), key=order.__getitem__)
-    # scale so that every level's weight L / (D_k D_{k-1}) is an integer
-    weight = [minors[k + 1] * minors[k] for k in range(rank)]
+    # pivot rows e over the basis order of scale_pass, the form and the
+    # target scaled to ints (x is mapped back): with D_k = e[k][0],
+    # D_-1 = 1, -<x, x> = sum_k (sum_j e[k][j] x_{k+j})^2 / (-D_k D_{k-1})
+    if lat is not None and lat.jordan is not None and type(n) is int:
+        jordan, target = lat.jordan, -n
+    else:
+        m = intmat._scaled([list(row) for row in gram] + [[n]])[1]
+        target = -m.pop()[0]
+        jordan = intmat.scale_pass(m)
+    if jordan is None or any(a * b >= 0 for a, b in zip([1] + jordan[0],
+                                                         jordan[0])):
+        raise ValueError("form is not negative definite")
+    minors = [1] + jordan[0]
+    # each row signed so that its pivot |D_k| leads it
+    e = [row if row[0] > 0 else [-x for x in row] for row in jordan[3]]
+    back = sorted(range(rank), key=jordan[4].__getitem__)
+    # scale so that every level's weight L / (-D_k D_{k-1}) is an integer
+    weight = [-minors[k + 1] * minors[k] for k in range(rank)]
     scale = lcm(*weight)
     weight = [scale // w for w in weight]
     budget = target * scale
@@ -89,7 +97,7 @@ def short_vectors(lat_or_gram, n):
     def descend(k, remaining, top):
         # top: every coordinate above k is zero, so x_k >= 0 there keeps
         # one vector of each antipodal pair; x_k is still 0 in c
-        row, d, w = e[k], minors[k + 1], weight[k]
+        row, d, w = e[k], e[k][0], weight[k]
         c = 0 if top else sum(map(mul, row, x[k:]))
         if k == 0:
             # the last coordinate must use up the budget exactly
@@ -173,16 +181,18 @@ def coinvariant_wall_scan(model, f, pex_only=False):
              for r, gr in zip(rows, coinv.gram_rows)]
     even = (1 << model.rank) - 1
     walks = ((-2, 0), (-4, even), (-6, even), (-12, -1))[:2 if pex_only else 4]
-    parity = {bits: _parity_sublattice(gram, masks, bits)
-              for _t, bits in walks if bits}
+    # a Lattice, so one elimination, per distinct Gram walked
+    lats = {str(gram): coinv.lattice}
+    parity = {bits: _parity_sublattice(gram, masks, bits) if bits
+              else (None, gram) for bits in {bits for _t, bits in walks}}
     witnesses = []
     for t, bits in walks:
-        if bits:
-            basis, sub_gram = parity[bits]
-            found = sorted(map(_first_positive, intmat.mat_mul(
-                short_vectors(sub_gram, t), basis)))
-        else:
-            found = short_vectors(gram, t)
+        basis, sub_gram = parity[bits]
+        if str(sub_gram) not in lats:
+            lats[str(sub_gram)] = lattice.Lattice(sub_gram)
+        found = short_vectors(lats[str(sub_gram)], t)
+        if basis is not None:
+            found = sorted(map(_first_positive, intmat.mat_mul(found, basis)))
         for v in intmat.mat_mul(found, rows):
             w = wall_class(model, v)
             if w is not None:

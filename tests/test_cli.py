@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -131,6 +132,19 @@ def test_info_many_80_bit_prime_factors(tmp_path):
     done = latsym_process(["info", str(path)], timeout=10)
     assert (done.returncode, done.stdout) == (2, "")
     assert "Pollard rho steps" in done.stderr
+
+
+def test_info_many_120_bit_entries(tmp_path):
+    # det 3,840 bits with no prime factor below 2^10: after each split the
+    # cofactor is tried only for an r^k with k prime and k <= bits / 10
+    rng = random.Random(120)
+    entries = [rng.getrandbits(120) | 1 << 119 | 1 for _ in range(32)]
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps({"gram": [[x * (i == j) for j in range(32)]
+                                         for i, x in enumerate(entries)]}))
+    done = latsym_process(["info", str(path)], timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "cannot factor" in done.stderr
 
 
 @pytest.mark.parametrize("expr", ["A100000", "U^100000", "E8^64+A1",

@@ -8,15 +8,17 @@ positive mirrors, whose orthogonal basis also checks the positive frame),
 the short-vector enumeration (Fincke-Pohst on an exact LDL), the
 determinant and signature (Gaussian elimination over Q), the inverse
 (Gauss-Jordan over Q), the Bareiss pass that updated the whole trailing
-block, the Jordan splitting over Z_p (rational elimination read
-p-adically), the discriminant action (Fraction lifts, q and b, and the
-order of the permutation of all elements), the wall scan that classifies
-every enumerated vector, and the eigenspace signatures of f + f^-1 over
-the real cyclotomic subfield (Fraction tuples, signs by interval
-bisection).  The integer versions must agree with them on random
-isometries of Lambda and of small lattices of every signature type, on
-random symmetric Grams, on random square matrices, on random maps of
-small discriminant modules, and on isometries of order 2, 3, 5 and 7.
+block, the scale-ordered pass that found its 2-adic pieces by a second
+elimination over F_2 at each scale boundary, the Jordan splitting over
+Z_p (rational elimination read p-adically), the discriminant action
+(Fraction lifts, q and b, and the order of the permutation of all
+elements), the wall scan that classifies every enumerated vector, and the
+eigenspace signatures of f + f^-1 over the real cyclotomic subfield
+(Fraction tuples, signs by interval bisection).  The integer versions
+must agree with them on random isometries of Lambda and of small lattices
+of every signature type, on random symmetric Grams, on random square
+matrices, on random maps of small discriminant modules, and on isometries
+of order 2, 3, 5 and 7.
 """
 
 import contextlib
@@ -534,6 +536,99 @@ def ref_bareiss(m, symmetric=False):
     return n, sign
 
 
+def _ref_parity_order(bits):
+    """Pivot blocks, in order, of an elimination by swaps only of a
+    symmetric matrix over F_2 given as bit rows: (i,) for an odd diagonal
+    entry, failing one (i, j) for the first odd entry, a pair whose
+    inverse is [[0, 1], [1, 0]].  Their total size is the rank."""
+    live, blocks = list(range(len(bits))), []
+    while live:
+        mask = sum(1 << t for t in live)
+        i = next((i for i in live if bits[i] >> i & 1), None)
+        if i is not None:
+            block = (i,)
+        elif (i := next((i for i in live if bits[i] & mask), None)) is None:
+            break
+        else:
+            low = bits[i] & mask
+            block = (i, (low & -low).bit_length() - 1)
+        live = [t for t in live if t not in block]
+        for t in live:
+            x = bits[t]
+            for b, c in zip(block, reversed(block)):
+                if x >> b & 1:
+                    bits[t] ^= bits[c]
+        blocks.append(block)
+    return blocks
+
+
+def ref_scale_pass(m):
+    """intmat.scale_pass as it was: at each scale boundary the trailing
+    block is mirrored to full rows, its pieces are found by a second
+    elimination over F_2 of its bits at the scale (_ref_parity_order), and
+    the block, the basis order and the pivot rows taken are permuted to
+    put them first."""
+    n, t, at = len(m), [row[i:] for i, row in enumerate(m)], [1] * len(m)
+    pivots, steps, bounds, rows, order, prev = [], [], [], [], list(range(n)), 1
+    while t:
+        k, w = n - len(t), len(t)
+        t = [row if s == prev else [x * prev // s for x in row]
+             for row, s in zip(t, at)]
+        bounds.append((k, t))
+        low = 0
+        for b, row in enumerate(t):
+            for x in row[:w - b]:
+                low |= x
+        if not low:
+            return None
+        one = low & -low
+        scale = one.bit_length() - (prev & -prev).bit_length()
+        full = [[t[c][b - c] for c in range(b)] + row for b, row in enumerate(t)]
+        blocks = _ref_parity_order([sum(1 << c for c, x in zip(range(w), row)
+                                        if x & one) for row in full])
+        perm = [i for block in blocks for i in block]
+        perm += sorted(set(range(w)) - set(perm))
+        t = [[full[i][j] for j in perm[a:]] + full[i][w:]
+             for a, i in enumerate(perm)]
+        order[k:] = [order[k + i] for i in perm]
+        for p, row in enumerate(rows):
+            row[k - p:n - p] = [row[k - p + i] for i in perm]
+        at, a = [prev] * w, 0
+        for block in blocks:
+            steps.append((k + a, scale, len(block)))
+            if len(block) == 2 and not t[a][0]:
+                ua, ub = ([x * prev // at[i] for x in t[i]] for i in (a, a + 1))
+                at[a] = at[a + 1] = prev
+                j = k + a
+                if ub[0]:
+                    t[a], t[a + 1] = [ub[0], ua[1]] + ub[1:], [0] + ua[2:]
+                    order[j], order[j + 1] = order[j + 1], order[j]
+                    for p, row in enumerate(rows):
+                        row[j - p], row[j - p + 1] = row[j - p + 1], row[j - p]
+                else:
+                    t[a], t[a + 1] = [2 * ua[1], ua[1]] + [
+                        x + y for x, y in zip(ua[2:], ub[1:])], ub
+                    for p, row in enumerate(rows):
+                        row[j - p] += row[j - p + 1]
+            for i in range(a, a + len(block)):
+                ui = t[i] if at[i] == prev else [x * prev // at[i] for x in t[i]]
+                d = ui[0]
+                for b in range(i + 1, w):
+                    c = ui[b - i]
+                    if c:
+                        rb = (t[b] if at[b] == prev
+                              else [x * prev // at[b] for x in t[b]])
+                        t[b] = [(x * d - c * y) // prev
+                                for x, y in zip(rb, ui[b - i:])]
+                        at[b] = d
+                pivots.append(d)
+                rows.append(ui)
+                prev = d
+            a += len(block)
+        t, at = t[a:], at[a:]
+    return pivots, steps, bounds, rows, order
+
+
 def ref_symmetric_signature(g):
     n = len(g)
     m = [[Fraction(x) for x in row] for row in g]
@@ -988,6 +1083,89 @@ def test_scale_pass_matches_reference_on_sparse_grams(g, exps):
     g = [[x << exps[i] + exps[j] for j, x in enumerate(row)]
          for i, row in enumerate(g)]
     assume(ref_frac_det(g) != 0)
+    assert_matches_reference(g)
+
+
+def _with_combination(g, c):
+    """The Gram of the basis of g and one more vector, sum c_i e_i: a
+    degenerate form of rank len(g) + 1."""
+    gc = intmat.mat_vec(g, c)
+    return ([row + [x] for row, x in zip(g, gc)] + [gc + [intmat.dot(c, gc)]])
+
+
+@st.composite
+def scale_pass_rows(draw):
+    """Rows for scale_pass: a symmetric G that is sparse (sparse_grams),
+    random with entries in -3..3 (degenerate or not), a rebased sum of
+    small summands, or a rebased sum shaped like the genus workload's;
+    then maybe made degenerate by a combination of its basis, its basis
+    vector i scaled by 2^e_i (e_i in 0..3), doubled, and carried as [G | I].
+    """
+    kind = draw(st.sampled_from(("sparse", "random", "rebased", "workload")))
+    if kind == "sparse":
+        g = draw(sparse_grams())
+    elif kind == "random":
+        n = draw(st.integers(1, 9))
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    else:
+        expr = (draw(st.sampled_from(WORKLOAD_SHAPED)) if kind == "workload"
+                else "+".join(draw(st.lists(st.sampled_from(REBASE_SUMMANDS),
+                                            min_size=1, max_size=3))))
+        g = lattice.build_named(expr).gram
+        if len(g) > 1:
+            g = _rebased(g, random.Random(draw(st.integers(0, 2**32))),
+                         3 * len(g))
+    if kind != "workload" and not draw(st.integers(0, 3)):
+        c = draw(st.lists(st.integers(-2, 2), min_size=len(g), max_size=len(g)))
+        g = _rebased(_with_combination(g, c), random.Random(sum(c)), len(g))
+    n = len(g)
+    if draw(st.booleans()):
+        e = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        g = [[x << e[i] + e[j] for j, x in enumerate(row)]
+             for i, row in enumerate(g)]
+    if draw(st.booleans()):
+        g = [[2 * x for x in row] for row in g]
+    if draw(st.booleans()):
+        g = [row + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
+    return g
+
+
+def assert_scale_pass_matches(m):
+    got = intmat.scale_pass([list(row) for row in m])
+    assert got == ref_scale_pass([list(row) for row in m])
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(scale_pass_rows())
+def test_scale_pass_matches_reference_pass(m):
+    """The same 5-tuple as the pass that found its pieces by elimination
+    over F_2, or None for both."""
+    assert_scale_pass_matches(m)
+
+
+@pytest.mark.parametrize("g, order, steps", [
+    # rows 0 and 1 even at scale 0, row 2 odd: row 2 first, then row 0,
+    # whose diagonal entry is odd in the complement
+    ([[2, 0, 1], [0, 4, 1], [1, 1, 3]], [2, 0, 1],
+     [(0, 0, 1), (1, 0, 1), (2, 1, 1)]),
+    # the pair (1, 2) after an even row, both diagonal entries 0: folded
+    ([[4, 2, 0], [2, 0, 1], [0, 1, 0]], [1, 2, 0], [(0, 0, 2), (2, 2, 1)]),
+    # the pair (1, 2), first diagonal entry 0: swapped with its partner
+    ([[4, 2, 0], [2, 0, 1], [0, 1, 2]], [2, 1, 0], [(0, 0, 2), (2, 2, 1)]),
+    # rows 1 and 2 keep D_-1 = 1 when the pivot 2 has multiplier 0 on
+    # them; row 1 is even at scale 1, so row 2 goes ahead of it
+    ([[2, 0, 0], [0, 4, 2], [0, 2, 6]], [0, 2, 1],
+     [(0, 1, 1), (1, 1, 1), (2, 1, 1)])],
+    ids=["odd-after-even", "fold", "swap", "after-stale"])
+def test_scale_pass_piece_examples(g, order, steps):
+    for m in (g, [row + [int(i == j) for j in range(3)]
+                  for i, row in enumerate(g)]):
+        _pivots, got_steps, _bounds, _rows, got_order = assert_scale_pass_matches(m)
+        assert (got_order, got_steps) == (order, steps)
     assert_matches_reference(g)
 
 

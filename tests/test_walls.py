@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -225,3 +227,43 @@ def test_witness_dict():
     assert d["square"] == -2
     assert d["divisibility"] == 1
     assert tuple(d["vector"]) == w.vector
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("name, passes", [
+    # the -4, -6 and -12 walks share one sublattice, a proper one
+    ("e8_roots_orthogonal_4", 1),
+    # -4 and -6 share a proper sublattice, -12 walks a smaller one
+    ("sample_word_31_16", 2),
+    # every walk is in the whole coinvariant lattice
+    ("a1_negation", 0)])
+def test_wall_scan_eliminates_each_distinct_gram_once(monkeypatch, name, passes):
+    """scale_pass runs once per distinct Gram that the walks enumerate in,
+    except the coinvariant lattice's own Gram, whose pass its Lattice
+    already holds."""
+    from latsym import isometry
+
+    model = standard_model()
+    f = isometry.isometry_from_json(json.loads((GOLDEN / (name + ".json")).read_text()))
+    _inv, coinv = isometry.invariant_coinvariant(f)
+    real_pass, real_vectors = intmat.scale_pass, walls.short_vectors
+    passed, walked = [], []
+    monkeypatch.setattr(intmat, "scale_pass",
+                        lambda m: passed.append(m) or real_pass(m))
+
+    def spy(lat_or_gram, t):
+        walked.append(lat_or_gram.gram if isinstance(lat_or_gram, lattice.Lattice)
+                      else lat_or_gram)
+        return real_vectors(lat_or_gram, t)
+
+    monkeypatch.setattr(walls, "short_vectors", spy)
+    walls.coinvariant_wall_scan(model, f)
+    distinct = []
+    for gram in walked:
+        if gram != coinv.lattice.gram and gram not in distinct:
+            distinct.append(gram)
+    assert len(walked) == 4
+    assert len(distinct) == passes
+    assert passed == distinct

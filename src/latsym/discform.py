@@ -203,54 +203,28 @@ def discriminant_form(lat):
 # ---------------------------------------------------------------------------
 # subgroups of 2-elementary modules (F2 linear algebra on coordinate tuples)
 
-def _f2_rref(rows, width):
-    mat = [[int(x) % 2 for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                mat[i] = [(a + b) % 2 for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
-
-
 def _f2_kernel(rows, width):
-    """Basis of {x : rows x = 0} over F2."""
-    rref, pivots = _f2_rref(rows, width)
-    basis = []
-    for f in range(width):
-        if f in pivots:
-            continue
-        x = [0] * width
-        x[f] = 1
-        for row, p in zip(rref, pivots):
-            if row[f]:
-                x[p] = 1
-        basis.append(x)
-    return basis
+    """Basis of {x : rows x = 0} over F2: the relations of the columns that
+    depend on the columns before them, in column order."""
+    cols = [sum((row[c] & 1) << i for i, row in enumerate(rows))
+            for c in range(width)]
+    return [[rel >> j & 1 for j in range(width)]
+            for rel in intmat.f2_relations(cols) if rel]
 
 
 class Subgroup:
-    """F2 subspace of a 2-elementary module, stored by a reduced basis."""
+    """F2 subspace of a 2-elementary module, stored by a basis of the
+    given vectors and its bitmasks."""
 
     def __init__(self, module, vectors):
         if not module.is_two_elementary:
             raise ValueError("subgroups are supported for 2-elementary modules")
         self.module = module
-        width = len(module.orders)
-        rref, pivots = _f2_rref([module.reduce(x) for x in vectors], width)
-        self.basis = [tuple(r) for r in rref]
-        self._pivots = pivots
+        vectors = [module.reduce(x) for x in vectors]
+        masks = list(map(_f2_mask, vectors))
+        keep = [i for i, rel in enumerate(intmat.f2_relations(masks)) if not rel]
+        self.basis = [vectors[i] for i in keep]
+        self._masks = [masks[i] for i in keep]
 
     @property
     def dim(self):
@@ -260,11 +234,8 @@ class Subgroup:
         return 2 ** self.dim
 
     def contains(self, x):
-        x = list(self.module.reduce(x))
-        for row, p in zip(self.basis, self._pivots):
-            if x[p]:
-                x = [(a + b) % 2 for a, b in zip(x, row)]
-        return not any(x)
+        x = _f2_mask(self.module.reduce(x))
+        return intmat.f2_relations(self._masks + [x])[-1] != 0
 
     def elements(self):
         """All members, in lexicographic coordinate order."""
@@ -272,6 +243,10 @@ class Subgroup:
         for b in self.basis:
             out += [self.module.add(x, b) for x in out]
         return sorted(out)
+
+
+def _f2_mask(x):
+    return sum(c << i for i, c in enumerate(x))
 
 
 def kernel_and_radical(mod):

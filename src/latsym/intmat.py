@@ -1,9 +1,12 @@
 """Exact integer and rational matrix helpers.
 
 Matrices are lists of row lists holding ints or Fractions.  Everything here
-is exact: no floats anywhere.  Fraction-free Bareiss elimination runs on
-plain ints (rational matrices are first scaled by the lcm of their
-denominators): bareiss, with row swaps, gives determinants and inverses;
+is exact: no floats anywhere.  _scaled alone decides whether entries are
+ints or Fractions: the eliminations take L a as ints, L the lcm of the
+denominators of a, and mat_mul has one form, whose entries are ints or
+Fractions as its arithmetic makes them.  f2_relations is the one F2
+elimination, on int bitmasks.  Fraction-free Bareiss elimination runs on
+plain ints: bareiss, with row swaps, gives determinants and inverses;
 scale_pass, the one symmetric elimination, gives a symmetric matrix's
 determinant, signature, 2-adic Jordan splitting, frame and short vectors.
 scale_pass finds each 2-adic piece in the block it is eliminating, one
@@ -27,15 +30,10 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    """a b.  When a and b hold ints and more than half of a is zero, each
-    row of the product is a combination of the rows of b over the nonzero
-    coefficients; else each entry is a dot product with a column of b (an
-    entry is then a Fraction wherever a Fraction takes part)."""
+    """a b, each row a combination of the rows of b over the nonzero
+    coefficients of that row of a (a coefficient 1 copies the row).  An
+    entry is an int or a Fraction as its arithmetic makes it."""
     assert not a or len(a[0]) == len(b)
-    if (2 * sum(row.count(0) for row in a) <= len(a) * len(b)
-            or not set(map(type, chain(*a, *b))) <= {int}):
-        bt = transpose(b)
-        return [[sum(map(mul, ra, cb)) for cb in bt] for ra in a]
     out = []
     for ra in a:
         acc = None
@@ -43,7 +41,7 @@ def mat_mul(a, b):
             if c:
                 acc = ((list(rb) if c == 1 else [c * y for y in rb])
                        if acc is None else [x + c * y for x, y in zip(acc, rb)])
-        out.append([0] * len(b[0]) if acc is None else acc)
+        out.append([0] * len(b[0] if b else ()) if acc is None else acc)
     return out
 
 
@@ -55,23 +53,28 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def to_int_matrix(a):
-    """a with its entries as ints, or None if one of them is not integral."""
-    fa = [[Fraction(x) for x in row] for row in a]
-    if any(x.denominator != 1 for row in fa for x in row):
-        return None
-    return [[x.numerator for x in row] for row in fa]
-
-
 def dot(u, v):
     return sum(map(mul, u, v))
 
 
 def gcd_vec(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
+    return gcd(*v)
+
+
+def f2_relations(masks):
+    """One F2 elimination of int bitmasks, in order: for each mask 0 if it
+    is independent of the masks before it, else the bitmask, its own bit
+    included, of the earlier independent masks that XOR with it to zero."""
+    pivots, out = {}, []
+    for i, mask in enumerate(masks):
+        comb = 1 << i
+        while mask and mask.bit_length() in pivots:
+            pmask, pcomb = pivots[mask.bit_length()]
+            mask, comb = mask ^ pmask, comb ^ pcomb
+        if mask:
+            pivots[mask.bit_length()] = mask, comb
+        out.append(0 if mask else comb)
+    return out
 
 
 # Miller-Rabin with the first 13 prime bases is exact for every n below
@@ -166,19 +169,18 @@ def _scaled(a):
 
 
 def det(a):
-    """Determinant by fraction-free Bareiss elimination (integer input)."""
-    n = len(a)
-    m = [[int(x) for x in row] for row in a]
+    """Determinant det(L a) / L^n by fraction-free Bareiss elimination of
+    L a, L the lcm of the denominators of a: an int for an int matrix."""
+    den, m = _scaled(a)
+    n = len(m)
     r, sign = bareiss(m)
-    if r < n:
-        return 0
-    return sign * m[n - 1][n - 1] if n else 1
+    d = 0 if r < n else sign * m[n - 1][n - 1] if n else 1
+    return d if den == 1 else Fraction(d, den ** n)
 
 
 def frac_det(a):
     """Determinant over the rationals, as a Fraction."""
-    den, m = _scaled(a)
-    return Fraction(det(m), den ** len(m))
+    return Fraction(det(a))
 
 
 def scale_pass(m):
@@ -336,21 +338,25 @@ def smith_normal_form(m):
     """Smith normal form with transforms.
 
     Returns (d, u, v) with u * m * v == d, u and v unimodular, and d diagonal
-    with nonnegative entries d[0][0] | d[1][1] | ...
+    with nonnegative entries d[0][0] | d[1][1] | ...  m must be integral.
     """
+    den, m = _scaled(m)
+    if den != 1:
+        raise ValueError("Smith normal form needs an integer matrix")
     d, u, vt = _smith(m, True)
     return d, u, transpose(vt)
 
 
 def _smith(m, with_u):
-    """(d, u, v^T) of smith_normal_form, u only if with_u.  Row operations
-    act on the rows of m followed by those of u, column operations on the
-    rows of v^T and on the rows of m that are nonzero in the pivot column.
+    """(d, u, v^T) of smith_normal_form for an int matrix m, u only if
+    with_u.  Row operations act on the rows of m followed by those of u,
+    column operations on the rows of v^T and on the rows of m that are
+    nonzero in the pivot column.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a = [[int(x) for x in row] + ([int(i == j) for j in range(rows)] if with_u
-                                  else []) for i, row in enumerate(m)]
+    a = [row + ([int(i == j) for j in range(rows)] if with_u else [])
+         for i, row in enumerate(m)]
     vt = identity(cols)
     t = 0
     while t < min(rows, cols):
@@ -402,10 +408,11 @@ def kernel_basis(m):
 
     The returned basis spans a saturated (primitive) sublattice of Z^n:
     with u m v = d, m (v e_j) = u^-1 d e_j = 0 for the zero columns j of d.
+    A rational m has the kernel of L m, L the lcm of its denominators.
     """
     if not m:
         return []
-    d, _u, vt = _smith(m, False)
+    d, _u, vt = _smith(_scaled(m)[1], False)
     return vt[sum(1 for k in range(min(len(d), len(d[0]))) if d[k][k]):]
 
 

@@ -7,7 +7,6 @@ table.  The supporting operations are usable on any integral lattice.
 """
 
 from functools import lru_cache
-from itertools import chain
 from math import gcd
 from pathlib import Path
 
@@ -18,13 +17,11 @@ class LatticeIsometry:
     """An isometry of an integral lattice, acting on column coordinates."""
 
     def __init__(self, lat, matrix):
-        m = [list(row) for row in matrix]
+        den, m = intmat._scaled(matrix)
         if len(m) != lat.rank or any(len(row) != lat.rank for row in m):
             raise ValueError("matrix size does not match the lattice rank")
-        if not set(map(type, chain.from_iterable(m))) <= {int}:
-            m = intmat.to_int_matrix(m)
-            if m is None:
-                raise ValueError("matrix is not unimodular over the integers")
+        if den != 1:
+            raise ValueError("matrix is not unimodular over the integers")
         gm = intmat.mat_mul(lat.gram, m)
         # m^T G m = G with det G != 0 forces det m = +-1
         if intmat.mat_mul(intmat.transpose(m), gm) != lat.gram:
@@ -310,25 +307,36 @@ def exceptional_involution(model):
     return LatticeIsometry(model.lattice, m)
 
 
-def symplectic_status(model, f):
-    """(symplectic, regular, witnesses) for an isometry of the model lattice.
+def _verdict(model, f):
+    """(order, in O+, coinvariant negative definite, witnesses, symplectic,
+    regular) of an isometry of the model lattice.
 
-    Symplectic means the coinvariant lattice is negative definite and meets
-    no pointlike-exceptional wall; regular additionally excludes the other
-    wall classes.  Raises for isometries of infinite order, whose fixed
-    lattice can be degenerate, and for those outside O+ (non-effective).
+    Symplectic means in O+ with a negative definite coinvariant lattice
+    that meets no pointlike-exceptional wall; regular additionally excludes
+    the other wall classes.  Raises for isometries of infinite order.
     """
     if f.lattice.gram != model.lattice.gram:
         raise ValueError("isometry does not act on the model lattice")
-    order_of(f)
-    if not in_O_plus(f):
-        raise ValueError("isometry is outside O+ (non-effective)")
+    order = order_of(f)
+    oplus = in_O_plus(f)
     _inv, coinv = invariant_coinvariant(f)
-    if coinv.lattice.signature() != (0, coinv.rank):
-        return False, False, []
-    witnesses = walls.coinvariant_wall_scan(model, f)
-    symplectic = not any(w.wclass in walls.PEX_CLASSES for w in witnesses)
-    return symplectic, not witnesses, witnesses
+    neg_def = coinv.lattice.signature() == (0, coinv.rank)
+    witnesses = walls.coinvariant_wall_scan(model, f) if neg_def else []
+    symplectic = (oplus and neg_def
+                  and not any(w.wclass in walls.PEX_CLASSES for w in witnesses))
+    return order, oplus, neg_def, witnesses, symplectic, symplectic and not witnesses
+
+
+def symplectic_status(model, f):
+    """(symplectic, regular, witnesses) for an isometry of the model lattice,
+    as _verdict decides them.  Raises for isometries of infinite order,
+    whose fixed lattice can be degenerate, and for those outside O+
+    (non-effective).
+    """
+    _order, oplus, _neg_def, witnesses, symplectic, regular = _verdict(model, f)
+    if not oplus:
+        raise ValueError("isometry is outside O+ (non-effective)")
+    return symplectic, regular, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +483,11 @@ def report(model, f, fixture=None):
     the table claims to be complete.  Non-symplectic ones get the type
     letter "non-symplectic" and no row.
     """
-    if f.lattice.gram != model.lattice.gram:
-        raise ValueError("isometry does not act on the model lattice")
-    order = order_of(f)
+    order, oplus, neg_def, witnesses, symplectic, regular = _verdict(model, f)
     dorder = disc_order(f)
     inv, coinv = invariant_coinvariant(f)
     inv_sym = genus.genus_symbol(inv.lattice) if inv.rank else None
     coinv_sym = genus.genus_symbol(coinv.lattice) if coinv.rank else None
-    oplus = in_O_plus(f)
-    neg_def = coinv.lattice.signature() == (0, coinv.rank)
-    witnesses = walls.coinvariant_wall_scan(model, f) if neg_def else []
-    symplectic = (oplus and neg_def
-                  and not any(w.wclass in walls.PEX_CLASSES for w in witnesses))
-    regular = symplectic and not witnesses
     exceptional = (order == 2 and coinv.rank == 1
                    and coinv.lattice.gram == [[-2]])
     gen_div = (model.lattice.divisibility(coinv.rows[0])

@@ -20,12 +20,11 @@ class Lattice:
         for row in gram:
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
-        exact = set(map(type, chain.from_iterable(gram))) <= {int}
-        g = ([list(row) for row in gram] if exact
-             else [[_as_exact(x) for x in row] for row in gram])
+        den, m = intmat._scaled(gram)
+        g = m if den == 1 else [[_as_exact(Fraction(x, den)) for x in row]
+                                for row in m]
         if g != intmat.transpose(g):
             raise ValueError("Gram matrix must be symmetric")
-        den, m = intmat._scaled(g)
         jordan = intmat.scale_pass(m)
         if jordan is None:
             raise ValueError("Gram matrix must be nondegenerate")
@@ -35,7 +34,6 @@ class Lattice:
         self.name = name
         # optional list of (label, rank) pairs recording a direct-sum shape
         self.blocks = blocks
-        # _as_exact leaves exactly the integral entries as ints
         self.is_integral = den == 1
         self._signature = sig
         self._det = _as_exact(det)
@@ -110,11 +108,8 @@ class Lattice:
 
 
 def _as_exact(x):
-    """x as an int when it is integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else f
+    """An int or Fraction x as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _primitive(v):
@@ -291,13 +286,7 @@ def build_named(expr):
         if take_dual:
             lat = dual(lat)
         if scale is not None:
-            s = int(scale)
-            if take_dual:
-                lat = Lattice(
-                    [[x * s for x in row] for row in lat.gram],
-                    name="%sv(%d)" % (name, s))
-            else:
-                lat = rescale(_build_atom(name), s)
+            lat = rescale(lat, int(scale))
         summands += [lat] * k
     if len(summands) == 1:
         return summands[0]
@@ -330,9 +319,7 @@ def orthogonal_complement(lat, rows, pair=None):
         return [list(r) for r in intmat.identity(lat.rank)]
     if pair is None:
         pair = intmat.mat_mul(rows, lat.gram)
-    if set(map(type, chain.from_iterable(pair))) <= {int}:
-        return intmat.kernel_basis(pair)
-    return intmat.kernel_basis(intmat._scaled(pair)[1])
+    return intmat.kernel_basis(pair)
 
 
 # ---------------------------------------------------------------------------

@@ -202,19 +202,12 @@ def coinvariant_wall_scan(model, f, pex_only=False):
 
 def _parity_sublattice(gram, masks, bits):
     """The x with sum x_i masks_i = 0 on `bits` mod 2 (the F2 kernel of
-    the masks plus 2 Z^r): a triangular basis B and B gram B^T.  One F2
-    elimination gives, for each mask that reduces to zero, its combination
-    (1 at its own index, 0 above), and for each other index j, 2 e_j.
+    the masks plus 2 Z^r): a triangular basis B and B gram B^T.  Each mask
+    that intmat.f2_relations finds dependent gives its relation (1 at its
+    own index, 0 above), each other index j gives 2 e_j.
     """
-    pivots, basis = {}, []
-    for i, mask in enumerate(masks):
-        mask, comb = mask & bits, 1 << i
-        while mask and mask.bit_length() in pivots:
-            pmask, pcomb = pivots[mask.bit_length()]
-            mask, comb = mask ^ pmask, comb ^ pcomb
-        if mask:
-            pivots[mask.bit_length()] = (mask, comb)
-            basis.append([2 * (j == i) for j in range(len(masks))])
-        else:
-            basis.append([comb >> j & 1 for j in range(len(masks))])
+    r = len(masks)
+    basis = [[c >> j & 1 for j in range(r)] if c
+             else [2 * (j == i) for j in range(r)]
+             for i, c in enumerate(intmat.f2_relations([m & bits for m in masks]))]
     return basis, intmat.mat_mul(basis, intmat.mat_mul(gram, intmat.transpose(basis)))

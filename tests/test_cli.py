@@ -61,6 +61,13 @@ def test_info_bad_expression(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("expr", ["A2v(0)", "A4(0)", "D8v(0)+U", "U(0)"])
+def test_info_zero_scale(capsys, expr):
+    rc, out, err = run(capsys, ["info", expr])
+    assert (rc, out) == (2, "")
+    assert err == "error: cannot interpret %r as a lattice: rescale by zero\n" % expr
+
+
 @pytest.mark.parametrize("expr", ["K9", "H15", "K1", "U+H25"])
 def test_info_non_prime_plane(capsys, expr):
     rc, _out, err = run(capsys, ["info", expr])

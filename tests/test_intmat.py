@@ -45,6 +45,32 @@ def test_det_singular():
     assert intmat.frac_det([[1, 2], [2, 4]]) == 0
 
 
+def test_det_of_rational_matrices():
+    """det(L a) / L^n, not the determinant of truncated entries."""
+    assert intmat.det([[Fraction(3, 2)]]) == Fraction(3, 2)
+    assert intmat.det([[Fraction(1, 2), 0], [0, 2]]) == 1
+    assert intmat.det([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]) == Fraction(-5, 6)
+
+
+def test_kernel_basis_of_a_rational_matrix():
+    # x / 2 + y = 0: the kernel is spanned by (2, -1), not by (1, 0)
+    assert intmat.kernel_basis([[Fraction(1, 2), 1]]) in ([[2, -1]], [[-2, 1]])
+
+
+def test_smith_normal_form_refuses_a_rational_matrix():
+    with pytest.raises(ValueError, match="integer matrix"):
+        intmat.smith_normal_form([[Fraction(1, 2), 0], [0, 3]])
+    d, _u, _v = intmat.smith_normal_form([[Fraction(4, 2), 0], [0, 3]])
+    assert d == [[1, 0], [0, 6]]
+
+
+def test_gcd_vec_refuses_fractions():
+    with pytest.raises(TypeError):
+        intmat.gcd_vec([Fraction(3, 2), 3])
+    assert intmat.gcd_vec([]) == 0
+    assert intmat.gcd_vec([0, -4, 6]) == 2
+
+
 def test_frac_inverse():
     m = [[2, 1], [1, 1]]
     inv = intmat.frac_inverse(m)

@@ -89,6 +89,30 @@ def test_build_named():
         lattice.build_named("")
 
 
+def test_build_named_rescales_each_term_once(monkeypatch):
+    calls = []
+    init = lattice.Lattice.__init__
+    monkeypatch.setattr(lattice.Lattice, "__init__",
+                        lambda self, *a, **k: calls.append(1) or init(self, *a, **k))
+    a4 = lattice.build_named("A4(2)")
+    assert len(calls) == 2     # A4, then A4(2)
+    assert a4.name == "A4(2)"
+    assert a4.gram == [[2 * x for x in row] for row in lattice.root_A(4).gram]
+
+
+def test_build_named_scaled_duals():
+    d8 = lattice.build_named("D8v(2)")
+    assert d8.name == "D8v(2)"
+    assert d8.gram == [[2 * x for x in row]
+                       for row in lattice.dual(lattice.root_D(8)).gram]
+    assert d8.gram[6] == [-1, -2, -3, -4, -5, -6, -4, -3]
+    assert d8.is_integral and d8.det() == 64
+    a2 = lattice.build_named("A2v(3)")
+    assert a2.name == "A2v(3)"
+    assert a2.gram == [[-2, -1], [-1, -2]]
+    assert all(type(x) is int for row in a2.gram for x in row)
+
+
 def test_vector_queries():
     lam = lattice.standard_model().lattice
     with pytest.raises(ValueError, match="length"):

@@ -5,7 +5,9 @@ characteristic polynomial (Faddeev-LeVerrier over Q, and over Z with exact
 divisions), the multiplicative order (exact cyclotomic division over Z),
 the O+ test (a decomposition into rational reflections, counting the
 positive mirrors, whose orthogonal basis also checks the positive frame),
-the short-vector enumeration (Fincke-Pohst on an exact LDL), the
+the short-vector enumeration (Fincke-Pohst on an exact LDL), the F2
+eliminations (the row-reduced one of the discriminant subgroups and the
+kernel of their forms, and the parity loop of the wall scan), the
 determinant and signature (Gaussian elimination over Q), the inverse
 (Gauss-Jordan over Q), the Bareiss pass that updated the whole trailing
 block, the scale-ordered pass that found its 2-adic pieces by a second
@@ -28,13 +30,13 @@ import json
 import random
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import ceil, floor, gcd, isqrt
-from operator import mul
+from operator import mul, xor
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from latsym import cli, discform, genus, intmat, isometry, lattice, walls
@@ -50,7 +52,7 @@ def ref_char_poly(m):
     mk = intmat.identity(n)
     coeffs = [Fraction(0)] * n + [Fraction(1)]
     for k in range(1, n + 1):
-        mk = intmat.mat_mul(a, mk)
+        mk = ref_mat_mul(a, mk)
         c = -sum(mk[i][i] for i in range(n)) / k
         coeffs[n - k] = c
         for i in range(n):
@@ -1942,8 +1944,9 @@ def test_cos_signatures_match_reference():
 
 
 # ---------------------------------------------------------------------------
-# products and eliminations: the dot-product mat_mul and the Smith routine
-# that built u for every kernel
+# products and eliminations: the dot-product mat_mul (the one form of
+# mat_mul must give its values, a rational factor or an empty one too) and
+# the Smith routine that built u for every kernel
 
 
 def ref_mat_mul(a, b):
@@ -2031,31 +2034,20 @@ def matrix_pairs(draw):
             [[draw(entry) for _ in range(c)] for _ in range(k)])
 
 
+GRAM = standard_model().lattice.gram
+DENSE = [[(3 * i + j) % 7 - 3 for j in range(16)] for i in range(16)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrix_pairs())
+@example((GRAM, DENSE))
+@example((DENSE, GRAM))
+@example(([[Fraction(x) for x in row] for row in GRAM], GRAM))
+@example((GRAM, [[Fraction(x, 2) for x in row] for row in DENSE]))
+@example(([[], [], []], []))
 def test_mat_mul_forms_agree(pair):
     a, b = pair
     assert intmat.mat_mul(a, b) == ref_mat_mul(a, b)
-
-
-def test_mat_mul_form_follows_zeros_and_types(monkeypatch):
-    """The row-combination form runs on a left factor of ints that is more
-    than half zero; a dense or rational one keeps the dot products and
-    their entry types."""
-    calls = []
-    transpose = intmat.transpose
-    monkeypatch.setattr(intmat, "transpose", lambda a: calls.append(1) or transpose(a))
-    gram = standard_model().lattice.gram
-    dense = [[(3 * i + j) % 7 - 3 for j in range(16)] for i in range(16)]
-    for a, b, dot_form in ((gram, dense, False), (dense, gram, True),
-                           ([[Fraction(x) for x in row] for row in gram], gram, True),
-                           (gram, [[Fraction(x, 2) for x in row] for row in dense], True)):
-        calls.clear()
-        out = intmat.mat_mul(a, b)
-        assert out == ref_mat_mul(a, b)
-        assert [list(map(type, row)) for row in out] == [
-            list(map(type, row)) for row in ref_mat_mul(a, b)]
-        assert bool(calls) == dot_form
 
 
 @lru_cache(maxsize=None)
@@ -2105,3 +2097,133 @@ def test_order_of_rejects_negated_eichler_transvection():
         isometry.order_of(neg)
     with pytest.raises(ValueError, match="infinite order"):
         ref_order_of(neg)
+
+
+# ---------------------------------------------------------------------------
+# F2 eliminations: the row reduction behind the discriminant subgroups and
+# their kernels, and the parity loop of the wall scan, before both became
+# intmat.f2_relations
+
+
+def ref_f2_rref(rows, width):
+    mat = [[int(x) % 2 for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        piv = None
+        for i in range(r, len(mat)):
+            if mat[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                mat[i] = [(a + b) % 2 for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat[:r], pivots
+
+
+def ref_f2_kernel(rows, width):
+    rref, pivots = ref_f2_rref(rows, width)
+    basis = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        x = [0] * width
+        x[f] = 1
+        for row, p in zip(rref, pivots):
+            if row[f]:
+                x[p] = 1
+        basis.append(x)
+    return basis
+
+
+class RefSubgroup:
+    """A subgroup of a 2-elementary module by its row-reduced basis."""
+
+    def __init__(self, module, vectors):
+        self.module = module
+        rref, self.pivots = ref_f2_rref([module.reduce(x) for x in vectors],
+                                        len(module.orders))
+        self.basis = [tuple(r) for r in rref]
+
+    def contains(self, x):
+        x = list(self.module.reduce(x))
+        for row, p in zip(self.basis, self.pivots):
+            if x[p]:
+                x = [(a + b) % 2 for a, b in zip(x, row)]
+        return not any(x)
+
+    def elements(self):
+        out = [self.module.zero()]
+        for b in self.basis:
+            out += [self.module.add(x, b) for x in out]
+        return sorted(out)
+
+
+def ref_parity_sublattice(gram, masks, bits):
+    pivots, basis = {}, []
+    for i, mask in enumerate(masks):
+        mask, comb = mask & bits, 1 << i
+        while mask and mask.bit_length() in pivots:
+            pmask, pcomb = pivots[mask.bit_length()]
+            mask, comb = mask ^ pmask, comb ^ pcomb
+        if mask:
+            pivots[mask.bit_length()] = (mask, comb)
+            basis.append([2 * (j == i) for j in range(len(masks))])
+        else:
+            basis.append([comb >> j & 1 for j in range(len(masks))])
+    return basis, ref_mat_mul(basis, ref_mat_mul(gram, intmat.transpose(basis)))
+
+
+@st.composite
+def f2_matrices(draw):
+    """(width, row masks): width 0-10, rows that are zero, repeat or sum
+    earlier rows, unit rows (so some matrices have full rank) or random."""
+    width = draw(st.integers(0, 10))
+    masks = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("zero", "repeat", "sum", "unit", "random")))
+        if kind == "zero" or not width:
+            masks.append(0)
+        elif kind in ("repeat", "sum") and masks:
+            picked = draw(st.lists(st.sampled_from(masks), min_size=1,
+                                   max_size=1 if kind == "repeat" else 4))
+            masks.append(reduce(xor, picked))
+        elif kind == "unit":
+            masks.append(1 << draw(st.integers(0, width - 1)))
+        else:
+            masks.append(draw(st.integers(0, 2 ** width - 1)))
+    return width, masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(f2_matrices(), st.integers(0, 2 ** 10 - 1), st.randoms(use_true_random=False))
+@example((10, [1 << j for j in range(10)]), 2 ** 10 - 1, random.Random(0))
+@example((10, [0, 5, 5, 0, 1023]), 1023, random.Random(1))
+@example((0, [0, 0]), 0, random.Random(2))
+def test_f2_eliminations_match_reference(case, bits, rng):
+    width, masks = case
+    rows = [[m >> j & 1 for j in range(width)] for m in masks]
+    assert discform._f2_kernel(rows, width) == ref_f2_kernel(rows, width)
+
+    n = len(masks)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = rng.randint(-6, 6)
+    assert walls._parity_sublattice(gram, masks, bits) == ref_parity_sublattice(
+        gram, masks, bits)
+
+    mod = discform.TorsionQuadModule(
+        [2] * width, [Fraction(1, 2)] * width,
+        [[int(i == j) for j in range(width)] for i in range(width)])
+    sub, ref = discform.Subgroup(mod, rows), RefSubgroup(mod, rows)
+    assert sub.dim == len(ref.basis)
+    assert sub.order() == 2 ** sub.dim
+    assert sub.elements() == ref.elements()
+    assert [sub.contains(x) for x in mod.elements()] == [
+        ref.contains(x) for x in mod.elements()]

@@ -2050,6 +2050,23 @@ def test_mat_mul_forms_agree(pair):
     assert intmat.mat_mul(a, b) == ref_mat_mul(a, b)
 
 
+def test_mat_mul_form_follows_zeros_and_types(monkeypatch):
+    """The row-combination form runs whatever the share of zeros and the
+    entry types of either factor, never transposing b, and its entries
+    keep the types of the dot products."""
+    calls = []
+    transpose = intmat.transpose
+    monkeypatch.setattr(intmat, "transpose", lambda a: calls.append(1) or transpose(a))
+    for a, b in ((GRAM, DENSE), (DENSE, GRAM),
+                 ([[Fraction(x) for x in row] for row in GRAM], GRAM),
+                 (GRAM, [[Fraction(x, 2) for x in row] for row in DENSE])):
+        out = intmat.mat_mul(a, b)
+        assert out == ref_mat_mul(a, b)
+        assert [list(map(type, row)) for row in out] == [
+            list(map(type, row)) for row in ref_mat_mul(a, b)]
+        assert not calls
+
+
 @lru_cache(maxsize=None)
 def classify_pairing_matrices():
     """For each golden isometry and seeded word in Lambda: M - I, and the

@@ -48,10 +48,14 @@ def _check_records(emit, checks):
     return 0 if failures == 0 else 1
 
 
+# one decoder for every file; int refuses NaN and Infinity, which JSON
+# does not have
+_JSON = json.JSONDecoder(parse_constant=int)
+
+
 def _load_json_file(path):
     try:
-        # int refuses NaN and Infinity, which JSON does not have
-        data = json.loads(Path(path).read_text(), parse_constant=int)
+        data = _JSON.decode(Path(path).read_text())
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
     except (ValueError, RecursionError) as exc:  # huge ints, deep nesting too

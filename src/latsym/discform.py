@@ -214,17 +214,24 @@ def _f2_kernel(rows, width):
 
 class Subgroup:
     """F2 subspace of a 2-elementary module, stored by a basis of the
-    given vectors and its bitmasks."""
+    given vectors and the reduced bitmasks of its F2 elimination, keyed
+    by their leading bit: a membership test is one pass over them."""
 
     def __init__(self, module, vectors):
         if not module.is_two_elementary:
             raise ValueError("subgroups are supported for 2-elementary modules")
-        self.module = module
-        vectors = [module.reduce(x) for x in vectors]
-        masks = list(map(_f2_mask, vectors))
-        keep = [i for i, rel in enumerate(intmat.f2_relations(masks)) if not rel]
-        self.basis = [vectors[i] for i in keep]
-        self._masks = [masks[i] for i in keep]
+        self.module, self.basis, self._pivots = module, [], {}
+        for x in vectors:
+            x = module.reduce(x)
+            mask = self._reduce(_f2_mask(x))
+            if mask:
+                self._pivots[mask.bit_length()] = mask
+                self.basis.append(x)
+
+    def _reduce(self, mask):
+        while mask and mask.bit_length() in self._pivots:
+            mask ^= self._pivots[mask.bit_length()]
+        return mask
 
     @property
     def dim(self):
@@ -234,8 +241,7 @@ class Subgroup:
         return 2 ** self.dim
 
     def contains(self, x):
-        x = _f2_mask(self.module.reduce(x))
-        return intmat.f2_relations(self._masks + [x])[-1] != 0
+        return not self._reduce(_f2_mask(self.module.reduce(x)))
 
     def elements(self):
         """All members, in lexicographic coordinate order."""

@@ -105,7 +105,9 @@ def _prime_factors(n):
     """Prime divisors of n, ascending: trial division below 2^10, then an
     exact k-th root or Pollard-Brent rho on a composite cofactor until
     intmat.is_prime accepts every piece (it raises on one beyond its
-    proven bound)."""
+    proven bound).  The tests of primality and roots and the rho steps
+    draw on one budget of _RHO_STEPS for the whole call; ValueError
+    beyond it."""
     n, out, d = abs(n), set(), 2
     while d < 1 << 10 and d * d <= n:
         if n % d == 0:
@@ -113,13 +115,21 @@ def _prime_factors(n):
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
-    rest = [n] if n > 1 else []
+    rest, left = [n] if n > 1 else [], _RHO_STEPS
     while rest:
         m = rest.pop()
+        # is_prime's modular power and _power_root's Newton steps cost
+        # about bits and bits / 3 squarings modulo a composite m, a
+        # squaring about a twelfth of a rho step's charge
+        left -= m.bit_length() * _step_cost(m) // 8
+        if left < 0:
+            raise _beyond_bound(m)
         if intmat.is_prime(m):
             out.add(m)
+        elif (f := _power_root(m, 1 << 10)) is not None:
+            rest.append(f)      # m = f^k has the prime divisors of f
         else:
-            f = _power_root(m, 1 << 10) or _rho_divisor(m)
+            f, left = _rho_divisor(m, left)
             rest += [f, m // f]
     return sorted(out)
 
@@ -144,29 +154,37 @@ def _power_root(n, least=2):
 
 
 # rho steps in all: about 2 sqrt(q) for a prime factor q of up to 40 bits;
-# a cofactor of k * 128 bits, whose steps cost k^2 as much, gets 1 / k^2
+# a step modulo a number of k * 128 bits costs k^2 as much
 _RHO_STEPS, _RHO_BATCH = 1 << 21, 100
 
 
-def _rho_divisor(n):
-    """A proper divisor of a composite n: Pollard's rho on x -> x^2 + c
-    with Brent's cycle search and one gcd per _RHO_BATCH steps (a batch
-    whose product is 0 mod n is gone over step by step), moving on to the
-    next c when a cycle closes without one.  Raises ValueError beyond its
-    share of _RHO_STEPS."""
-    budget = _RHO_STEPS // max(1, n.bit_length() // 128) ** 2
-    steps = 0
+def _step_cost(m):
+    return max(1, m.bit_length() // 128) ** 2
+
+
+def _beyond_bound(m):
+    return ValueError("cannot factor %d within the bound of %d Pollard rho "
+                      "steps" % (m, _RHO_STEPS // _step_cost(m)))
+
+
+def _rho_divisor(n, left):
+    """(d, left less the steps taken): a proper divisor d of a
+    composite n by Pollard's rho on x -> x^2 + c with Brent's cycle search
+    and one gcd per _RHO_BATCH steps (a batch whose product is 0 mod n is
+    gone over step by step), moving on to the next c when a cycle closes
+    without one.  Each step costs _step_cost(n); raises ValueError when
+    left runs out."""
+    cost = _step_cost(n)
     for c in range(1, n):
         y, r, g = 2, 1, 1
         while g == 1:
-            steps += r
-            if steps > budget:
-                raise ValueError("cannot factor %d: no divisor within %d "
-                                 "Pollard rho steps" % (n, budget))
             x, k = y, 0
             while k < r and g == 1:
-                ys, q = y, 1
-                for _ in range(min(_RHO_BATCH, r - k)):
+                ys, q, batch = y, 1, min(_RHO_BATCH, r - k)
+                left -= batch * cost
+                if left < 0:
+                    raise _beyond_bound(n)
+                for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * (y - x) % n
                 g, k = gcd(q, n), k + _RHO_BATCH
@@ -177,7 +195,7 @@ def _rho_divisor(n):
                 y = (y * y + c) % n
                 g = gcd(y - x, n)
         if g != n:
-            return g
+            return g, left
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +209,10 @@ def _row(u, k):
 def _local_pieces(u, p, mod):
     """(scale, 1, pivot / p^scale) pieces of a form over Z_p, p odd, given
     as upper rows u[i] = (i, i..) modulo mod = p^N, N = v_p(det) + 3, which
-    fixes the Jordan constituents (Conway-Sloane, SPLAG ch. 15).
+    fixes the Jordan constituents (Conway-Sloane, SPLAG ch. 15).  _pieces
+    hands it the Schur complement of a leading block unimodular at p: the
+    one scale_pass kept at a scale boundary, or a smaller one rebuilt from
+    the pivot rows.
 
     The pivot is the first entry of least valuation v (the first with
     x % p^(v+1) nonzero), moved to a diagonal entry of that valuation or
@@ -242,20 +263,39 @@ def _odd_part(x):
     return x >> (x & -x).bit_length() - 1
 
 
+def _trailing_block(rows, minors, top):
+    """The trailing block B_top = D_{top-1} S of a symmetric Bareiss run, S
+    the Schur complement of the leading top x top block, as upper rows,
+    rebuilt backward from its pivot rows r_j = (j, j..): B_j has first row
+    r_j and B_j = (r_j r_j^T + D_{j-1} B_{j+1}) / D_j on the rest, exactly."""
+    u = []
+    for j in range(len(rows) - 1, top - 1, -1):
+        r, d, dm = rows[j], minors[j + 1], minors[j]
+        u = [r] + [[(r[a] * y + dm * x) // d for y, x in zip(r[a:], row)]
+                   for a, row in enumerate(u, 1)]
+    return u
+
+
 def _pieces(lat, p):
     """(scale, rank, det / p^(scale rank)) Jordan pieces over Z_p of an
     integral lattice, from lat.jordan.  At p = 2 a 1x1 block at k of
     scale s has (D_k / D_{k-1}) / 2^s and a pair (D_{k+1} / D_{k-1}) / 4^s,
-    modulo 8.  At odd p the last scale boundary k with p prime to D_{k-1}
-    (or k = n) leaves a unimodular leading block, and _local_pieces
-    splits the Schur complement B / D_{k-1} of its trailing block B."""
-    pivots, steps, bounds, _rows, _order = lat.jordan
-    minors = [1] + pivots
+    modulo 8.  At odd p any k with p prime to D_{k-1} (k = 0 always) leaves a
+    unimodular leading block, and _local_pieces splits the Schur
+    complement B / D_{k-1} of its trailing block B: the block at the last
+    scale boundary k with p prime to D_{k-1} (or k = n), which the pass
+    kept, or the smaller one at the last such index top, rebuilt from the
+    pivot rows when that is the cheaper job, 3 (n - top)^3 < (n - k)^3."""
+    pivots, steps, bounds, rows, _order = lat.jordan
+    minors, n = [1] + pivots, lat.rank
     if p == 2:
         return [(s, size, _odd_part(minors[k + size]) * _odd_part(minors[k]) % 8)
                 for k, s, size in steps]
-    k, u = next((k, u) for k, u in reversed(bounds + [(lat.rank, [])])
+    k, u = next((k, u) for k, u in reversed(bounds + [(n, [])])
                 if minors[k] % p)
+    top = next(j for j in range(n, k - 1, -1) if minors[j] % p)
+    if 3 * (n - top) ** 3 < (n - k) ** 3:
+        k, u = top, _trailing_block(rows, minors, top)
     mod = p ** (_valuation(minors[-1], p) + 3)
     inv = pow(minors[k], -1, mod)
     pieces = _local_pieces([[x * inv % mod for x in row] for row in u], p, mod)

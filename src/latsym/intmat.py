@@ -11,7 +11,8 @@ scale_pass, the one symmetric elimination, gives a symmetric matrix's
 determinant, signature, 2-adic Jordan splitting, frame and short vectors.
 scale_pass finds each 2-adic piece in the block it is eliminating, one
 bit test per entry; a row with no odd entry keeps none until the scale
-ends, so no search goes over it twice.
+ends, so no search goes over it twice.  A pair takes the rows after it
+two steps at once.
 """
 
 from fractions import Fraction
@@ -216,6 +217,14 @@ def scale_pass(m):
     hand it their entries in its columns, and those columns move in the
     pivot rows taken.  A row with no odd entry has even multipliers onto
     each piece of the scale, so it gets none: no search goes over it again.
+
+    A 1x1 piece takes one step.  A pair at k, k+1 takes one step for row
+    k+1, u1, then one two-step update (Sylvester's identity) from step k
+    to step k+2 for each later row b with a nonzero multiplier onto
+    either pivot: B_{k+2}[b][j] = (D_{k+1} x_j - u1_b y_j + c_b z_j) /
+    D_{k-1}, c_b = (u1_b e - D_{k+1} f_b) / D_k, with x row b, y row k+1
+    and z row k at step k, e = z_{k+1} and f_b = z_b; each division is
+    exact.
     """
     n, t, at = len(m), [row[i:] for i, row in enumerate(m)], [1] * len(m)
     pivots, steps, bounds, rows, order, prev = [], [], [], [], list(range(n)), 1
@@ -274,20 +283,36 @@ def scale_pass(m):
                         map(add, ua[2:], ub[1:])), ub
                     for p, row in enumerate(rows):
                         row[k - p] += row[k - p + 1]
-            for i in range(len(block)):
-                ui = t[i] if at[i] == prev else [x * prev // at[i] for x in t[i]]
-                d = ui[0]
-                for b in range(i + 1, w):
-                    c = ui[b - i]
+            z = t[0] if at[0] == prev else [x * prev // at[0] for x in t[0]]
+            d = z[0]
+            if len(block) == 1:
+                for b in range(1, w):
+                    c = z[b]
                     if c:
                         rb = (t[b] if at[b] == prev
                               else [x * prev // at[b] for x in t[b]])
                         t[b] = [(x * d - c * y) // prev
-                                for x, y in zip(rb, ui[b - i:])]
+                                for x, y in zip(rb, z[b:])]
                         at[b] = d
                 pivots.append(d)
-                rows.append(ui)
-                prev = d
+                rows.append(z)
+            else:
+                y = t[1] if at[1] == prev else [x * prev // at[1] for x in t[1]]
+                e = z[1]
+                u1 = [(x * d - e * v) // prev for x, v in zip(y, z[1:])]
+                d1 = u1[0]
+                for b in range(2, w):
+                    f, u = z[b], u1[b - 1]
+                    if f or u:
+                        rb = (t[b] if at[b] == prev
+                              else [x * prev // at[b] for x in t[b]])
+                        c = (u * e - d1 * f) // d
+                        t[b] = [(d1 * x - u * v + c * s) // prev
+                                for x, v, s in zip(rb, y[b - 1:], z[b:])]
+                        at[b] = d1
+                pivots += [d, d1]
+                rows += [z, u1]
+            prev = pivots[-1]
             del t[:len(block)], at[:len(block)]
     return pivots, steps, bounds, rows, order
 

@@ -154,6 +154,20 @@ def test_info_many_120_bit_entries(tmp_path):
     assert "cannot factor" in done.stderr
 
 
+def test_info_128_diagonal_120_bit_entries(tmp_path):
+    # det 15,360 bits: each cofactor's primality and root tests draw on
+    # the rho steps' size-scaled budget, which bounds the whole
+    # factorisation rather than each split
+    rng = random.Random(120)
+    entries = [rng.getrandbits(120) | 1 << 119 | 1 for _ in range(128)]
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps({"gram": [[x * (i == j) for j in range(128)]
+                                         for i, x in enumerate(entries)]}))
+    done = latsym_process(["info", str(path)], timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "cannot factor" in done.stderr
+
+
 @pytest.mark.parametrize("expr", ["A100000", "U^100000", "E8^64+A1",
                                   "A2(%d)" % 2**130, "K%d" % (2**521 - 1)])
 def test_oversized_expression_exits_quickly(expr):

@@ -179,6 +179,9 @@ def test_prime_factors_split_large_composites():
         (2**61 - 1)**2: [2**61 - 1],
         1009 * (2**61 - 1)**3: [1009, 2**61 - 1],
         ((10**12 + 39) * (10**12 + 61))**2: [10**12 + 39, 10**12 + 61],
+        # 5006 bits, within the size the primality and root tests are
+        # charged for, and split by roots alone
+        2 * 1031**500: [2, 1031],
     }
     for n, primes in cases.items():
         assert genus._prime_factors(n) == primes

@@ -1171,6 +1171,117 @@ def test_scale_pass_piece_examples(g, order, steps):
     assert_matches_reference(g)
 
 
+def test_odd_prime_block_rebuilt_when_smaller(monkeypatch):
+    """At p = 3 the last index top with 3 prime to D_{top-1} lies past the
+    last such scale boundary k, and the rebuilt block B_top is the one
+    split: one row, where B_k has two."""
+    expr = WORKLOAD_SHAPED[0]
+    g = lattice.build_named(expr).gram
+    g = _rebased(g, random.Random(expr), 3 * len(g))
+    lat, n = lattice.Lattice(g), len(g)
+    minors = [1] + lat.jordan[0]
+    k = max(k for k, _u in lat.jordan[2] if minors[k] % 3)
+    top = max(j for j in range(n + 1) if minors[j] % 3)
+    assert (n - k, n - top) == (2, 1)
+    sizes, local_pieces = [], genus._local_pieces
+    monkeypatch.setattr(genus, "_local_pieces", lambda u, p, mod: (
+        sizes.append(len(u)), local_pieces(u, p, mod))[1])
+    got = genus.padic_jordan(lat, 3)
+    assert sizes == [n - top]
+    assert [c.key() for c in got] == [c.key() for c in ref_constituents(
+        ref_local_pieces(g, 3), 3)]
+
+
+def test_odd_prime_gram_divisible_by_p():
+    """Every entry a multiple of 3: 3 divides every D_j, j >= 0, so top =
+    k = 0 and the block split at 3 is the Gram itself."""
+    g = _rebased(lattice.build_named("A2+D4+U(2)").gram, random.Random(3), 24)
+    g = [[3 * x for x in row] for row in g]
+    minors = [1] + lattice.Lattice(g).jordan[0]
+    assert [j for j, d in enumerate(minors) if d % 3] == [0]
+    assert_matches_reference(g)
+
+
+def _full(u):
+    """The symmetric matrix of upper rows u[i] = (i, i..)."""
+    return [[u[min(a, b)][abs(b - a)] for b in range(len(u))]
+            for a in range(len(u))]
+
+
+def ref_trailing_blocks(g):
+    """Pivots and trailing blocks B_0, B_1, .. of the fraction-free
+    elimination of g without pivoting, the whole block updated each step."""
+    m, prev, pivots, blocks = [list(row) for row in g], 1, [], []
+    for k in range(len(m)):
+        blocks.append([row[k:] for row in m[k:]])
+        d = m[k][k]
+        for row in m[k + 1:]:
+            c = row[k]
+            row[k + 1:] = [(x * d - c * y) // prev
+                           for x, y in zip(row[k + 1:], m[k][k + 1:])]
+        pivots.append(d)
+        prev = d
+    return pivots, blocks + [[]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(symmetric_grams(), sparse_grams()))
+def test_trailing_blocks_rebuilt_from_pivot_rows(g):
+    """B_j rebuilt backward from scale_pass's pivot rows is the trailing
+    block at step j of the plain run on the rebuilt B_0 (the Gram in the
+    pass's basis), and that run's pivots are the pass's."""
+    jordan = intmat.scale_pass([list(row) for row in g])
+    assume(jordan is not None)
+    pivots, _steps, _bounds, rows, _order = jordan
+    minors = [1] + pivots
+    blocks = [_full(genus._trailing_block(rows, minors, j))
+              for j in range(len(g) + 1)]
+    assert ref_trailing_blocks(blocks[0]) == (pivots, blocks)
+
+
+def _pair_then_rows(pair, cols, lead):
+    """A pair in basis vectors 0 and 1, then four vectors whose entries
+    (g_0b, g_1b) are cols and whose own block has even diagonal; with
+    lead, the sum [3] + G, whose first piece has multiplier 0 on all of G."""
+    rest = [[4, 1, 0, 2], [1, 6, 1, 0], [0, 1, 4, 1], [2, 0, 1, 8]]
+    g = [list(pair[0]) + [a for a, _ in cols], list(pair[1]) + [b for _, b in cols]]
+    g += [[a, b] + row for (a, b), row in zip(cols, rest)]
+    if lead:
+        g = [[3] + [0] * 6] + [[0] + row for row in g]
+    return g
+
+
+# (g_0b, g_1b) for multipliers onto the first pivot only, the second
+# only, both and neither: with e = 1 and D_k / D_{k-1} = 2, u1_b is
+# 2 g_1b - g_0b (plain), 2 g_0b - g_1b (swapped) or g_1b - g_0b (folded)
+PAIR_UPDATE_CASES = {
+    "plain": ([[2, 1], [1, 2]], [(2, 1), (0, 1), (1, 1), (0, 0)]),
+    "swap": ([[0, 1], [1, 2]], [(1, 2), (1, 0), (1, 1), (0, 0)]),
+    "fold": ([[0, 1], [1, 0]], [(1, 1), (1, -1), (1, 0), (0, 0)]),
+}
+
+
+@pytest.mark.parametrize("lead", [0, 1], ids=["first", "after-1x1"])
+@pytest.mark.parametrize("case", PAIR_UPDATE_CASES)
+def test_scale_pass_pair_update_examples(case, lead):
+    """The two-step update of a pair at k on later rows whose multipliers
+    (f_b onto pivot k, u1_b onto pivot k+1) are nonzero onto the first
+    pivot only, the second only, both and neither (a row left lazy)."""
+    g = _pair_then_rows(*PAIR_UPDATE_CASES[case], lead)
+    n = len(g)
+    assert ref_frac_det(g) != 0
+    for m in (g, [row + [int(i == j) for j in range(n)]
+                  for i, row in enumerate(g)]):
+        _pivots, steps, _bounds, rows, order = assert_scale_pass_matches(m)
+        assert steps[lead] == (lead, 0, 2)
+        assert order[lead:lead + 2] == ([lead + 1, lead] if case == "swap"
+                                        else [lead, lead + 1])
+        assert {(rows[lead][b] != 0, rows[lead + 1][b - 1] != 0)
+                for b in range(2, n - lead)} == set(itertools.product(
+                    (True, False), repeat=2))
+    assert_matches_reference(g)
+
+
 @settings(max_examples=60, deadline=None)
 @given(symmetric_grams(), st.integers(1, 6))
 def test_rational_det_signature_match_reference(g, den):

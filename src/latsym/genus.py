@@ -141,16 +141,28 @@ def _power_root(n, least=2):
     _prime_factors.  Rho needs about sqrt(q) steps on a power of a prime q."""
     for k in filter(intmat.is_prime,
                     range(2, n.bit_length() // (least.bit_length() - 1) + 1)):
-        if k == 2:
-            r = isqrt(n)
-        else:
-            # Newton's method from above ends at the floor of the k-th root
-            r = 1 << -(-n.bit_length() // k)
-            while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
-                r = y
+        r = isqrt(n) if k == 2 else _floor_root(n, k)
         if r ** k == n:
             return r
     return None
+
+
+def _floor_root(n, k):
+    """The floor of the k-th root of n >= 0, by Newton's method from above
+    from (t + 1) 2^h, t the root of n >> k h: for h = bits // k - p - 1 and
+    2^p > 4k, t >= 2^p, so the start lies within a factor 1 + 1/(4k) of the
+    root.  A root of at most p + 2 bits is bisected, one power per bit."""
+    h = n.bit_length() // k - k.bit_length() - 3
+    if h > 0:
+        r = (_floor_root(n >> k * h, k) + 1) << h
+        while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = y
+        return r
+    lo, hi = 0, 1 << -(-n.bit_length() // k)     # lo^k <= n < hi^k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** k <= n else (lo, mid)
+    return lo
 
 
 # rho steps in all: about 2 sqrt(q) for a prime factor q of up to 40 bits;

@@ -6,7 +6,7 @@ ints or Fractions: the eliminations take L a as ints, L the lcm of the
 denominators of a, and mat_mul has one form, whose entries are ints or
 Fractions as its arithmetic makes them.  f2_relations is the one F2
 elimination, on int bitmasks.  Fraction-free Bareiss elimination runs on
-plain ints: bareiss, with row swaps, gives determinants and inverses;
+plain ints: bareiss, with row swaps, gives determinants and solutions;
 scale_pass, the one symmetric elimination, gives a symmetric matrix's
 determinant, signature, 2-adic Jordan splitting, frame and short vectors.
 scale_pass finds each 2-adic piece in the block it is eliminating, one
@@ -335,16 +335,12 @@ def det_signature(g):
     return (0, None) if jordan is None else pivot_form(jordan[0], den)
 
 
-def frac_inverse(a):
-    """Exact inverse, ints where integral, else Fractions; ValueError on a
-    singular matrix.  bareiss on the rows of [L a | I], L the lcm of the
-    denominators of a, leaves U Y = D B with D the last pivot; Y = D (L a)^-1
-    is integral (Cramer's rule), so Y_i = (D B_i - sum_{j>i} u_ij Y_j) / u_ii
-    divides exactly, and a^-1 = L Y / D."""
-    den, m = _scaled(a)
-    n = len(m)
-    for i, row in enumerate(m):
-        row += [int(i == j) for j in range(n)]
+def solve(a, b):
+    """(D, Y) with a Y = D b, for a square int matrix a and int rows b;
+    ValueError on a singular a.  bareiss on the rows of [a | b] leaves
+    U Y = D B with D the last pivot; Y = D a^-1 b is integral (Cramer's
+    rule), so Y_i = (D B_i - sum_{j>i} u_ij Y_j) / u_ii divides exactly."""
+    n, m = len(a), [list(ra) + list(rb) for ra, rb in zip(a, b)]
     if bareiss(m)[0] < n:
         raise ValueError("matrix is singular")
     d = m[n - 1][n - 1] if n else 1
@@ -355,6 +351,14 @@ def frac_inverse(a):
             if u[j]:
                 acc = [x - u[j] * z for x, z in zip(acc, y[j])]
         y[i] = [x // u[i] for x in acc]
+    return d, y
+
+
+def frac_inverse(a):
+    """Exact inverse, ints where integral, else Fractions: L Y / D for
+    (D, Y) = solve(L a, I), L the lcm of the denominators of a."""
+    den, m = _scaled(a)
+    d, y = solve(m, identity(len(m)))
     return [[x // d if x % d == 0 else Fraction(x, d)
              for x in (den * z for z in row)] for row in y]
 

@@ -7,7 +7,7 @@ table.  The supporting operations are usable on any integral lattice.
 """
 
 from functools import lru_cache
-from math import gcd
+from math import lcm
 from pathlib import Path
 
 from . import discform, fixtures, genus, intmat, lattice, walls
@@ -91,7 +91,9 @@ def compose(f, g):
 
 
 def inverse(f):
-    return LatticeIsometry(f.lattice, intmat.frac_inverse(f.matrix))
+    """f^-1 = G^-1 M^T G = G^-1 (G M)^T, from the lattice's kept dual Gram."""
+    return LatticeIsometry(f.lattice, intmat.mat_mul(
+        f.lattice.dual_gram(), intmat.transpose(f.gram_matrix)))
 
 
 def conjugate(f, g):
@@ -122,8 +124,9 @@ def _mat_power(m, k):
 # ---------------------------------------------------------------------------
 # multiplicative order
 
-# a prime above every cyclotomic index order_of tries (d <= 2 n^2 + 1)
+# a prime above every cyclotomic index order_of tries (d <= 2 s^2 + 1)
 _P = 2**61 - 1
+_INFINITE = "isometry has infinite order, beyond any cap"
 
 
 def _char_poly_mod(m):
@@ -203,41 +206,56 @@ def _cyclotomic_indices(n):
 def order_of(f, cap=10**6):
     """Multiplicative order of an isometry; error beyond the cap.
 
-    The characteristic polynomial chi is divided by the cyclotomic Phi_d,
-    phi(d) <= n, all mod the prime _P = 2^61 - 1; the lcm L of the d found
-    is confirmed by one exact power M^L = I, which for L = 2 is the
+    A degenerate fixed lattice K means infinite order.  Otherwise f is id
+    on K_Q and, on the saturated coinvariant lattice C with basis rows c_j,
+    the integral s x s matrix A of M c_j = sum_i A_ij c_i: ord(f) = ord(A).
+    The columns J of C independent mod 2 have an odd determinant (C mod 2
+    has rank s), and A solves C^T[J] A = M[J] C^T: s rows of M C^T, not n.
+
+    The characteristic polynomial chi of A is divided by the cyclotomic
+    Phi_d, phi(d) <= s, all mod the prime _P = 2^61 - 1; the lcm L of the d
+    found is confirmed by one exact power A^L = I, which for L = 2 is the
     symmetry of G M (M^T G M = G gives M^-1 = G^-1 M^T G, so M^2 = I iff
     G M = M^T G = (G M)^T).  This is exact: _P exceeds
     every d tried, so the Phi_d are squarefree and pairwise coprime mod _P,
     and reduction mod _P is a ring map.  If f has finite order, chi =
     prod Phi_d^(m_d) over Z, the same factors divide out mod _P with the
     same multiplicities, L is the true order and the power check passes.
-    Otherwise a factor is left over or M^L != I: infinite order.
+    Otherwise a factor is left over or A^L != I: infinite order.
     """
-    n = f.lattice.rank
-    if n == 0:
+    try:
+        _inv, coinv = invariant_coinvariant(f)
+    except ValueError as exc:
+        if str(exc) != lattice.DEGENERATE:
+            raise
+        raise ValueError(_INFINITE) from None
+    s = coinv.rank
+    if s == 0:
         return 1
-    if _P <= 2 * n * n + 2:
-        raise ValueError("rank too large for the modulus of order_of")
-    poly = _char_poly_mod(f.matrix)
+    ct = intmat.transpose(coinv.rows)
+    cols = [j for j, rel in enumerate(intmat.f2_relations(
+        [sum((c & 1) << i for i, c in enumerate(col)) for col in ct])) if not rel]
+    den, a = intmat.solve([ct[j] for j in cols],
+                          intmat.mat_mul([f.matrix[j] for j in cols], ct))
+    a = [[x // den for x in row] for row in a]
+    poly = _char_poly_mod(a)
     order = 1
-    for d in _cyclotomic_indices(n):
+    for d in _cyclotomic_indices(s):
         cyc = _cyclotomic(d)
         hit = False
         while len(poly) >= len(cyc):
             quo, rem = _poly_divmod(poly, cyc)
             if any(rem):
                 break
-            poly = quo
-            hit = True
+            poly, hit = quo, True
         if hit:
-            order = order * d // gcd(order, d)
+            order = lcm(order, d)
         if len(poly) == 1:
             break
     if len(poly) > 1 or not (
             f.gram_matrix == intmat.transpose(f.gram_matrix) if order == 2
-            else _mat_power(f.matrix, order) == intmat.identity(n)):
-        raise ValueError("isometry has infinite order, beyond any cap")
+            else _mat_power(a, order) == intmat.identity(s)):
+        raise ValueError(_INFINITE)
     if order > cap:
         raise ValueError("isometry order exceeds the cap of %d" % cap)
     return order

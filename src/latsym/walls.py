@@ -130,8 +130,9 @@ def _first_positive(x):
     return tuple(x) if next(v for v in x if v) > 0 else tuple(-v for v in x)
 
 
-def wall_class(model, x):
-    """Classify a nonzero lattice vector as a wall, or return None.
+def wall_class(model, x, gx=None):
+    """Classify a nonzero lattice vector x, with its pairings gx = G x if
+    they are known, as a wall, or return None.
 
     The WALL12 condition restricts the vector to the three scaled
     hyperbolic blocks: those six coordinates must all be even, which is
@@ -142,7 +143,8 @@ def wall_class(model, x):
     gram = model.lattice.gram
     if len(x) != len(gram):
         raise ValueError("vector length does not match rank")
-    gx = intmat.mat_vec(gram, x)
+    if gx is None:
+        gx = intmat.mat_vec(gram, x)
     square = intmat.dot(x, gx)
     div = intmat.gcd_vec(gx)
     wclass = _CLASSES.get((square, div))
@@ -161,7 +163,8 @@ def coinvariant_wall_scan(model, f, pex_only=False):
     For v = sum x_i rows_i, G v and v on the blocks (coordinates 0..5) are
     linear mod 2 in x, by per-row bit masks: -2 is walked in the whole
     coinvariant lattice, -4 and -6 where G v is even, -12 where v is also
-    even on the blocks (_parity_sublattice).  wall_class alone decides.
+    even on the blocks (_parity_sublattice).  wall_class alone decides, on
+    v and G v, each one product of the found x with rows or G rows.
     Lambda is even with a 2-elementary discriminant group, so a primitive
     v has div 1 or 2, and one of square -4, -6 or -12 is primitive (else
     2u with u^2 = -1 or -3): only the -2 vectors of div 2 are no walls.
@@ -193,8 +196,9 @@ def coinvariant_wall_scan(model, f, pex_only=False):
         found = short_vectors(lats[str(sub_gram)], t)
         if basis is not None:
             found = sorted(map(_first_positive, intmat.mat_mul(found, basis)))
-        for v in intmat.mat_mul(found, rows):
-            w = wall_class(model, v)
+        for v, gv in zip(intmat.mat_mul(found, rows),
+                         intmat.mat_mul(found, coinv.gram_rows)):
+            w = wall_class(model, v, gv)
             if w is not None:
                 witnesses.append(w)
     return witnesses

@@ -340,15 +340,16 @@ def assert_char_poly_matches(m):
 
 
 def assert_same_order(f):
-    """order_of gives the reference order, or raises its message; returns
-    the order, or None for infinite order."""
+    """order_of gives the reference order, and the n x n path's, or raises
+    their message; returns the order, or None for infinite order."""
     try:
         expect = ref_order_of(f)
     except ValueError as exc:
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            isometry.order_of(f)
+        for order_of in (isometry.order_of, ref_ambient_order_of):
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                order_of(f)
         return None
-    assert isometry.order_of(f) == expect
+    assert isometry.order_of(f) == ref_ambient_order_of(f) == expect
     if expect > 1:
         with pytest.raises(ValueError, match="exceeds the cap of %d" % (expect - 1)):
             isometry.order_of(f, cap=expect - 1)
@@ -1623,6 +1624,62 @@ def module_maps(draw):
     return name, mat
 
 
+def ref_compose_order(iso):
+    """FqmIsometry.order as it was: compose the matrix with itself until
+    the identity; a power that repeats first means not invertible."""
+    power, n, seen = iso, 1, set()
+    while not power.is_identity:
+        if power._key in seen:
+            raise ValueError("map is not invertible")
+        seen.add(power._key)
+        power = power.compose(iso)
+        n += 1
+    return n
+
+
+F2_NAMES = ("Lambda", "D4", "E8(2)", "U(2)+A1", "A1^3")
+
+
+@st.composite
+def f2_module_maps(draw):
+    """A 2-elementary module and a random F2 matrix: mostly singular, some
+    invertible, and now and then one taken from the transvections."""
+    name = draw(st.sampled_from(F2_NAMES))
+    mod = ref_module(name)[1]
+    k = len(mod.orders)
+    if draw(st.booleans()):
+        u = draw(st.integers(1, 2 ** k - 1))
+        t = discform.transvection(mod, [u >> i & 1 for i in range(k)])
+        return name, [list(row) for row in t.matrix]
+    return name, [[draw(st.integers(0, 1)) for _ in range(k)] for _ in range(k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(f2_module_maps())
+@example(("Lambda", [[0] * 8 for _ in range(8)]))
+@example(("A1^3", [[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
+@example(("D4", [[0, 1], [1, 1]]))
+def test_mask_order_matches_compose_order(case):
+    """On 2-elementary modules order() and preserves_q run on column
+    masks: they agree with composing the matrix, with the element
+    permutation and with the Fraction forms, and refuse a singular map
+    (the zero map and a map fixing some generators included)."""
+    name, mat = case
+    _lat, mod, ref = ref_module(name)
+    iso = discform.FqmIsometry(mod, mat)
+    assert iso._cols is not None
+    assert iso.preserves_q == ref.preserves_q(iso.matrix)
+    try:
+        expect = ref_compose_order(iso)
+    except ValueError:
+        with pytest.raises(ValueError, match="map is not invertible"):
+            iso.order()
+        with pytest.raises(ValueError, match="map is not invertible"):
+            ref.order(iso.matrix)
+        return
+    assert iso.order() == expect == ref.order(iso.matrix)
+
+
 @settings(max_examples=150, deadline=None)
 @given(module_maps())
 def test_generic_module_maps_match_reference(case):
@@ -2227,6 +2284,123 @@ def test_order_of_rejects_negated_eichler_transvection():
         ref_order_of(neg)
 
 
+def ref_ambient_order_of(f, cap=10**6):
+    """order_of as it was before it read the coinvariant action: the n x n
+    characteristic polynomial mod P, cyclotomic division over phi(d) <= n
+    and the exact power check on M itself."""
+    n = f.lattice.rank
+    if n == 0:
+        return 1
+    poly = isometry._char_poly_mod(f.matrix)
+    order = 1
+    for d in isometry._cyclotomic_indices(n):
+        cyc = isometry._cyclotomic(d)
+        hit = False
+        while len(poly) >= len(cyc):
+            quo, rem = isometry._poly_divmod(poly, cyc)
+            if any(rem):
+                break
+            poly, hit = quo, True
+        if hit:
+            order = order * d // gcd(order, d)
+        if len(poly) == 1:
+            break
+    if len(poly) > 1 or not (
+            f.gram_matrix == intmat.transpose(f.gram_matrix) if order == 2
+            else isometry._mat_power(f.matrix, order) == intmat.identity(n)):
+        raise ValueError("isometry has infinite order, beyond any cap")
+    if order > cap:
+        raise ValueError("isometry order exceeds the cap of %d" % cap)
+    return order
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@lru_cache(maxsize=None)
+def golden_matrices():
+    return {p.stem: json.loads(p.read_text())["matrix"]
+            for p in sorted(GOLDEN.glob("*.json"))}
+
+
+def fresh_goldens():
+    """The golden isometries, made anew so that no split is kept on them."""
+    lam = standard_model().lattice
+    return {name: isometry.make_isometry(lam, m)
+            for name, m in golden_matrices().items()}
+
+
+def test_coinvariant_order_matches_ambient_reference():
+    """order_of on the action A on the coinvariant lattice agrees with the
+    n x n path and with the order over Z on the golden isometries, whose
+    coinvariant ranks and orders cover s = 0, 1, 2, 3, 4, 6, 8, 10 and 16
+    and 1, 2, 3, 4 and 6 (the sample words among them)."""
+    seen = set()
+    for name, f in fresh_goldens().items():
+        order = isometry.order_of(f)
+        assert order == ref_ambient_order_of(f) == ref_order_of(f), name
+        seen.add((isometry.invariant_coinvariant(f)[1].rank, order))
+    assert {s for s, _ in seen} == {0, 1, 2, 3, 4, 6, 8, 10, 16}
+    assert {o for _, o in seen} == {1, 2, 3, 4, 6}
+
+
+def test_order_of_degenerate_fixed_lattice_is_infinite(monkeypatch):
+    """The Eichler transvection E itself fixes the isotropic span of e1
+    and e2: its fixed lattice is degenerate, which is infinite order.
+    Any other failure of the split goes through unchanged."""
+    uu = lattice.build_named("U^2")
+    e = isometry.make_isometry(
+        uu, [[1, 0, 0, -1], [0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(ValueError, match=re.escape(lattice.DEGENERATE)):
+        isometry.invariant_coinvariant(e)
+    for order_of in (isometry.order_of, ref_ambient_order_of, ref_order_of):
+        with pytest.raises(ValueError, match="infinite order, beyond any cap"):
+            order_of(e)
+
+    def broken(f):
+        raise ValueError("some other failure")
+
+    monkeypatch.setattr(isometry, "invariant_coinvariant", broken)
+    with pytest.raises(ValueError, match="some other failure"):
+        isometry.order_of(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.data())
+def test_saturated_columns_independent_mod_2_and_solve(rank, extra, data):
+    """A saturated basis C (kernel_basis of a random matrix, s x n) has s
+    columns J independent mod 2, whose determinant is odd, as order_of
+    needs; solve gives D and Y with C[:, J] Y = D B."""
+    n = rank + extra
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5))
+    m = [[data.draw(entry) for _ in range(n)] for _ in range(extra)]
+    c = intmat.kernel_basis(m)
+    assume(c)
+    masks = [sum((x & 1) << i for i, x in enumerate(col)) for col in zip(*c)]
+    cols = [j for j, rel in enumerate(intmat.f2_relations(masks)) if not rel]
+    square = [[row[j] for j in cols] for row in c]
+    assert len(cols) == len(c) and intmat.det(square) % 2 == 1
+    b = [[data.draw(entry) for _ in range(3)] for _ in range(len(c))]
+    d, y = intmat.solve(square, b)
+    assert intmat.mat_mul(square, y) == [[d * x for x in row] for row in b]
+
+
+def test_inverse_from_dual_gram_matches_frac_inverse():
+    """inverse(f) = G^-1 M^T G equals the eliminated inverse of M, and
+    compose(f, inverse(f)) is the identity, on the goldens and words."""
+    rng = random.Random(4)
+    words = [word(lambda_generators(), [rng.randrange(10**6) for _ in range(4)])
+             for _ in range(10)]
+    for f in list(fresh_goldens().values()) + words:
+        inv = isometry.inverse(f)
+        assert inv.matrix == intmat.frac_inverse(f.matrix)
+        assert isometry.compose(f, inv).is_identity()
+        assert isometry.compose(inv, f).is_identity()
+    lam = standard_model().lattice
+    assert lam.dual_gram() is lam.dual_gram()
+    assert lattice.dual(lam).dual_gram() == lam.gram
+
+
 # ---------------------------------------------------------------------------
 # F2 eliminations: the row reduction behind the discriminant subgroups and
 # their kernels, and the parity loop of the wall scan, before both became
@@ -2355,3 +2529,53 @@ def test_f2_eliminations_match_reference(case, bits, rng):
     assert sub.elements() == ref.elements()
     assert [sub.contains(x) for x in mod.elements()] == [
         ref.contains(x) for x in mod.elements()]
+
+
+# ---------------------------------------------------------------------------
+# exact powers: Newton's method from 2^ceil(bits / k), before it started
+# from the top bits of n
+
+
+def ref_power_root(n, least=2):
+    """genus._power_root as it was."""
+    for k in filter(intmat.is_prime,
+                    range(2, n.bit_length() // (least.bit_length() - 1) + 1)):
+        if k == 2:
+            r = isqrt(n)
+        else:
+            r = 1 << -(-n.bit_length() // k)
+            while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+                r = y
+        if r ** k == n:
+            return r
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 2 ** 24), st.integers(2, 13), st.integers(0, 2 ** 200))
+@example(2 ** 20 + 7, 13, 3 ** 120)
+def test_power_root_matches_reference(r, k, odd):
+    """Exact powers r^k, their neighbours r^k +- 1 and random odd n, with
+    every prime k tried (least 2) and with k up to bits / 10 as
+    _prime_factors asks."""
+    for n in (r ** k, r ** k - 1, r ** k + 1, odd | 1):
+        if n > 1:
+            assert genus._power_root(n) == ref_power_root(n)
+            assert genus._power_root(n, 1 << 10) == ref_power_root(n, 1 << 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 3000), st.integers(3, 400))
+def test_floor_root_brackets_the_root(n, k):
+    r = genus._floor_root(n, k)
+    assert r ** k <= n < (r + 1) ** k
+
+
+def test_power_root_on_large_numbers():
+    """A 3,000-bit non-power, a 61st power and a square of 1,500 bits
+    against the reference, with k up to bits / 10."""
+    rng = random.Random(61)
+    big = rng.getrandbits(3000) | 1 << 2999 | 1
+    root = rng.getrandbits(50) | 1 << 49
+    for n in (big, root ** 61, (root ** 15) ** 2):
+        assert genus._power_root(n, 1 << 10) == ref_power_root(n, 1 << 10)

@@ -1,7 +1,8 @@
 """Source hygiene of src/latsym, read with ast: every import of a module is
-used in it, and every module-level private function or class is referenced
-somewhere in src/latsym, tests or perfbench.  An import or helper that a
-deletion leaves behind fails here instead of staying."""
+used in it, every module-level private function or class is referenced
+somewhere in src/latsym, tests or perfbench, and no statement follows a
+return, raise, continue or break in its block.  An import, helper or
+statement that a change leaves behind fails here instead of staying."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,38 @@ def test_every_private_helper_is_referenced():
         and node.name.startswith("_") and not node.name.startswith("__")
         and node.name not in referenced]
     assert orphans == []
+
+
+_JUMPS = (ast.Return, ast.Raise, ast.Continue, ast.Break)
+
+
+def _unreachable(tree):
+    """Line numbers of the statements that follow a jump in their block."""
+    return [body[i + 1].lineno
+            for node in ast.walk(tree)
+            for body in (getattr(node, field, None)
+                         for field in ("body", "orelse", "finalbody"))
+            if isinstance(body, list)
+            for i, stmt in enumerate(body[:-1]) if isinstance(stmt, _JUMPS)]
+
+
+def test_unreachable_statements_are_found():
+    tree = ast.parse("def f(x):\n"
+                     "    for y in x:\n"
+                     "        if y:\n"
+                     "            continue\n"
+                     "            y += 1\n"
+                     "        break\n"
+                     "    else:\n"
+                     "        raise ValueError\n"
+                     "    try:\n"
+                     "        return x\n"
+                     "        x = 1\n"
+                     "    finally:\n"
+                     "        pass\n")
+    assert sorted(_unreachable(tree)) == [5, 11]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_statement_follows_a_jump(path):
+    assert _unreachable(_tree(path)) == []

@@ -37,7 +37,10 @@ def test_tracer_installs_over_latsym():
 
 def test_report_scans_through_the_traced_wall_scan(capsys):
     """report reaches the wall scan by its public name, so a traced
-    classify run counts its time and witnesses."""
+    classify run counts its time and witnesses; the order on the
+    coinvariant lattice, the discriminant action on masks and the wall
+    classes from the pairing rows stay on their traced names too, so that
+    their per-layer figures cannot read 0."""
     golden = ROOT / "tests" / "data" / "golden" / "e8_roots_orthogonal_4.json"
     tr = installed_tracer()
     try:
@@ -47,3 +50,8 @@ def test_report_scans_through_the_traced_wall_scan(capsys):
     witnesses = capsys.readouterr().out.count('"class": "PEX2"')
     assert tr.calls["walls.coinvariant_wall_scan"] == 1
     assert tr.counts["walls.witnesses"] == witnesses == 4
+    assert [tr.calls[name] for name in (
+        "isometry.order_of", "isometry.disc_order",
+        "discform.induced_disc_isometry", "discform.FqmIsometry.order")] == [1] * 4
+    assert tr.calls["walls.wall_class"] >= 4
+

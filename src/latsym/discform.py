@@ -12,9 +12,8 @@ are exact.
 """
 
 from fractions import Fraction
-from functools import reduce
-from math import lcm, prod
-from operator import mul, xor
+from math import lcm
+from operator import mul
 
 from . import intmat
 
@@ -65,14 +64,18 @@ class TorsionQuadModule:
                     raise ValueError("polar form must be symmetric")
         self.source = source
         self.lifts = lifts
-        self._coords = self._colmasks = None
-        self._elems = self._eidx = None
+        self._coords = None
+        self._elems = None
+        self._eidx = None
 
     def __repr__(self):
         return "TorsionQuadModule(orders=%r)" % (self.orders,)
 
     def order(self):
-        return prod(self.orders)
+        n = 1
+        for d in self.orders:
+            n *= d
+        return n
 
     @property
     def is_two_elementary(self):
@@ -154,14 +157,14 @@ class TorsionQuadModule:
 
         num / den lies in the dual lattice iff den divides G num; the
         quotient w then has class coordinates (V^T w)_i mod orders[i] for
-        the right Smith transform V of G, by popcounts if 2-elementary.
+        the right Smith transform V of G.
         """
-        if any(p % den for p in gnum):
-            raise ValueError("vector is not in the dual lattice")
-        w = [p // den for p in gnum]
-        if self._colmasks is not None:
-            bits = _f2_mask([x & 1 for x in w])
-            return tuple((m & bits).bit_count() & 1 for m in self._colmasks)
+        w = []
+        for p in gnum:
+            quo, rem = divmod(p, den)
+            if rem:
+                raise ValueError("vector is not in the dual lattice")
+            w.append(quo)
         return tuple(intmat.dot(col, w) % d
                      for col, d in zip(self._coords, self.orders))
 
@@ -193,8 +196,6 @@ def discriminant_form(lat):
                             [[2 * x for x in row] for row in inner],
                             source=lat, lifts=lifts)
     mod._coords = [[v[i][j] for i in range(n)] for j in keep]
-    if mod.is_two_elementary:
-        mod._colmasks = [_f2_mask([c & 1 for c in col]) for col in mod._coords]
     lat._disc_form = mod
     return mod
 
@@ -269,9 +270,14 @@ def kernel_and_radical(mod):
     kernel = Subgroup(mod, [tuple(x) for x in _f2_kernel([row], k)])
     bk = [[int(mod.b(x, y)) for y in kernel.basis] for x in kernel.basis]
     combos = _f2_kernel(bk, kernel.dim)
-    radical = Subgroup(mod, [
-        reduce(mod.add, (b for c, b in zip(combo, kernel.basis) if c), mod.zero())
-        for combo in combos])
+    rad_vectors = []
+    for combo in combos:
+        x = mod.zero()
+        for c, bvec in zip(combo, kernel.basis):
+            if c:
+                x = mod.add(x, bvec)
+        rad_vectors.append(x)
+    radical = Subgroup(mod, rad_vectors)
     r = None
     if radical.dim == 1:
         cand = [x for x in radical.elements() if x != mod.zero()][0]
@@ -305,9 +311,11 @@ class FqmIsometry:
                     raise ValueError("matrix does not define a homomorphism")
         self._key = tuple(tuple(r) for r in self.matrix)
         self._preserves_q = None
-        # on a 2-elementary module, column j as the k-bit int f(g_j)
-        self._cols = ([_f2_mask(col) for col in zip(*self.matrix)]
-                      if module.is_two_elementary else None)
+
+    @classmethod
+    def identity(cls, module):
+        k = len(module.orders)
+        return cls(module, intmat.identity(k))
 
     def __eq__(self, other):
         return (isinstance(other, FqmIsometry)
@@ -333,13 +341,14 @@ class FqmIsometry:
 
     @property
     def is_identity(self):
-        return self.matrix == intmat.identity(len(self.matrix))
+        k = len(self.module.orders)
+        return all(self.matrix[i][j] == (1 if i == j else 0)
+                   for i in range(k) for j in range(k))
 
     @property
     def preserves_q(self):
-        """q(f g_j) = q(g_j) and b(f g_i, f g_j) = b(g_i, g_j), off P =
-        F^T B F for the matrix F and B = bunits: P_ij = e b(f g_i, f g_j) and
-        e q(f g_j) = P_jj / 2 + sum_i F_ij^2 (qunits_i - B_ii / 2), mod 2e."""
+        """b and q are kept iff P = F^T B F, B = bunits, has P_ij = B_ij and
+        P_jj / 2 + sum_i F_ij^2 (qunits_i - B_ii / 2) = qunits_j, mod 2e."""
         if self._preserves_q is None:
             mod, f, e2 = self.module, self.matrix, 2 * self.module.exponent
             p = intmat.mat_mul(intmat.transpose(f), intmat.mat_mul(mod.bunits, f))
@@ -361,26 +370,17 @@ class FqmIsometry:
         return perm
 
     def order(self):
-        """Least n with self^n the identity, or ValueError("map is not
-        invertible"): the lcm of the periods of the generators g_j, since
-        f^n = id iff f^n g_j = g_j for all j; an orbit that meets an element
-        twice before it is back at g_j means f does not permute the
-        elements.  On a 2-elementary module an element is a k-bit int, and
-        f XORs the column masks of its bits."""
-        k, cols = len(self.matrix), self._cols
-        gens = [_unit_tuple(k, j) if cols is None else 1 << j for j in range(k)]
-        step = self.apply if cols is None else (lambda x: reduce(
-            xor, (c for i, c in enumerate(cols) if x >> i & 1), 0))
-        total = 1
-        for g in gens:
-            x, seen = step(g), set()
-            while x != g:
-                if x in seen:
-                    raise ValueError("map is not invertible")
-                seen.add(x)
-                x = step(x)
-            total = lcm(total, len(seen) + 1)
-        return total
+        """Least n with self^n the identity, by composing the matrix; a
+        power that repeats before reaching the identity means the map is
+        not invertible."""
+        power, n, seen = self, 1, set()
+        while not power.is_identity:
+            if power._key in seen:
+                raise ValueError("map is not invertible")
+            seen.add(power._key)
+            power = power.compose(self)
+            n += 1
+        return n
 
 
 def transvection(mod, u):
@@ -405,10 +405,8 @@ def induced_disc_isometry(lat, f):
     """Action of a lattice isometry on the discriminant group of lat.
 
     Column j is the class of M u_j / d_j, the image of the lift of the
-    j-th generator, read off G M u_j = u_j (G M)^T: intmat.mat_mul reads
-    only the columns of G M in the support of u_j.  On a 2-elementary group
-    a class is a few popcounts.  f is a LatticeIsometry, checked when it
-    was made.
+    j-th generator, read off u_j (G M)^T on the support of u_j.  f is a
+    LatticeIsometry, checked when it was made.
     """
     if f.lattice.gram != lat.gram:
         raise ValueError("isometry does not act on this lattice")

@@ -148,21 +148,20 @@ def _power_root(n, least=2):
 
 
 def _floor_root(n, k):
-    """The floor of the k-th root of n >= 0, by Newton's method from above
-    from (t + 1) 2^h, t the root of n >> k h: for h = bits // k - p - 1 and
-    2^p > 4k, t >= 2^p, so the start lies within a factor 1 + 1/(4k) of the
-    root.  A root of at most p + 2 bits is bisected, one power per bit."""
-    h = n.bit_length() // k - k.bit_length() - 3
-    if h > 0:
-        r = (_floor_root(n >> k * h, k) + 1) << h
-        while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
-            r = y
-        return r
-    lo, hi = 0, 1 << -(-n.bit_length() // k)     # lo^k <= n < hi^k
+    """The floor of the k-th root of n >= 1: the root t of m = n >> k h by
+    bisection, then Newton's method from above from (t + 1) 2^h.  For h > 0,
+    h = bits // k - p - 3 with 2^p > k makes t >= 2^(p + 2) > 4k, so the
+    start lies within a factor 1 + 1/(4k) of the root."""
+    h = max(n.bit_length() // k - k.bit_length() - 3, 0)
+    m = n >> k * h
+    lo, hi = 0, 1 << -(-m.bit_length() // k)     # lo^k <= m < hi^k
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if mid ** k <= n else (lo, mid)
-    return lo
+        lo, hi = (mid, hi) if mid ** k <= m else (lo, mid)
+    r = hi << h
+    while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = y
+    return r
 
 
 # rho steps in all: about 2 sqrt(q) for a prime factor q of up to 40 bits;

@@ -7,7 +7,7 @@ table.  The supporting operations are usable on any integral lattice.
 """
 
 from functools import lru_cache
-from math import lcm
+from math import gcd
 from pathlib import Path
 
 from . import discform, fixtures, genus, intmat, lattice, walls
@@ -91,9 +91,7 @@ def compose(f, g):
 
 
 def inverse(f):
-    """f^-1 = G^-1 M^T G = G^-1 (G M)^T, from the lattice's kept dual Gram."""
-    return LatticeIsometry(f.lattice, intmat.mat_mul(
-        f.lattice.dual_gram(), intmat.transpose(f.gram_matrix)))
+    return LatticeIsometry(f.lattice, intmat.frac_inverse(f.matrix))
 
 
 def conjugate(f, g):
@@ -206,11 +204,11 @@ def _cyclotomic_indices(n):
 def order_of(f, cap=10**6):
     """Multiplicative order of an isometry; error beyond the cap.
 
-    A degenerate fixed lattice K means infinite order.  Otherwise f is id
-    on K_Q and, on the saturated coinvariant lattice C with basis rows c_j,
-    the integral s x s matrix A of M c_j = sum_i A_ij c_i: ord(f) = ord(A).
-    The columns J of C independent mod 2 have an odd determinant (C mod 2
-    has rank s), and A solves C^T[J] A = M[J] C^T: s rows of M C^T, not n.
+    A degenerate fixed lattice K means infinite order.  Otherwise M is the
+    identity on K_Q and acts on the saturated coinvariant lattice C (rows
+    c_j) by the integral s x s matrix A, M c_j = sum_i A_ij c_i, so ord(f) =
+    ord(A).  C mod 2 has rank s, so its columns J independent mod 2 have an
+    odd determinant, and A solves C^T[J] A = M[J] C^T, s rows of M C^T.
 
     The characteristic polynomial chi of A is divided by the cyclotomic
     Phi_d, phi(d) <= s, all mod the prime _P = 2^61 - 1; the lcm L of the d
@@ -232,12 +230,14 @@ def order_of(f, cap=10**6):
     s = coinv.rank
     if s == 0:
         return 1
-    ct = intmat.transpose(coinv.rows)
-    cols = [j for j, rel in enumerate(intmat.f2_relations(
-        [sum((c & 1) << i for i, c in enumerate(col)) for col in ct])) if not rel]
-    den, a = intmat.solve([ct[j] for j in cols],
-                          intmat.mat_mul([f.matrix[j] for j in cols], ct))
-    a = [[x // den for x in row] for row in a]
+    a = f.matrix        # at s = n, C spans the lattice: A is M, rebased
+    if s < f.lattice.rank:
+        ct = intmat.transpose(coinv.rows)
+        masks = [sum((c & 1) << i for i, c in enumerate(col)) for col in ct]
+        cols = [j for j, r in enumerate(intmat.f2_relations(masks)) if not r]
+        den, a = intmat.solve([ct[j] for j in cols],
+                              intmat.mat_mul([f.matrix[j] for j in cols], ct))
+        a = [[x // den for x in row] for row in a]
     poly = _char_poly_mod(a)
     order = 1
     for d in _cyclotomic_indices(s):
@@ -247,9 +247,10 @@ def order_of(f, cap=10**6):
             quo, rem = _poly_divmod(poly, cyc)
             if any(rem):
                 break
-            poly, hit = quo, True
+            poly = quo
+            hit = True
         if hit:
-            order = lcm(order, d)
+            order = order * d // gcd(order, d)
         if len(poly) == 1:
             break
     if len(poly) > 1 or not (

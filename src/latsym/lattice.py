@@ -39,7 +39,7 @@ class Lattice:
         self.is_integral = den == 1
         self._signature = sig
         self._det = _as_exact(det)
-        self._positive_frame = self._dual_gram = None
+        self._positive_frame = None
         # intmat.scale_pass of an integral Gram: its 2-adic Jordan splitting
         self.jordan = jordan if den == 1 else None
 
@@ -100,10 +100,8 @@ class Lattice:
         return self._positive_frame
 
     def dual_gram(self):
-        """Gram matrix of the dual lattice in the dual basis, G^-1, kept."""
-        if self._dual_gram is None:
-            self._dual_gram = intmat.frac_inverse(self.gram)
-        return self._dual_gram
+        """Gram matrix of the dual lattice in the dual basis."""
+        return intmat.frac_inverse(self.gram)
 
     def int_gram(self):
         if not self.is_integral:
@@ -207,7 +205,7 @@ def dual(lat):
     out.gram, out.name, out.blocks = lat.dual_gram(), "%sv" % (lat.name or "?"), None
     out.is_integral = all(type(x) is int for row in out.gram for x in row)
     out._det = _as_exact(1 / Fraction(lat.det()))
-    out._positive_frame = out._dual_gram = None
+    out._positive_frame = None
     out.jordan = intmat.scale_pass(out.gram) if out.is_integral else None
     return out
 
@@ -235,15 +233,21 @@ _TERM_RE = re.compile(
     r"^(U|V|E8|A(\d+)|D(\d+)|K(\d+)|H(\d+))(v?)(?:\((-?\d+)\))?(?:\^(\d+))?$")
 
 
-_ATOMS = {"U": hyperbolic, "V": odd_plane, "E8": root_E8}
-_FAMILIES = {"A": root_A, "D": root_D, "K": plane_K, "H": plane_H}
-
-
 def _build_atom(name):
-    if name in _ATOMS:
-        return _ATOMS[name]()
-    if name[:1] in _FAMILIES:
-        return _FAMILIES[name[0]](int(name[1:]))
+    if name == "U":
+        return hyperbolic()
+    if name == "V":
+        return odd_plane()
+    if name == "E8":
+        return root_E8()
+    if name.startswith("A"):
+        return root_A(int(name[1:]))
+    if name.startswith("D"):
+        return root_D(int(name[1:]))
+    if name.startswith("K"):
+        return plane_K(int(name[1:]))
+    if name.startswith("H"):
+        return plane_H(int(name[1:]))
     raise ValueError("unknown lattice name %r" % name)
 
 

@@ -131,8 +131,7 @@ def _first_positive(x):
 
 
 def wall_class(model, x, gx=None):
-    """Classify a nonzero lattice vector x, with its pairings gx = G x if
-    they are known, as a wall, or return None.
+    """Classify a nonzero vector x (with gx = G x if known) as a wall, or None.
 
     The WALL12 condition restricts the vector to the three scaled
     hyperbolic blocks: those six coordinates must all be even, which is
@@ -163,8 +162,7 @@ def coinvariant_wall_scan(model, f, pex_only=False):
     For v = sum x_i rows_i, G v and v on the blocks (coordinates 0..5) are
     linear mod 2 in x, by per-row bit masks: -2 is walked in the whole
     coinvariant lattice, -4 and -6 where G v is even, -12 where v is also
-    even on the blocks (_parity_sublattice).  wall_class alone decides, on
-    v and G v, each one product of the found x with rows or G rows.
+    even on the blocks (_parity_sublattice).  wall_class alone decides.
     Lambda is even with a 2-elementary discriminant group, so a primitive
     v has div 1 or 2, and one of square -4, -6 or -12 is primitive (else
     2u with u^2 = -1 or -3): only the -2 vectors of div 2 are no walls.

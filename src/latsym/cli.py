@@ -171,11 +171,20 @@ def cmd_walls(args, emit):
     return 0
 
 
+def _load_fixture(path):
+    """Rows of the class table: the bundled one, or a checked --fixture file."""
+    try:
+        return fixtures.load_table(path)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError("bad class table %s: %s" % (path, exc))
+
+
 def cmd_report(args, emit):
     f = _load_isometry(args.isometry)
+    rows = _load_fixture(args.fixture) if args.fixture else None
     model = lattice.standard_model()
     try:
-        rep = isometry.report(model, f, fixture=args.fixture)
+        rep = isometry.report(model, f, fixture=rows)
     except ValueError as exc:
         if "outside table" in str(exc):
             emit.record({"status": "fail", "detail": str(exc)}, "FAIL %s" % exc)
@@ -359,7 +368,7 @@ def cmd_verify_table(args, emit):
     paths = sorted(p for p in root.rglob("*.json") if p.is_file())
     if not paths:
         raise InputError("no isometry files under %s" % root)
-    rows = fixtures.load_table(args.fixture)
+    rows = _load_fixture(args.fixture)
     model = lattice.standard_model()
     results = [_table_file_result(model, rows, p) for p in paths]
     results.sort(key=lambda r: (r.get("row", 10**9), r["file"]))

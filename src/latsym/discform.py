@@ -529,16 +529,20 @@ class _StabilizerChain:
         return residue == self.ident
 
 
+# the largest module whose isometry groups are enumerated
+GROUP_CAP = 1024
+
+
 class FiniteIsometryGroup:
     """Group of q-preserving isometries of one torsion module.
 
     The group acts on the module elements; order, membership and orbits
     come from a stabilizer chain over that action.  Modules are capped in
-    size since the chain enumerates element indices.
+    size (GROUP_CAP) since the chain enumerates element indices.
     """
 
-    def __init__(self, module, generators, cap=1024):
-        if module.order() > cap:
+    def __init__(self, module, generators):
+        if module.order() > GROUP_CAP:
             raise ValueError("module too large for group enumeration")
         for g in generators:
             if g.module is not module:
@@ -612,19 +616,19 @@ class FiniteIsometryGroup:
         return _StabilizerChain(len(reps), perms).order()
 
 
-def group_from_generators(gens, cap=1024):
+def group_from_generators(gens):
     """Group generated by q-preserving isometries of one module."""
     if not gens:
         raise ValueError("need at least one generator")
-    return FiniteIsometryGroup(gens[0].module, gens, cap=cap)
+    return FiniteIsometryGroup(gens[0].module, gens)
 
 
-def full_reflection_group(mod, cap=1024):
+def full_reflection_group(mod):
     """Group generated by all transvections T_u with q(u) = 1 mod 2Z."""
     if not mod.is_two_elementary:
         raise ValueError("reflection groups need a 2-elementary module")
-    if mod.order() > cap:
+    if mod.order() > GROUP_CAP:
         raise ValueError("module too large for group enumeration")
     gens = [transvection(mod, u) for u in mod.elements()
             if u != mod.zero() and mod.q(u) == 1]
-    return FiniteIsometryGroup(mod, gens, cap=cap)
+    return FiniteIsometryGroup(mod, gens)

@@ -58,12 +58,36 @@ def _corrected_rows(errata):
 
 
 def load_table(path=None):
-    """Rows of the bundled class table (checksummed, errata applied), or an
-    override file taken as it is.  Every call returns fresh row dicts."""
+    """Rows of the bundled class table (checksummed, errata applied), or of
+    an override file, checked by _override_rows.  Every call returns fresh
+    row dicts."""
     if path is None:
         errata = tuple(tuple(sorted(e.items())) for e in load_errata())
         return [dict(r) for r in _corrected_rows(errata)]
-    return _load_json(Path(path), None)["rows"]
+    return _override_rows(_load_json(Path(path), None))
+
+
+def _override_rows(data):
+    """The rows of an override table, ValueError unless it is an object with
+    a list of row objects that carry int no, order and disc_order, a bool
+    regular, a type, and genus strings that parse_genus accepts (or null)."""
+    rows = data.get("rows") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise ValueError("a class table is an object with a list of row objects")
+    for i, row in enumerate(rows):
+        kinds = [type(row.get(k)) for k in ("no", "order", "disc_order", "regular")]
+        texts = [row.get(k, 0) for k in _GENUS_FIELDS]
+        if (kinds != [int, int, int, bool] or "type" not in row or not all(
+                t is None or isinstance(t, str) for t in texts)):
+            raise ValueError("class table row %d needs int no, order and "
+                             "disc_order, a bool regular, a type and genus "
+                             "strings or nulls" % i)
+        for text in (t for t in texts if t is not None):
+            try:
+                genus.parse_genus(text)
+            except ValueError as exc:
+                raise ValueError("class table row %d: %s" % (i, exc)) from None
+    return rows
 
 
 def load_errata():

@@ -9,41 +9,24 @@ adjacent scales.  Rendered symbols look like "II_(3,13)2^8_6".
 """
 
 import re
+from collections import namedtuple
 from math import gcd, isqrt, prod
 
 from . import intmat, lattice
 
 
-class Constituent:
+class Constituent(namedtuple("Constituent", "scale rank eps kind oddity",
+                             defaults=(None, None))):
     """One Jordan constituent: rank and sign at scale p^scale.
 
     kind is "I" or "II" at p = 2 and None at odd p; oddity is the trace
     invariant mod 8 at p = 2 (0 for type II) and None at odd p.
     """
 
-    __slots__ = ("scale", "rank", "eps", "kind", "oddity")
-
-    def __init__(self, scale, rank, eps, kind=None, oddity=None):
-        self.scale = scale
-        self.rank = rank
-        self.eps = eps
-        self.kind = kind
-        self.oddity = oddity
+    __slots__ = ()
 
     def key(self):
-        return (self.scale, self.rank, self.eps, self.kind, self.oddity)
-
-    def copy(self):
-        return Constituent(*self.key())
-
-    def __eq__(self, other):
-        return isinstance(other, Constituent) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "Constituent%r" % (self.key(),)
+        return tuple(self)
 
 
 class GenusSymbol:
@@ -53,30 +36,12 @@ class GenusSymbol:
         self.pos = pos
         self.neg = neg
         self.even = even
-        self.local = {p: [c.copy() for c in cs] for p, cs in local.items()}
-        for cs in self.local.values():
-            cs.sort(key=lambda c: c.scale)
+        self.local = {p: sorted(cs, key=lambda c: c.scale)
+                      for p, cs in local.items()}
 
     @property
     def rank(self):
         return self.pos + self.neg
-
-    def det(self):
-        """Signed determinant reconstructed from the local data."""
-        d = 1
-        for p, cs in self.local.items():
-            for c in cs:
-                d *= p ** (c.scale * c.rank)
-        return -d if self.neg % 2 else d
-
-    def local_at(self, p):
-        """Constituents at p, synthesizing the trivial symbol if absent."""
-        if p in self.local:
-            return self.local[p]
-        if p == 2:
-            raise ValueError("symbol has no 2-adic data")
-        eps = _legendre_int(self.det(), p)
-        return [Constituent(0, self.rank, eps)]
 
     def __repr__(self):
         return "GenusSymbol(%s)" % render_genus(self)
@@ -435,22 +400,13 @@ def _canonical_two_adic(constituents):
                 seen.add(state)
                 queue.append(state)
     eps, tot = min(seen)
-    out = []
-    for e in range(top + 1):
-        if e not in by_scale:
-            continue
-        c = by_scale[e].copy()
-        c.eps = -1 if eps[e] else 1
-        out.append(c)
-    by_scale = {c.scale: c for c in out}
+    oddity = {}
     for ci, comp in enumerate(comps):
-        tail = 0
-        for e in comp[1:]:
-            c = by_scale[e]
-            c.oddity = c.rank % 2
-            tail += c.oddity
-        by_scale[comp[0]].oddity = (tot[ci] - tail) % 8
-    return out
+        oddity.update((e, by_scale[e].rank % 2) for e in comp[1:])
+        oddity[comp[0]] = (tot[ci] - sum(oddity[e] for e in comp[1:])) % 8
+    return [Constituent(e, c.rank, -1 if eps[e] else 1, c.kind,
+                        oddity.get(e, c.oddity))
+            for e, c in sorted(by_scale.items())]
 
 
 def canonicalize(sym):
@@ -462,16 +418,8 @@ def canonicalize(sym):
 
 
 def genus_equal(a, b):
-    """Whether two symbols describe the same genus."""
-    if (a.pos, a.neg, a.even) != (b.pos, b.neg, b.even):
-        return False
-    if a.det() != b.det():
-        return False
-    ca, cb = canonicalize(a), canonicalize(b)
-    for p in sorted(set(ca.local) | set(cb.local)):
-        if [c.key() for c in ca.local_at(p)] != [c.key() for c in cb.local_at(p)]:
-            return False
-    return True
+    """Whether two symbols describe the same genus: equal canonical strings."""
+    return canonical_string(a) == canonical_string(b)
 
 
 # ---------------------------------------------------------------------------
@@ -510,18 +458,16 @@ _TOKEN_RE = re.compile(r"(\d+)\^(?:\{(-?\d+)\}|(-?\d))(?:_(\d))?")
 
 
 def _scale_of(q):
-    p = _prime_factors(q)[0]
-    e = 0
-    while q % p == 0:
-        q //= p
-        e += 1
-    if q != 1:
+    """(p, e) with q = p^e and e >= 1, else ValueError."""
+    primes = _prime_factors(q) if q > 1 else []
+    if len(primes) != 1:
         raise ValueError("scale %d is not a prime power" % q)
-    return p, e
+    return primes[0], _valuation(q, primes[0])
 
 
 def parse_genus(text):
-    """Parse a rendered symbol, reconstructing the implicit scale-0 parts."""
+    """Parse a rendered symbol, reconstructing the implicit scale-0 parts;
+    the ranks are bounded (lattice.MAX_RANK) before any power is formed."""
     s = text.replace(" ", "")
     head = _HEAD_RE.match(s)
     if not head:
@@ -529,6 +475,8 @@ def parse_genus(text):
     even = head.group(1) == "II"
     pos, neg = int(head.group(2)), int(head.group(3))
     rank = pos + neg
+    if rank > lattice.MAX_RANK:
+        raise ValueError("rank %d exceeds the cap of %d" % (rank, lattice.MAX_RANK))
     body = s[head.end():]
     pieces = {}
     pos_in = 0
@@ -536,10 +484,7 @@ def parse_genus(text):
         if m.start() != pos_in:
             raise ValueError("cannot parse genus symbol %r" % text)
         pos_in = m.end()
-        q = int(m.group(1))
-        p, e = _scale_of(q)
-        if e == 0:
-            raise ValueError("scale-0 constituents are implicit")
+        p, e = _scale_of(int(m.group(1)))
         signed = int(m.group(2) if m.group(2) is not None else m.group(3))
         if signed == 0:
             raise ValueError("zero-rank constituent in %r" % text)
@@ -559,6 +504,8 @@ def parse_genus(text):
         scales = [c.scale for c in cs]
         if scales != sorted(scales) or len(set(scales)) != len(scales):
             raise ValueError("repeated or unsorted scales in %r" % text)
+        if sum(c.rank for c in cs) > rank:
+            raise ValueError("ranks exceed signature in %r" % text)
     if not even and sum(c.rank for c in pieces.get(2, [])) >= rank:
         raise ValueError("odd symbol without a unimodular part in %r" % text)
     det = 1
@@ -570,23 +517,18 @@ def parse_genus(text):
     local = {}
     for p in sorted(set([2]) | set(pieces)):
         cs = pieces.get(p, [])
-        used = sum(c.rank for c in cs)
-        if used > rank:
-            raise ValueError("ranks exceed signature in %r" % text)
-        n0 = rank - used
+        n0 = rank - sum(c.rank for c in cs)
         if n0 > 0:
             unit = det // p ** sum(c.scale * c.rank for c in cs)
+            eps = prod(c.eps for c in cs)
             if p == 2:
-                total = 1 if unit % 8 in (1, 7) else -1
+                eps *= 1 if unit % 8 in (1, 7) else -1
                 # an odd symbol's unimodular oddity, from the oddity formula
                 odd = 0 if even else (pos - neg - _two_adic_oddity(cs) + sum(
                     _p_excess(qs, q) for q, qs in pieces.items() if q != 2)) % 8
-                c0 = Constituent(0, n0, total, "II" if even else "I", odd)
+                c0 = Constituent(0, n0, eps, "II" if even else "I", odd)
             else:
-                total = _legendre_int(unit, p)
-                c0 = Constituent(0, n0, total)
-            for c in cs:
-                c0.eps *= c.eps
+                c0 = Constituent(0, n0, eps * _legendre_int(unit, p))
             cs = [c0] + cs
         local[p] = cs
     return GenusSymbol(pos, neg, even, local)
@@ -620,7 +562,9 @@ def signature_consistent(sym):
     Every valid symbol satisfies this; a failure means the symbol data
     does not describe any lattice.
     """
-    total = _two_adic_oddity(sym.local_at(2))
+    if 2 not in sym.local:
+        raise ValueError("symbol has no 2-adic data")
+    total = _two_adic_oddity(sym.local[2])
     for p in sym.local:
         if p != 2:
             total -= _p_excess(sym.local[p], p)

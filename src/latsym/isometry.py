@@ -445,46 +445,35 @@ class IsometryReport:
         return out
 
 
+# the canonical genus string of D10(2), the coinvariant genus of type e
+_D10_2 = "II_(0,10)2^84^2_6"
+
+
 @lru_cache(maxsize=None)
-def _d10_2_symbol():
-    return genus.genus_symbol(lattice.rescale(lattice.root_D(10), 2))
+def _canonical(text):
+    """Canonical string of a table genus string (None for None), parsed
+    once per process."""
+    return None if text is None else genus.canonical_string(genus.parse_genus(text))
 
 
-def _fixture_rows(fixture):
-    if fixture is None:
-        return fixtures.load_table()
-    if isinstance(fixture, (str, Path)):
-        return fixtures.load_table(fixture)
-    return list(fixture)
-
-
-def _genus_matches(text, sym):
-    if text is None or sym is None:
-        return (text is None) == (sym is None)
-    return genus.genus_equal(genus.parse_genus(text), sym)
-
-
-def _match_row(rows, order, dorder, regular, inv_sym, coinv_sym):
+def _match_row(rows, order, dorder, regular, inv_genus, coinv_genus):
+    """The first row whose (order, disc_order, regular) and canonical
+    invariant and coinvariant genus strings are the given ones, or None."""
+    key = (order, dorder, regular, inv_genus, coinv_genus)
     for row in rows:
-        if row["order"] != order or row["disc_order"] != dorder:
-            continue
-        if bool(row["regular"]) != regular:
-            continue
-        if not _genus_matches(row["invariant_genus"], inv_sym):
-            continue
-        if not _genus_matches(row["coinvariant_genus"], coinv_sym):
-            continue
-        return row
+        if ((row["order"], row["disc_order"], bool(row["regular"])) == key[:3]
+                and (_canonical(row["invariant_genus"]),
+                     _canonical(row["coinvariant_genus"])) == key[3:]):
+            return row
     return None
 
 
-def _type_letter(row, order, regular, coinv_sym):
+def _type_letter(row, order, regular, coinv_genus):
     # Precedence matters: irregular beats everything, the order-two class
     # with coinvariant D10(2) beats the generic letters.
     if not regular:
         return "a"
-    if order == 2 and coinv_sym is not None and genus.genus_equal(
-            coinv_sym, _d10_2_symbol()):
+    if order == 2 and coinv_genus == _D10_2:
         return "e"
     if order % 5 == 0:
         return "d"
@@ -505,29 +494,30 @@ def report(model, f, fixture=None):
     order, oplus, neg_def, witnesses, symplectic, regular = _verdict(model, f)
     dorder = disc_order(f)
     inv, coinv = invariant_coinvariant(f)
-    inv_sym = genus.genus_symbol(inv.lattice) if inv.rank else None
-    coinv_sym = genus.genus_symbol(coinv.lattice) if coinv.rank else None
+    inv_genus = genus.canonical_string(inv.lattice) if inv.rank else None
+    coinv_genus = genus.canonical_string(coinv.lattice) if coinv.rank else None
     exceptional = (order == 2 and coinv.rank == 1
                    and coinv.lattice.gram == [[-2]])
     gen_div = (model.lattice.divisibility(coinv.rows[0])
                if coinv.rank == 1 else None)
     table_row = None
     if symplectic:
-        rows = _fixture_rows(fixture)
-        row = _match_row(rows, order, dorder, regular, inv_sym, coinv_sym)
+        if fixture is None or isinstance(fixture, (str, Path)):
+            fixture = fixtures.load_table(fixture)
+        row = _match_row(fixture, order, dorder, regular, inv_genus, coinv_genus)
         if row is None:
             raise ValueError(
                 "no table row matches this symplectic isometry (outside table)")
         table_row = row["no"]
-        type_letter = _type_letter(row, order, regular, coinv_sym)
+        type_letter = _type_letter(row, order, regular, coinv_genus)
     else:
         type_letter = "non-symplectic"
     return IsometryReport(
         witnesses,
         order=order,
         disc_order=dorder,
-        inv_genus=genus.canonical_string(inv_sym) if inv_sym else None,
-        coinv_genus=genus.canonical_string(coinv_sym) if coinv_sym else None,
+        inv_genus=inv_genus,
+        coinv_genus=coinv_genus,
         in_O_plus=oplus,
         coinv_neg_def=neg_def,
         symplectic=symplectic,

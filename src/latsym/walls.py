@@ -7,6 +7,7 @@ coordinates of the scaled hyperbolic blocks all even).  The first two form
 the pointlike-exceptional set; all four together form the full wall set.
 """
 
+from collections import namedtuple
 from math import isqrt, lcm
 from operator import mul
 
@@ -21,28 +22,10 @@ PEX_CLASSES = (PEX2, PEX4)
 _CLASSES = {(-2, 1): PEX2, (-4, 2): PEX4, (-6, 2): WALL6, (-12, 2): WALL12}
 
 
-class WallWitness:
-    """A wall vector with its square, divisibility and class."""
+class WallWitness(namedtuple("WallWitness", "vector square divisibility wclass")):
+    """A wall vector (a tuple) with its square, divisibility and class."""
 
-    __slots__ = ("vector", "square", "divisibility", "wclass")
-
-    def __init__(self, vector, square, divisibility, wclass):
-        self.vector = tuple(vector)
-        self.square = square
-        self.divisibility = divisibility
-        self.wclass = wclass
-
-    def __eq__(self, other):
-        return (isinstance(other, WallWitness)
-                and self.vector == other.vector
-                and self.wclass == other.wclass)
-
-    def __hash__(self):
-        return hash((self.vector, self.wclass))
-
-    def __repr__(self):
-        return "WallWitness(%s, square=%d, div=%d, %s)" % (
-            list(self.vector), self.square, self.divisibility, self.wclass)
+    __slots__ = ()
 
     def as_dict(self):
         return {
@@ -149,7 +132,7 @@ def wall_class(model, x, gx=None):
     wclass = _CLASSES.get((square, div))
     if wclass is None or (wclass == WALL12 and any(c % 2 for c in x[:6])):
         return None
-    return WallWitness(x, square, div, wclass)
+    return WallWitness(tuple(x), square, div, wclass)
 
 
 def coinvariant_wall_scan(model, f, pex_only=False):

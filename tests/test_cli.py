@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from latsym import cli, intmat, isometry, lattice
+from latsym import cli, fixtures, intmat, isometry, lattice
 from latsym.lattice import standard_model
 
 
@@ -482,6 +482,38 @@ def test_report_outside_table(capsys, tmp_path, model):
     rc, out, _err = run(capsys, ["report", path, "--fixture", str(empty)])
     assert rc == 1
     assert "outside table" in out
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def _bad_fixture(case):
+    """JSON text of a malformed override class table (None: no file)."""
+    rows = fixtures.load_table()
+    if case == "scale 1":
+        rows[0]["invariant_genus"] = "II_(3,13)1^2"
+    elif case == "rank 10^8":
+        rows[0]["invariant_genus"] = "II_(0,2)3^{99999999}"
+    return {"missing": None, "list": "[1]", "no order": '{"rows": [{"no": 1}]}',
+            "nested": "[" * 100000 + "]" * 100000}.get(
+                case, json.dumps({"rows": rows}))
+
+
+@pytest.mark.parametrize("command", ["report", "verify-table"])
+@pytest.mark.parametrize("case", ["missing", "list", "no order", "nested",
+                                  "scale 1", "rank 10^8"])
+def test_bad_fixture_is_an_input_error(tmp_path, command, case):
+    """An override class table is checked once, when it is loaded: each of
+    these exited 1 with a traceback, or ran on until stopped, before."""
+    table = tmp_path / "table.json"
+    if _bad_fixture(case) is not None:
+        table.write_text(_bad_fixture(case))
+    target = GOLDEN / "identity.json" if command == "report" else GOLDEN
+    done = latsym_process([command, str(target), "--fixture", str(table)],
+                          timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: bad class table %s" % table)
+    assert "Traceback" not in done.stderr
 
 
 def test_report_invalid_file(capsys, tmp_path):

@@ -97,6 +97,30 @@ def test_parse_errors():
         genus.parse_genus("I_(1,0)2^1_1")
 
 
+def test_parse_bounds_ranks_before_the_determinant():
+    # a determinant 3^(10^8), or a rank of 10^8, would be formed first
+    with pytest.raises(ValueError, match="ranks exceed signature"):
+        genus.parse_genus("II_(0,2)3^{99999999}")
+    with pytest.raises(ValueError, match="exceeds the cap of %d" % lattice.MAX_RANK):
+        genus.parse_genus("II_(0,99999999)2^{99999999}")
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        genus.parse_genus("II_(0,%d)" % (lattice.MAX_RANK + 1))
+    assert genus.parse_genus("II_(0,%d)" % lattice.MAX_RANK).rank == lattice.MAX_RANK
+    # ranks that sum above the head rank over several scales
+    with pytest.raises(ValueError, match="ranks exceed signature"):
+        genus.parse_genus("II_(1,1)2^24^{-2}")
+
+
+@pytest.mark.parametrize("text, scale", [
+    ("II_(0,2)0^2", 0), ("II_(3,13)1^2", 1), ("II_(0,2)6^2", 6),
+    ("II_(0,2)12^2", 12), ("II_(0,2)3^13^{-1}9^1", None)])
+def test_parse_scale_errors(text, scale):
+    # the message names the scale as written; a repeated scale is refused
+    match = "repeated" if scale is None else "scale %d is not a prime power" % scale
+    with pytest.raises(ValueError, match=match):
+        genus.parse_genus(text)
+
+
 def test_genus_equal_distinct_presentations():
     # same genus, different constructions
     a = sym_of("U(2)^3+E8+A1")

@@ -362,8 +362,9 @@ def test_match_row_class_30():
     rows = fixtures.load_table()
     by_no = {r["no"]: r for r in rows}
     assert by_no[30]["coinvariant_label"] == by_no[29]["coinvariant_label"] == "L29"
-    inv_sym = genus.genus_symbol(lattice.build_named("U(2)+A1(-4)^2"))
-    coinv_sym = genus.parse_genus(by_no[29]["coinvariant_genus"])
+    inv_sym = genus.canonical_string(lattice.build_named("U(2)+A1(-4)^2"))
+    coinv_sym = genus.canonical_string(
+        genus.parse_genus(by_no[29]["coinvariant_genus"]))
     row = isometry._match_row(rows, 8, 8, False, inv_sym, coinv_sym)
     assert row is not None and row["no"] == 30
     # the table as printed matches nothing, so report would say outside table
@@ -379,7 +380,7 @@ def test_report_wrong_lattice(model):
 
 
 def test_type_letter_precedence():
-    d10_2 = genus.genus_symbol(lattice.build_named("D10(2)"))
+    d10_2 = genus.canonical_string(lattice.build_named("D10(2)"))
     row_twist = {"no": 9, "type": "twist"}
     row_k3 = {"no": 3, "type": "K3"}
     row_plain = {"no": 7, "type": None}

@@ -24,22 +24,26 @@ of order 2, 3, 5 and 7.
 """
 
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
 import random
 import re
+import sys
+import tempfile
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import ceil, floor, gcd, isqrt
 from operator import mul, xor
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from latsym import cli, discform, genus, intmat, isometry, lattice, walls
+from latsym import cli, discform, fixtures, genus, intmat, isometry, lattice, walls
 from latsym.lattice import standard_model
 
 # ---------------------------------------------------------------------------
@@ -2557,3 +2561,185 @@ def test_power_root_on_large_numbers():
     root = rng.getrandbits(50) | 1 << 49
     for n in (big, root ** 61, (root ** 15) ** 2):
         assert genus._power_root(n, 1 << 10) == ref_power_root(n, 1 << 10)
+
+
+# ---------------------------------------------------------------------------
+# genus equality: the per-prime walk over canonicalized symbols, with the
+# trivial symbol synthesized at a prime that only one side names, before it
+# became the equality of canonical strings; and the table match that parsed
+# each row's genus strings on every call
+
+def ref_symbol_det(sym):
+    """The signed determinant of a symbol, from its local data."""
+    d = 1
+    for p, cs in sym.local.items():
+        for c in cs:
+            d *= p ** (c.scale * c.rank)
+    return -d if sym.neg % 2 else d
+
+
+def ref_local_at(sym, p):
+    if p in sym.local:
+        return sym.local[p]
+    if p == 2:
+        raise ValueError("symbol has no 2-adic data")
+    return [genus.Constituent(0, sym.rank, genus._legendre_int(ref_symbol_det(sym), p))]
+
+
+def ref_genus_equal(a, b):
+    """genus.genus_equal as it was."""
+    if (a.pos, a.neg, a.even) != (b.pos, b.neg, b.even):
+        return False
+    if ref_symbol_det(a) != ref_symbol_det(b):
+        return False
+    ca, cb = genus.canonicalize(a), genus.canonicalize(b)
+    for p in sorted(set(ca.local) | set(cb.local)):
+        if [c.key() for c in ref_local_at(ca, p)] != [c.key() for c in ref_local_at(cb, p)]:
+            return False
+    return True
+
+
+def ref_match_row(rows, order, dorder, regular, inv_sym, coinv_sym):
+    """isometry._match_row as it was, on symbols."""
+    def matches(text, sym):
+        if text is None or sym is None:
+            return (text is None) == (sym is None)
+        return ref_genus_equal(genus.parse_genus(text), sym)
+
+    for row in rows:
+        if (row["order"], row["disc_order"], bool(row["regular"])) == (
+                order, dorder, regular) and matches(
+                row["invariant_genus"], inv_sym) and matches(
+                row["coinvariant_genus"], coinv_sym):
+            return row
+    return None
+
+
+def table_versions():
+    """The class table as loaded (errata applied) and as printed."""
+    return fixtures.load_table(), fixtures.load_table(fixtures._DATA / "table1.json")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, ROOT / "perfbench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def benchmark_genus_grams(seeds=(1, 31)):
+    """The Grams of the genus workload's inputs (64 a seed), made by
+    perfbench/workloads.py, loaded read-only."""
+    with mock.patch.dict(sys.modules, {"oracles": _perfbench_module("oracles")}):
+        workloads = _perfbench_module("workloads")
+    grams = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            wl = workloads.make("genus", standard_model(), fixtures.load_table())
+            workdir = Path(tmp) / str(seed)
+            workdir.mkdir()
+            for batch in wl.generate(seed, workdir):
+                grams += [json.loads(item.path.read_text())["gram"] for item in batch]
+    return grams
+
+
+SUM_SUMMANDS = ("A1", "A2", "A3", "A4", "A5", "D4", "E8", "U", "V", "K3", "K5",
+                "K7", "H3", "H5")
+SUM_SCALES = ("", "", "(2)", "(-1)", "(3)", "(4)", "(-2)", "(8)")
+
+
+def seeded_sums(count=400, seed=19):
+    """Sums of one to four scaled summands, odd ones (V, A1 scaled by an odd
+    number) included."""
+    rng = random.Random(seed)
+    return ["+".join(rng.choice(SUM_SUMMANDS) + rng.choice(SUM_SCALES)
+                     for _ in range(rng.randint(1, 4))) for _ in range(count)]
+
+
+@lru_cache(maxsize=None)
+def genus_symbol_set():
+    """(label, symbol): the table's strings as loaded and as printed, the
+    genera of the genus workload's 128 inputs and of the goldens' invariant
+    and coinvariant lattices, and of the seeded sums."""
+    out = []
+    for name, rows in zip(("loaded", "printed"), table_versions()):
+        for row in rows:
+            for key in ("invariant_genus", "coinvariant_genus"):
+                if row[key] is not None:
+                    out.append(("%s row %d %s" % (name, row["no"], key),
+                                genus.parse_genus(row[key])))
+    for i, g in enumerate(benchmark_genus_grams()):
+        out.append(("genus input %d" % i, genus.genus_symbol(lattice.Lattice(g))))
+    for name, f in fresh_goldens().items():
+        for part, sub in zip(("invariant", "coinvariant"),
+                             isometry.invariant_coinvariant(f)):
+            if sub.rank:
+                out.append(("%s %s" % (name, part), genus.genus_symbol(sub.lattice)))
+    for expr in seeded_sums():
+        out.append((expr, genus.genus_symbol(lattice.build_named(expr))))
+    return out
+
+
+def test_genus_equal_matches_reference():
+    """Canonical-string equality against the per-prime walk, on every pair
+    of symbols with the same signature and parity (702 symbols)."""
+    symbols = genus_symbol_set()
+    assert len(symbols) == 702
+    by_head = {}
+    for label, sym in symbols:
+        by_head.setdefault((sym.pos, sym.neg, sym.even), []).append((label, sym))
+    counts = {True: 0, False: 0, "presentations": 0}
+    for group in by_head.values():
+        for (la, a), (lb, b) in itertools.combinations(group, 2):
+            same = ref_genus_equal(a, b)
+            assert genus.genus_equal(a, b) == same, (la, lb)
+            counts[same] += 1
+            counts["presentations"] += same and (
+                genus.render_genus(a) != genus.render_genus(b))
+    # both answers occur often, some between symbols rendered differently
+    assert counts[True] > 100 and counts[False] > 3000
+    assert counts["presentations"] >= 5
+
+
+def test_match_row_matches_reference():
+    """Every row of the loaded and of the printed table, as a query, matches
+    the same row of either table, or none, under both matchers."""
+    tables = table_versions()
+    for query in tables[0] + tables[1]:
+        syms = [None if query[k] is None else genus.parse_genus(query[k])
+                for k in ("invariant_genus", "coinvariant_genus")]
+        texts = [None if s is None else genus.canonical_string(s) for s in syms]
+        head = (query["order"], query["disc_order"], bool(query["regular"]))
+        for rows in tables:
+            want = ref_match_row(rows, *head, *syms)
+            assert isometry._match_row(rows, *head, *texts) is want, query["no"]
+
+
+def test_constituents_and_witnesses_are_values():
+    """Constituent and WallWitness are immutable and hashable, with key()
+    and as_dict() as they were."""
+    c = genus.Constituent(1, 2, -1, "I", 3)
+    with pytest.raises(AttributeError):
+        c.rank = 4
+    assert c.key() == (1, 2, -1, "I", 3) == genus.Constituent(*c.key())
+    assert genus.Constituent(0, 3, 1).key() == (0, 3, 1, None, None)
+    assert len({c, genus.Constituent(1, 2, -1, "I", 3), c._replace(eps=1)}) == 2
+    lat = lattice.build_named("A1(2)+U+A2")
+    assert [c.key() for c in genus.padic_jordan(lat, 2)] == [
+        (0, 4, -1, "II", 0), (2, 1, 1, "I", 7)]
+    assert [c.key() for c in genus.padic_jordan(lat, 3)] == [
+        (0, 4, 1, None, None), (1, 1, 1, None, None)]
+    model = standard_model()
+    v = [0] * 16
+    v[6] = 1
+    w = walls.wall_class(model, v)
+    with pytest.raises(AttributeError):
+        w.square = -4
+    assert w.vector == tuple(v) and hash(w) == hash(walls.wall_class(model, v))
+    assert w.as_dict() == {"vector": v, "square": -2, "divisibility": 1,
+                           "class": "PEX2"}
+    assert w == walls.wall_class(model, v, intmat.mat_vec(model.lattice.gram, v))

@@ -357,9 +357,15 @@ def _canonical_two_adic(constituents):
     nonzero rank, at least one of type I, adding 4 to the oddity total of
     the compartment holding an odd endpoint; or flip the signs of two
     type I constituents two scales apart with nothing in between, adding
-    4 to the totals of both their compartments.  The orbit is searched
-    exhaustively and the lexicographically least state kept; compartment
-    totals are then pushed onto the first constituent of the compartment.
+    4 to the totals of both their compartments.  The moves commute and
+    square to the identity, and adding 4 mod 8 flips bit 2, so the orbit is
+    the coset state0 + span(moves) over F2 in the coordinates (signs by
+    scale, then bit 2 of each compartment total), read as one int with the
+    first coordinate highest.  Its least element, the lexicographically
+    least state, comes from the moves in echelon form on their leading bit:
+    each pivot bit set in the state, highest first, is cleared by its move.
+    Compartment totals are then pushed onto the first constituent of the
+    compartment.
     """
     if not constituents:
         return []
@@ -372,34 +378,37 @@ def _canonical_two_adic(constituents):
     for ci, comp in enumerate(comps):
         for e in comp:
             comp_of[e] = ci
-    eps0 = tuple(0 if e not in by_scale or by_scale[e].eps == 1 else 1
-                 for e in range(top + 1))
-    tot0 = tuple(sum(by_scale[e].oddity for e in comp) % 8 for comp in comps)
+    # coordinate k (scale k, then compartment k - top - 1) is bit width-1-k
+    width = top + 1 + len(comps)
+
+    def bit(k):
+        return 1 << (width - 1 - k)
+
+    tot0 = [sum(by_scale[e].oddity for e in comp) % 8 for comp in comps]
+    state = (sum(bit(e) for e in by_scale if by_scale[e].eps != 1)
+             + sum(bit(top + 1 + ci) for ci, t in enumerate(tot0) if t & 4))
     moves = []
     for e in range(top):
         if ranks[e] and ranks[e + 1] and "I" in (kinds[e], kinds[e + 1]):
             target = comp_of[e] if kinds[e] == "I" else comp_of[e + 1]
-            moves.append((e, e + 1, (target,)))
+            moves.append(bit(e) ^ bit(e + 1) ^ bit(top + 1 + target))
     for e in range(top - 1):
         if (ranks[e] and ranks[e + 2] and not ranks[e + 1]
                 and kinds[e] == "I" and kinds[e + 2] == "I"):
-            moves.append((e, e + 2, (comp_of[e], comp_of[e + 2])))
-    seen = {(eps0, tot0)}
-    queue = [(eps0, tot0)]
-    while queue:
-        eps, tot = queue.pop()
-        for e1, e2, targets in moves:
-            neps = list(eps)
-            neps[e1] ^= 1
-            neps[e2] ^= 1
-            ntot = list(tot)
-            for t in targets:
-                ntot[t] = (ntot[t] + 4) % 8
-            state = (tuple(neps), tuple(ntot))
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-    eps, tot = min(seen)
+            moves.append(bit(e) ^ bit(e + 2) ^ bit(top + 1 + comp_of[e])
+                         ^ bit(top + 1 + comp_of[e + 2]))
+    pivots = {}
+    for m in moves:
+        while m and m.bit_length() in pivots:
+            m ^= pivots[m.bit_length()]
+        if m:
+            pivots[m.bit_length()] = m
+    for b in sorted(pivots, reverse=True):
+        if state >> (b - 1) & 1:
+            state ^= pivots[b]
+    eps = [state & bit(e) for e in range(top + 1)]
+    tot = [t & 3 | (4 if state & bit(top + 1 + ci) else 0)
+           for ci, t in enumerate(tot0)]
     oddity = {}
     for ci, comp in enumerate(comps):
         oddity.update((e, by_scale[e].rank % 2) for e in comp[1:])

@@ -419,9 +419,10 @@ def _smith(m, with_u):
         if dirty:
             continue
         # every entry of the remaining block must be a multiple of p
-        if p not in (1, -1):
+        q = abs(p)
+        if q != 1:
             i = next((i for i in range(t + 1, rows)
-                      if any(x % p for x in a[i][t + 1:cols])), None)
+                      if gcd(q, *a[i][t + 1:cols]) != q), None)
             if i is not None:
                 a[t] = [x + y for x, y in zip(top, a[i])]
                 continue

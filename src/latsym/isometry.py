@@ -210,11 +210,12 @@ def order_of(f, cap=10**6):
     ord(A).  C mod 2 has rank s, so its columns J independent mod 2 have an
     odd determinant, and A solves C^T[J] A = M[J] C^T, s rows of M C^T.
 
-    The characteristic polynomial chi of A is divided by the cyclotomic
-    Phi_d, phi(d) <= s, all mod the prime _P = 2^61 - 1; the lcm L of the d
-    found is confirmed by one exact power A^L = I, which for L = 2 is the
-    symmetry of G M (M^T G M = G gives M^-1 = G^-1 M^T G, so M^2 = I iff
-    G M = M^T G = (G M)^T).  This is exact: _P exceeds
+    Order 2 is read off G M before any polynomial: M^T G M = G gives
+    M^-1 = G^-1 M^T G, so M^2 = I iff G M = M^T G = (G M)^T, and s > 0
+    rules out M = I.  Otherwise the characteristic polynomial chi of A is
+    divided by the cyclotomic Phi_d, phi(d) <= s, all mod the prime
+    _P = 2^61 - 1; the lcm L of the d found is confirmed by one exact power
+    A^L = I.  This is exact: _P exceeds
     every d tried, so the Phi_d are squarefree and pairwise coprime mod _P,
     and reduction mod _P is a ring map.  If f has finite order, chi =
     prod Phi_d^(m_d) over Z, the same factors divide out mod _P with the
@@ -230,6 +231,16 @@ def order_of(f, cap=10**6):
     s = coinv.rank
     if s == 0:
         return 1
+    order = 2 if f.gram_matrix == intmat.transpose(f.gram_matrix) else \
+        _coinvariant_order(f, coinv)
+    if order > cap:
+        raise ValueError("isometry order exceeds the cap of %d" % cap)
+    return order
+
+
+def _coinvariant_order(f, coinv):
+    """order_of for an f with M^2 != I, from the action A on C."""
+    s = coinv.rank
     a = f.matrix        # at s = n, C spans the lattice: A is M, rebased
     if s < f.lattice.rank:
         ct = intmat.transpose(coinv.rows)
@@ -253,12 +264,8 @@ def order_of(f, cap=10**6):
             order = order * d // gcd(order, d)
         if len(poly) == 1:
             break
-    if len(poly) > 1 or not (
-            f.gram_matrix == intmat.transpose(f.gram_matrix) if order == 2
-            else _mat_power(a, order) == intmat.identity(s)):
+    if len(poly) > 1 or _mat_power(a, order) != intmat.identity(s):
         raise ValueError(_INFINITE)
-    if order > cap:
-        raise ValueError("isometry order exceeds the cap of %d" % cap)
     return order
 
 

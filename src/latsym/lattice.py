@@ -306,12 +306,11 @@ def restricted_gram(lat, rows, pair=None):
             raise ValueError("vector length does not match rank")
     if pair is None:
         pair = intmat.mat_mul(rows, lat.gram)
-    k = len(rows)
-    gram = [[0] * k for _ in range(k)]
-    for i, gr in enumerate(pair):
-        for j in range(i, k):
-            gram[i][j] = gram[j][i] = _as_exact(intmat.dot(rows[j], gr))
-    return gram
+    gram = intmat.mat_mul(rows, intmat.transpose(pair))
+    # a sum of ints is an int, one holding a Fraction is a Fraction
+    if type(sum(map(sum, gram))) is int:
+        return gram
+    return [[_as_exact(x) for x in row] for row in gram]
 
 
 def orthogonal_complement(lat, rows, pair=None):

@@ -8,7 +8,7 @@ the pointlike-exceptional set; all four together form the full wall set.
 """
 
 from collections import namedtuple
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import intmat, lattice
@@ -145,7 +145,10 @@ def coinvariant_wall_scan(model, f, pex_only=False):
     For v = sum x_i rows_i, G v and v on the blocks (coordinates 0..5) are
     linear mod 2 in x, by per-row bit masks: -2 is walked in the whole
     coinvariant lattice, -4 and -6 where G v is even, -12 where v is also
-    even on the blocks (_parity_sublattice).  wall_class alone decides.
+    even on the blocks (_parity_sublattice).  A walk is skipped when its
+    square is not a multiple of the norm of the walked Gram (_norm), which
+    divides every square there.  wall_class alone decides; v and G v come
+    from one product with the rows [rows_i + G rows_i].
     Lambda is even with a 2-elementary discriminant group, so a primitive
     v has div 1 or 2, and one of square -4, -6 or -12 is primitive (else
     2u with u^2 = -1 or -3): only the -2 vectors of div 2 are no walls.
@@ -169,20 +172,31 @@ def coinvariant_wall_scan(model, f, pex_only=False):
     lats = {str(gram): coinv.lattice}
     parity = {bits: _parity_sublattice(gram, masks, bits) if bits
               else (None, gram) for bits in {bits for _t, bits in walks}}
+    norms = {bits: _norm(sub_gram) for bits, (_b, sub_gram) in parity.items()}
+    both = [r + gr for r, gr in zip(rows, coinv.gram_rows)]
+    n = model.rank
     witnesses = []
     for t, bits in walks:
+        if t % norms[bits]:
+            continue
         basis, sub_gram = parity[bits]
         if str(sub_gram) not in lats:
             lats[str(sub_gram)] = lattice.Lattice(sub_gram)
         found = short_vectors(lats[str(sub_gram)], t)
         if basis is not None:
             found = sorted(map(_first_positive, intmat.mat_mul(found, basis)))
-        for v, gv in zip(intmat.mat_mul(found, rows),
-                         intmat.mat_mul(found, coinv.gram_rows)):
-            w = wall_class(model, v, gv)
+        for vgv in intmat.mat_mul(found, both):
+            w = wall_class(model, vgv[:n], vgv[n:])
             if w is not None:
                 witnesses.append(w)
     return witnesses
+
+
+def _norm(gram):
+    """gcd(g_ii, 2 g_ij), which divides every <x, x> = sum_i g_ii x_i^2 +
+    2 sum_{i<j} g_ij x_i x_j (Conway-Sloane, SPLAG ch. 15)."""
+    return gcd(*(row[i] for i, row in enumerate(gram)),
+               *(2 * x for i, row in enumerate(gram) for x in row[i + 1:]))
 
 
 def _parity_sublattice(gram, masks, bits):

@@ -141,6 +141,17 @@ def test_info_many_80_bit_prime_factors(tmp_path):
     assert "Pollard rho steps" in done.stderr
 
 
+def test_genus_of_a_long_two_adic_chain(tmp_path):
+    # diag(1, 2*3, 4, 8*3, ...) to rank 24: a type I constituent at each
+    # 2-adic scale 2^0 .. 2^23, so the sign/oddity orbit of its 2-adic
+    # symbol has about 2^24 states, more than a search of it can visit
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"gram": [[2 ** i * (3 if i % 2 else 1) * (i == j)
+                                          for j in range(24)] for i in range(24)]}))
+    done = latsym_process(["genus", str(path)], timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("I_(24,0)")
+
 def test_info_many_120_bit_entries(tmp_path):
     # det 3,840 bits with no prime factor below 2^10: after each split the
     # cofactor is tried only for an r^k with k prime and k <= bits / 10

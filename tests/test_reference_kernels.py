@@ -1743,10 +1743,22 @@ def test_wall_bases_cover_parity_indices():
     assert kinds == {(1, 2), (4, 4), (1, 1), (16, 16)}
 
 
+def ref_norm(gram):
+    """The gcd of the g_ii and the 2 g_ij, i < j, which divides every
+    <x, x> of the lattice."""
+    n = len(gram)
+    return reduce(gcd, [gram[i][i] for i in range(n)]
+                  + [2 * gram[i][j] for i in range(n) for j in range(i + 1, n)], 0)
+
+
 def test_scan_enumerates_exactly_the_parity_vectors(monkeypatch):
     """The scan walks -2 in the whole coinvariant lattice and -4, -6 and
     -12 only in their parity sublattices: as many vectors as the reference
-    enumeration has with G v even (and, at -12, v even on the blocks)."""
+    enumeration has with G v even (and, at -12, v even on the blocks).  It
+    skips exactly the walks whose square the norm of their Gram does not
+    divide, where the reference finds no such vector, and its witnesses
+    are those of ref_wall_scan, which classifies every vector of every
+    walk."""
     model = standard_model()
     real = walls.short_vectors
     walked = []
@@ -1756,13 +1768,18 @@ def test_scan_enumerates_exactly_the_parity_vectors(monkeypatch):
         walked.append((t, len(out)))
         return out
 
-    monkeypatch.setattr(walls, "short_vectors", spy)
     gens = lambda_generators()
+    skipped = set()
     for f in wall_bases():
         for g in (None, gens[3], gens[11]):
             h = f if g is None else isometry.compose(isometry.compose(g, f), g)
             _inv, coinv = isometry.invariant_coinvariant(h)
             rows, gram = coinv.rows, coinv.lattice.gram
+            masks = [sum((c % 2) << i for i, c in enumerate(
+                intmat.mat_vec(model.lattice.gram, r) + r[:6])) for r in rows]
+            norms = {-2: ref_norm(gram)}
+            norms[-4] = norms[-6] = ref_norm(ref_parity_sublattice(gram, masks, 2 ** 16 - 1)[1])
+            norms[-12] = ref_norm(ref_parity_sublattice(gram, masks, 2 ** 22 - 1)[1])
             for pex_only in (False, True):
                 expect = []
                 for t in (-2, -4) if pex_only else (-2, -4, -6, -12):
@@ -1772,11 +1789,19 @@ def test_scan_enumerates_exactly_the_parity_vectors(monkeypatch):
                         count += (t == -2 or (
                             all(c % 2 == 0 for c in intmat.mat_vec(model.lattice.gram, v))
                             and (t != -12 or all(c % 2 == 0 for c in v[:6]))))
-                    expect.append((t, count))
+                    if t % norms[t]:
+                        assert count == 0, t
+                        skipped.add(t)
+                    else:
+                        expect.append((t, count))
                 walked.clear()
-                walls.coinvariant_wall_scan(model, h, pex_only)
+                monkeypatch.setattr(walls, "short_vectors", spy)
+                got = walls.coinvariant_wall_scan(model, h, pex_only)
+                monkeypatch.setattr(walls, "short_vectors", real)
                 assert walked == expect
-
+                assert got == ref_wall_scan(model, rows, gram, pex_only)
+    # the bases (and their conjugates) hold walks ruled out at each square
+    assert skipped == {-2, -4, -6, -12}
 
 def test_wall_bases_cover_every_class():
     model = standard_model()
@@ -2326,6 +2351,42 @@ def test_coinvariant_order_matches_ambient_reference():
     assert {o for _, o in seen} == {1, 2, 3, 4, 6}
 
 
+def seeded_involutions(seed=20, count=40):
+    """g b g^-1 for seeded reflection words g and involutions b: the
+    generators (reflections and -id) and the golden involutions."""
+    rng = random.Random(seed)
+    gens = lambda_generators()
+    bases = list(gens) + [f for f in fresh_goldens().values()
+                          if not f.is_identity() and isometry.power(f, 2).is_identity()]
+    out = []
+    for _ in range(count):
+        picks = [rng.randrange(len(gens)) for _ in range(rng.randint(1, 4))]
+        g, g_inv = word(gens, picks), word(gens, picks[::-1])
+        out.append(isometry.compose(isometry.compose(g, rng.choice(bases)), g_inv))
+    return out
+
+
+def test_order_two_read_off_the_gram_product(monkeypatch):
+    """An involution gets order 2 from the symmetry of G M, without a
+    characteristic polynomial, on the golden involutions and on seeded
+    conjugates of involutions; the cap still applies."""
+    def no_poly(m):
+        raise AssertionError("characteristic polynomial of an involution")
+
+    goldens = [f for f in fresh_goldens().values()
+               if not f.is_identity() and isometry.power(f, 2).is_identity()]
+    cases = goldens + seeded_involutions()
+    assert len(goldens) >= 15
+    for f in cases:
+        assert isometry.power(f, 2).is_identity() and not f.is_identity()
+        with monkeypatch.context() as m:
+            m.setattr(isometry, "_char_poly_mod", no_poly)
+            order = isometry.order_of(f)
+            with pytest.raises(ValueError, match="exceeds the cap of 1"):
+                isometry.order_of(f, cap=1)
+        assert order == ref_ambient_order_of(f) == 2
+        assert isometry.order_of(f, cap=2) == 2
+
 def test_order_of_degenerate_fixed_lattice_is_infinite(monkeypatch):
     """The Eichler transvection E itself fixes the isotropic span of e1
     and e2: its fixed lattice is degenerate, which is infinite order.
@@ -2743,3 +2804,106 @@ def test_constituents_and_witnesses_are_values():
     assert w.as_dict() == {"vector": v, "square": -2, "divisibility": 1,
                            "class": "PEX2"}
     assert w == walls.wall_class(model, v, intmat.mat_vec(model.lattice.gram, v))
+
+
+# ---------------------------------------------------------------------------
+# the 2-adic canonical form: the exhaustive orbit search, before the orbit
+# was read as a coset over F2 and reduced by echelon form
+
+def ref_canonical_two_adic(constituents):
+    """genus._canonical_two_adic as it was: the sign/oddity orbit searched
+    state by state and the lexicographically least state kept."""
+    if not constituents:
+        return []
+    by_scale = {c.scale: c for c in constituents}
+    top = max(by_scale)
+    ranks = [by_scale[e].rank if e in by_scale else 0 for e in range(top + 1)]
+    kinds = [by_scale[e].kind if e in by_scale else "II" for e in range(top + 1)]
+    comps = genus._compartments(constituents)
+    comp_of = {}
+    for ci, comp in enumerate(comps):
+        for e in comp:
+            comp_of[e] = ci
+    eps0 = tuple(0 if e not in by_scale or by_scale[e].eps == 1 else 1
+                 for e in range(top + 1))
+    tot0 = tuple(sum(by_scale[e].oddity for e in comp) % 8 for comp in comps)
+    moves = []
+    for e in range(top):
+        if ranks[e] and ranks[e + 1] and "I" in (kinds[e], kinds[e + 1]):
+            target = comp_of[e] if kinds[e] == "I" else comp_of[e + 1]
+            moves.append((e, e + 1, (target,)))
+    for e in range(top - 1):
+        if (ranks[e] and ranks[e + 2] and not ranks[e + 1]
+                and kinds[e] == "I" and kinds[e + 2] == "I"):
+            moves.append((e, e + 2, (comp_of[e], comp_of[e + 2])))
+    seen = {(eps0, tot0)}
+    queue = [(eps0, tot0)]
+    while queue:
+        eps, tot = queue.pop()
+        for e1, e2, targets in moves:
+            neps = list(eps)
+            neps[e1] ^= 1
+            neps[e2] ^= 1
+            ntot = list(tot)
+            for t in targets:
+                ntot[t] = (ntot[t] + 4) % 8
+            state = (tuple(neps), tuple(ntot))
+            if state not in seen:
+                seen.add(state)
+                queue.append(state)
+    eps, tot = min(seen)
+    oddity = {}
+    for ci, comp in enumerate(comps):
+        oddity.update((e, by_scale[e].rank % 2) for e in comp[1:])
+        oddity[comp[0]] = (tot[ci] - sum(oddity[e] for e in comp[1:])) % 8
+    return [genus.Constituent(e, c.rank, -1 if eps[e] else 1, c.kind,
+                              oddity.get(e, c.oddity))
+            for e, c in sorted(by_scale.items())]
+
+
+@st.composite
+def two_adic_chains(draw):
+    """2-adic constituents on a random set of scales 0..9, gaps included:
+    type I (odd or even rank, oddity of the rank's parity) or type II (even
+    rank, oddity 0), either sign."""
+    scales = draw(st.lists(st.integers(0, 9), min_size=1, max_size=9, unique=True))
+    out = []
+    for e in sorted(scales):
+        eps = draw(st.sampled_from((1, -1)))
+        if draw(st.booleans()):
+            rank = draw(st.integers(1, 4))
+            odd = draw(st.integers(0, 3)) * 2 + rank % 2
+            out.append(genus.Constituent(e, rank, eps, "I", odd))
+        else:
+            out.append(genus.Constituent(e, 2 * draw(st.integers(1, 2)), eps, "II", 0))
+    return out
+
+
+def chain_gram(rank):
+    """diag(1, 2*3, 4, 8*3, ...): a type I constituent at each of the
+    scales 2^0 .. 2^(rank-1), one compartment, signs free to move."""
+    return [[(2 ** i * (3 if i % 2 else 1)) * (i == j) for j in range(rank)]
+            for i in range(rank)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_adic_chains())
+@example([genus.Constituent(e, 1, 1, "I", 1) for e in range(9)])
+@example([genus.Constituent(0, 1, -1, "I", 3), genus.Constituent(2, 1, -1, "I", 5)])
+@example([genus.Constituent(0, 2, -1, "II", 0), genus.Constituent(1, 1, -1, "I", 7),
+          genus.Constituent(2, 2, -1, "II", 0)])
+def test_canonical_two_adic_matches_orbit_search(chain):
+    assert genus._canonical_two_adic(chain) == ref_canonical_two_adic(chain)
+
+
+def test_canonical_two_adic_matches_orbit_search_on_symbols():
+    """Every 2-adic symbol of the table strings (as loaded and as printed),
+    of the genus workload's inputs, the goldens' lattices and the seeded
+    sums, and of consecutive-scale chains up to rank 12."""
+    symbols = [sym for _label, sym in genus_symbol_set()]
+    symbols += [genus.genus_symbol(chain_gram(r)) for r in range(1, 13)]
+    for sym in symbols:
+        local = sym.local[2]
+        assert genus._canonical_two_adic(local) == ref_canonical_two_adic(local), \
+            genus.render_genus(sym)
+

@@ -232,17 +232,38 @@ def test_witness_dict():
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
-@pytest.mark.parametrize("name, passes", [
-    # the -4, -6 and -12 walks share one sublattice, a proper one
-    ("e8_roots_orthogonal_4", 1),
-    # -4 and -6 share a proper sublattice, -12 walks a smaller one
-    ("sample_word_31_16", 2),
+def _parity_vectors(model, coinv, t):
+    """The coinvariant vectors v of square t that the scan's walk at t must
+    find: all of them at -2, those with G v even at -4 and -6, and at -12
+    those also even on the blocks (coordinates 0..5)."""
+    out = []
+    for x in walls.short_vectors(coinv.lattice.gram, t):
+        v = intmat.mat_vec(intmat.transpose(coinv.rows), x)
+        if t == -2 or (all(c % 2 == 0 for c in intmat.mat_vec(model.lattice.gram, v))
+                       and (t != -12 or all(c % 2 == 0 for c in v[:6]))):
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("name, passes, targets", [pytest.param(*case, id="%s-%d" % case[:2])
+                                                   for case in [
+    # the norm of the -4, -6 and -12 sublattice (2 Z^4, norm 8) rules
+    # all three walks out
+    ("e8_roots_orthogonal_4", 0, (-2,)),
+    # -4 walks a proper sublattice; -6 and -12 are ruled out
+    ("sample_word_31_16", 1, (-2, -4)),
+    # -4 and -12 walk two proper sublattices; -6 is ruled out
+    ("sample_word_16_22_33_1", 2, (-2, -4, -12)),
+    # -4, -6 and -12 share one proper sublattice
+    ("e8_a1_negation", 1, (-2, -4, -6, -12)),
     # every walk is in the whole coinvariant lattice
-    ("a1_negation", 0)])
-def test_wall_scan_eliminates_each_distinct_gram_once(monkeypatch, name, passes):
+    ("a1_negation", 0, (-2, -4, -6, -12))]])
+def test_wall_scan_eliminates_each_distinct_gram_once(monkeypatch, name, passes, targets):
     """scale_pass runs once per distinct Gram that the walks enumerate in,
     except the coinvariant lattice's own Gram, whose pass its Lattice
-    already holds."""
+    already holds; a walk the norm of its Gram rules out runs no pass and
+    no enumeration, and the coinvariant lattice has no vector it would
+    have found."""
     from latsym import isometry
 
     model = standard_model()
@@ -254,16 +275,20 @@ def test_wall_scan_eliminates_each_distinct_gram_once(monkeypatch, name, passes)
                         lambda m: passed.append(m) or real_pass(m))
 
     def spy(lat_or_gram, t):
-        walked.append(lat_or_gram.gram if isinstance(lat_or_gram, lattice.Lattice)
-                      else lat_or_gram)
+        walked.append((t, lat_or_gram.gram if isinstance(lat_or_gram, lattice.Lattice)
+                       else lat_or_gram))
         return real_vectors(lat_or_gram, t)
 
     monkeypatch.setattr(walls, "short_vectors", spy)
     walls.coinvariant_wall_scan(model, f)
     distinct = []
-    for gram in walked:
+    for _t, gram in walked:
         if gram != coinv.lattice.gram and gram not in distinct:
             distinct.append(gram)
-    assert len(walked) == 4
+    assert tuple(t for t, _gram in walked) == targets
     assert len(distinct) == passes
     assert passed == distinct
+    monkeypatch.setattr(walls, "short_vectors", real_vectors)
+    for t in (-2, -4, -6, -12):
+        if t not in targets:
+            assert _parity_vectors(model, coinv, t) == [], t

@@ -12,50 +12,40 @@ are exact.
 """
 
 from fractions import Fraction
+from functools import cached_property, reduce
 from math import lcm
-from operator import mul
+from operator import mul, xor
 
 from . import intmat
-
-
-def _unit_tuple(k, j):
-    return tuple(1 if i == j else 0 for i in range(k))
-
-
-def _units(x, e):
-    """The rational x as an integer multiple of 1/e, reduced mod 2e."""
-    n, r = divmod(Fraction(x) * e, 1)
-    if r:
-        raise ValueError("form value %s is not a multiple of 1/%d" % (x, e))
-    return int(n) % (2 * e)
 
 
 class TorsionQuadModule:
     """Finite abelian group with a Q/2Z-valued quadratic form.
 
     An element is a tuple (c_1, ..., c_k) with c_i taken modulo orders[i];
-    the orders form a divisor chain and every entry exceeds 1.  qgen gives
-    q on the generators and bmat the polar form values b(g_i, g_j), both
-    rationals mod 2Z with denominators dividing the exponent
-    e = lcm(orders).  They are stored as qunits[i] = e q(g_i) and
-    bunits[i][j] = e b(g_i, g_j), ints reduced mod 2e.  For a module built
-    from a lattice, lifts[i] is an integer vector u_i such that u_i /
-    orders[i] represents g_i in the dual lattice.
+    the orders form a divisor chain and every entry exceeds 1.  q on the
+    generators and the polar form values b(g_i, g_j), rationals mod 2Z
+    with denominators dividing the exponent e = lcm(orders), are given and
+    kept in units of 1/e: qunits[i] = e q(g_i) and bunits[i][j] =
+    e b(g_i, g_j), ints reduced mod 2e.  For a module built from a
+    lattice, lifts[i] is an integer vector u_i such that u_i / orders[i]
+    represents g_i in the dual lattice.
     """
 
-    def __init__(self, orders, qgen, bmat, source=None, lifts=None):
+    def __init__(self, orders, qunits, bunits, source=None, lifts=None):
         k = len(orders)
         if any(d < 2 for d in orders):
             raise ValueError("orders must all exceed 1")
         for i in range(k - 1):
             if orders[i + 1] % orders[i]:
                 raise ValueError("orders must form a divisor chain")
-        if len(qgen) != k or len(bmat) != k or any(len(r) != k for r in bmat):
+        if (len(qunits) != k or len(bunits) != k
+                or any(len(r) != k for r in bunits)):
             raise ValueError("generator data does not match orders")
         self.orders = list(orders)
         e = self.exponent = lcm(*self.orders)
-        self.qunits = [_units(x, e) for x in qgen]
-        self.bunits = [[_units(x, e) for x in row] for row in bmat]
+        self.qunits = [x % (2 * e) for x in qunits]
+        self.bunits = [[x % (2 * e) for x in row] for row in bunits]
         for i in range(k):
             if self.bunits[i][i] != 2 * self.qunits[i] % (2 * e):
                 raise ValueError("polar diagonal must be 2q of the generator")
@@ -65,8 +55,6 @@ class TorsionQuadModule:
         self.source = source
         self.lifts = lifts
         self._coords = None
-        self._elems = None
-        self._eidx = None
 
     def __repr__(self):
         return "TorsionQuadModule(orders=%r)" % (self.orders,)
@@ -92,22 +80,23 @@ class TorsionQuadModule:
     def add(self, x, y):
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
 
+    @cached_property
+    def _elems(self):
+        elems = [()]
+        for d in self.orders:
+            elems = [e + (c,) for e in elems for c in range(d)]
+        return elems
+
+    @cached_property
+    def _eidx(self):
+        return {e: i for i, e in enumerate(self._elems)}
+
     def elements(self):
         """All elements, in lexicographic coordinate order."""
-        self._ensure_elements()
         return list(self._elems)
 
     def index_of(self, x):
-        self._ensure_elements()
         return self._eidx[self.reduce(x)]
-
-    def _ensure_elements(self):
-        if self._elems is None:
-            elems = [()]
-            for d in self.orders:
-                elems = [e + (c,) for e in elems for c in range(d)]
-            self._elems = elems
-            self._eidx = {e: i for i, e in enumerate(elems)}
 
     def _q_units(self, x):
         """e q(x) mod 2e for a coordinate tuple x."""
@@ -186,12 +175,13 @@ def discriminant_form(lat):
     keep = [i for i in range(n) if d[i][i] > 1]
     orders = [d[i][i] for i in keep]
     lifts = [u[i] for i in keep]
-    # U G V = D makes G u_i = d_i (V^-T e_i), so G u_i / d_i is integral and
-    # <u_i / d_i, u_j / d_j> = u_i . (G u_j / d_j) / d_i
-    duals = [[x // dj for x in intmat.mat_vec(g, uj)]
-             for uj, dj in zip(lifts, orders)]
-    inner = [[Fraction(intmat.dot(ui, w), di) for w in duals]
-             for ui, di in zip(lifts, orders)]
+    # U G V = D makes G u_i = d_i (V^-T e_i), so w_j = G u_j / d_j is
+    # integral and e <u_i / d_i, u_j / d_j> = e / d_i (u_i . w_j)
+    e = lcm(*orders)
+    duals = [[x // dj for x in row]
+             for row, dj in zip(intmat.mat_mul(lifts, g), orders)]
+    inner = [[e // di * x for x in row] for row, di in zip(
+        intmat.mat_mul(lifts, intmat.transpose(duals)), orders)]
     mod = TorsionQuadModule(orders, [inner[i][i] for i in range(len(keep))],
                             [[2 * x for x in row] for row in inner],
                             source=lat, lifts=lifts)
@@ -201,37 +191,24 @@ def discriminant_form(lat):
 
 
 # ---------------------------------------------------------------------------
-# subgroups of 2-elementary modules (F2 linear algebra on coordinate tuples)
-
-def _f2_kernel(rows, width):
-    """Basis of {x : rows x = 0} over F2: the relations of the columns that
-    depend on the columns before them, in column order."""
-    cols = [sum((row[c] & 1) << i for i, row in enumerate(rows))
-            for c in range(width)]
-    return [[rel >> j & 1 for j in range(width)]
-            for rel in intmat.f2_relations(cols) if rel]
-
+# subgroups of 2-elementary modules (F2 linear algebra on bitmasks, bit i
+# for coordinate i)
 
 class Subgroup:
     """F2 subspace of a 2-elementary module, stored by a basis of the
-    given vectors and the reduced bitmasks of its F2 elimination, keyed
-    by their leading bit: a membership test is one pass over them."""
+    given vectors and the reduced bitmasks of its F2 elimination: a
+    membership test is one intmat.f2_least."""
 
     def __init__(self, module, vectors):
         if not module.is_two_elementary:
             raise ValueError("subgroups are supported for 2-elementary modules")
-        self.module, self.basis, self._pivots = module, [], {}
+        self.module, self.basis, self._pivots = module, [], []
         for x in vectors:
             x = module.reduce(x)
-            mask = self._reduce(_f2_mask(x))
+            mask = intmat.f2_least(self._pivots, intmat.f2_mask(x))
             if mask:
-                self._pivots[mask.bit_length()] = mask
+                self._pivots.append(mask)
                 self.basis.append(x)
-
-    def _reduce(self, mask):
-        while mask and mask.bit_length() in self._pivots:
-            mask ^= self._pivots[mask.bit_length()]
-        return mask
 
     @property
     def dim(self):
@@ -241,7 +218,8 @@ class Subgroup:
         return 2 ** self.dim
 
     def contains(self, x):
-        return not self._reduce(_f2_mask(self.module.reduce(x)))
+        return not intmat.f2_least(self._pivots,
+                                   intmat.f2_mask(self.module.reduce(x)))
 
     def elements(self):
         """All members, in lexicographic coordinate order."""
@@ -251,8 +229,9 @@ class Subgroup:
         return sorted(out)
 
 
-def _f2_mask(x):
-    return sum(c << i for i, c in enumerate(x))
+def _combine(masks, bits):
+    """The XOR of the masks over the set bits of bits."""
+    return reduce(xor, (m for i, m in enumerate(masks) if bits >> i & 1), 0)
 
 
 def kernel_and_radical(mod):
@@ -261,28 +240,26 @@ def kernel_and_radical(mod):
     K = {x : 2q(x) = 0 mod 2Z}, R = K intersect K-perp under the polar
     form, and r is the element of R with q(r) = 1 mod 2Z.  When R is not
     one dimensional or carries no q = 1 element, r is None.
+
+    With e = 2, 2q(g_i) = qunits[i] and b(g_i, g_j) = bunits[i][j] / 2 mod
+    2, both linear over F2: K is spanned by the relations of the bits
+    qunits[i] mod 2, B x is the XOR of the polar rows over the bits of x,
+    and R by the relations of the columns of the pairing on K.
     """
     if not mod.is_two_elementary:
         raise ValueError("kernel/radical needs a 2-elementary module")
-    k = len(mod.orders)
-    # e = 2 here, so 2q(g_i) = qunits[i] mod 2
-    row = [qu % 2 for qu in mod.qunits]
-    kernel = Subgroup(mod, [tuple(x) for x in _f2_kernel([row], k)])
-    bk = [[int(mod.b(x, y)) for y in kernel.basis] for x in kernel.basis]
-    combos = _f2_kernel(bk, kernel.dim)
-    rad_vectors = []
-    for combo in combos:
-        x = mod.zero()
-        for c, bvec in zip(combo, kernel.basis):
-            if c:
-                x = mod.add(x, bvec)
-        rad_vectors.append(x)
-    radical = Subgroup(mod, rad_vectors)
+    kern = [rel for rel in intmat.f2_relations([qu & 1 for qu in mod.qunits])
+            if rel]
+    polar = [intmat.f2_mask([x // 2 for x in row]) for row in mod.bunits]
+    cols = [sum((bx & y).bit_count() % 2 << i for i, y in enumerate(kern))
+            for bx in (_combine(polar, x) for x in kern)]
+    rad = [_combine(kern, rel) for rel in intmat.f2_relations(cols) if rel]
+    kernel, radical = (
+        Subgroup(mod, [[m >> j & 1 for j in range(len(mod.orders))] for m in ms])
+        for ms in (kern, rad))
     r = None
-    if radical.dim == 1:
-        cand = [x for x in radical.elements() if x != mod.zero()][0]
-        if mod.q(cand) == 1:
-            r = cand
+    if radical.dim == 1 and mod._q_units(radical.basis[0]) == mod.exponent:
+        r = radical.basis[0]
     return kernel, radical, r
 
 
@@ -310,7 +287,6 @@ class FqmIsometry:
                 if (self.matrix[i][j] * module.orders[j]) % module.orders[i]:
                     raise ValueError("matrix does not define a homomorphism")
         self._key = tuple(tuple(r) for r in self.matrix)
-        self._preserves_q = None
 
     @classmethod
     def identity(cls, module):
@@ -345,20 +321,18 @@ class FqmIsometry:
         return all(self.matrix[i][j] == (1 if i == j else 0)
                    for i in range(k) for j in range(k))
 
-    @property
+    @cached_property
     def preserves_q(self):
         """b and q are kept iff P = F^T B F, B = bunits, has P_ij = B_ij and
         P_jj / 2 + sum_i F_ij^2 (qunits_i - B_ii / 2) = qunits_j, mod 2e."""
-        if self._preserves_q is None:
-            mod, f, e2 = self.module, self.matrix, 2 * self.module.exponent
-            p = intmat.mat_mul(intmat.transpose(f), intmat.mat_mul(mod.bunits, f))
-            t = [qu - mod.bunits[i][i] // 2 for i, qu in enumerate(mod.qunits)]
-            self._preserves_q = all(
-                (p[j][j] // 2 + sum(r[j] ** 2 * ti for r, ti in zip(f, t))
-                 - mod.qunits[j]) % e2 == 0
-                and all((x - y) % e2 == 0 for x, y in zip(p[j], mod.bunits[j]))
-                for j in range(len(f)))
-        return self._preserves_q
+        mod, f, e2 = self.module, self.matrix, 2 * self.module.exponent
+        p = intmat.mat_mul(intmat.transpose(f), intmat.mat_mul(mod.bunits, f))
+        t = [qu - mod.bunits[i][i] // 2 for i, qu in enumerate(mod.qunits)]
+        return all(
+            (p[j][j] // 2 + sum(r[j] ** 2 * ti for r, ti in zip(f, t))
+             - mod.qunits[j]) % e2 == 0
+            and all((x - y) % e2 == 0 for x, y in zip(p[j], mod.bunits[j]))
+            for j in range(len(f)))
 
     def permutation(self):
         """Action on the module elements, as a tuple over element indices."""
@@ -395,7 +369,8 @@ def transvection(mod, u):
     if u == mod.zero():
         raise ValueError("transvection by zero")
     k = len(mod.orders)
-    bu = [int(mod.b(u, _unit_tuple(k, j))) for j in range(k)]
+    # b(u, g_j) = (u^T B)_j / 2 mod 2, with e = 2
+    bu = [x % 4 // 2 for x in intmat.mat_vec(mod.bunits, u)]
     mat = [[(1 if i == j else 0) + u[i] * bu[j] for j in range(k)]
            for i in range(k)]
     return FqmIsometry(mod, mat)
@@ -552,20 +527,18 @@ class FiniteIsometryGroup:
         self.module = module
         self.generators = list(generators)
         self._perms = [g.permutation() for g in self.generators]
-        self._chain = None
 
-    def _ensure_chain(self):
-        if self._chain is None:
-            self._chain = _StabilizerChain(self.module.order(), self._perms)
-        return self._chain
+    @cached_property
+    def _chain(self):
+        return _StabilizerChain(self.module.order(), self._perms)
 
     def order(self):
-        return self._ensure_chain().order()
+        return self._chain.order()
 
     def contains(self, iso):
         if iso.module is not self.module:
             raise ValueError("isometry lives on a different module")
-        return self._ensure_chain().contains(iso.permutation())
+        return self._chain.contains(iso.permutation())
 
     def is_central(self, iso):
         p = iso.permutation()
@@ -630,5 +603,5 @@ def full_reflection_group(mod):
     if mod.order() > GROUP_CAP:
         raise ValueError("module too large for group enumeration")
     gens = [transvection(mod, u) for u in mod.elements()
-            if u != mod.zero() and mod.q(u) == 1]
+            if mod._q_units(u) == mod.exponent]
     return FiniteIsometryGroup(mod, gens)

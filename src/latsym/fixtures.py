@@ -125,12 +125,9 @@ def apply_errata(rows, errata):
     return [by_no[r["no"]] for r in rows]
 
 
-def load_orbit_table(path=None):
+def load_orbit_table():
     """Orbit sample rows with the vectors evaluated in the standard model."""
-    if path is None:
-        data = _bundled("orbits.json", ORBITS_SHA256)
-    else:
-        data = _load_json(Path(path), None)
+    data = _bundled("orbits.json", ORBITS_SHA256)
     model = lattice.standard_model()
     rows = []
     for row in data["rows"]:

@@ -397,15 +397,12 @@ def _canonical_two_adic(constituents):
                 and kinds[e] == "I" and kinds[e + 2] == "I"):
             moves.append(bit(e) ^ bit(e + 2) ^ bit(top + 1 + comp_of[e])
                          ^ bit(top + 1 + comp_of[e + 2]))
-    pivots = {}
+    pivots = []
     for m in moves:
-        while m and m.bit_length() in pivots:
-            m ^= pivots[m.bit_length()]
+        m = intmat.f2_least(pivots, m)
         if m:
-            pivots[m.bit_length()] = m
-    for b in sorted(pivots, reverse=True):
-        if state >> (b - 1) & 1:
-            state ^= pivots[b]
+            pivots.append(m)
+    state = intmat.f2_least(pivots, state)
     eps = [state & bit(e) for e in range(top + 1)]
     tot = [t & 3 | (4 if state & bit(top + 1 + ci) else 0)
            for ci, t in enumerate(tot0)]

@@ -4,15 +4,15 @@ Matrices are lists of row lists holding ints or Fractions.  Everything here
 is exact: no floats anywhere.  _scaled alone decides whether entries are
 ints or Fractions: the eliminations take L a as ints, L the lcm of the
 denominators of a, and mat_mul has one form, whose entries are ints or
-Fractions as its arithmetic makes them.  f2_relations is the one F2
-elimination, on int bitmasks.  Fraction-free Bareiss elimination runs on
-plain ints: bareiss, with row swaps, gives determinants and solutions;
-scale_pass, the one symmetric elimination, gives a symmetric matrix's
-determinant, signature, 2-adic Jordan splitting, frame and short vectors.
-scale_pass finds each 2-adic piece in the block it is eliminating, one
-bit test per entry; a row with no odd entry keeps none until the scale
-ends, so no search goes over it twice.  A pair takes the rows after it
-two steps at once.
+Fractions as its arithmetic makes them.  f2_least is the one F2
+elimination, on int bitmasks (f2_mask); f2_relations is built on it.
+Fraction-free Bareiss elimination runs on plain ints: bareiss, with row
+swaps, gives determinants and solutions; scale_pass, the one symmetric
+elimination, gives a symmetric matrix's determinant, signature, 2-adic
+Jordan splitting, frame and short vectors.  scale_pass finds each 2-adic
+piece in the block it is eliminating, one bit test per entry; a row with
+no odd entry keeps none until the scale ends, so no search goes over it
+twice.  A pair takes the rows after it two steps at once.
 """
 
 from fractions import Fraction
@@ -62,19 +62,33 @@ def gcd_vec(v):
     return gcd(*v)
 
 
+def f2_mask(v):
+    """The parities of an int vector as a bitmask, bit i for entry i."""
+    return sum((c & 1) << i for i, c in enumerate(v))
+
+
+def f2_least(pivots, mask):
+    """The least element of mask + span(pivots) over F2, for bitmasks
+    pivots with distinct leading bits: each pivot's leading bit set in mask
+    is cleared, highest first.  0 exactly when mask lies in the span."""
+    for p in sorted(pivots, reverse=True):
+        if mask ^ p < mask:
+            mask ^= p
+    return mask
+
+
 def f2_relations(masks):
     """One F2 elimination of int bitmasks, in order: for each mask 0 if it
     is independent of the masks before it, else the bitmask, its own bit
-    included, of the earlier independent masks that XOR with it to zero."""
-    pivots, out = {}, []
+    included, of the earlier independent masks that XOR with it to zero.
+    Mask i carries its own bit i below the mask bits, so what f2_least
+    leaves of a dependent mask is its relation."""
+    n, pivots, out = len(masks), [], []
     for i, mask in enumerate(masks):
-        comb = 1 << i
-        while mask and mask.bit_length() in pivots:
-            pmask, pcomb = pivots[mask.bit_length()]
-            mask, comb = mask ^ pmask, comb ^ pcomb
-        if mask:
-            pivots[mask.bit_length()] = mask, comb
-        out.append(0 if mask else comb)
+        least = f2_least(pivots, mask << n | 1 << i)
+        if least >> n:
+            pivots.append(least)
+        out.append(0 if least >> n else least)
     return out
 
 

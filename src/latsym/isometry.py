@@ -6,9 +6,9 @@ spinor norm, wall scan) and matches the result against the bundled class
 table.  The supporting operations are usable on any integral lattice.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
-from pathlib import Path
 
 from . import discform, fixtures, genus, intmat, lattice, walls
 
@@ -241,14 +241,12 @@ def order_of(f, cap=10**6):
 def _coinvariant_order(f, coinv):
     """order_of for an f with M^2 != I, from the action A on C."""
     s = coinv.rank
-    a = f.matrix        # at s = n, C spans the lattice: A is M, rebased
-    if s < f.lattice.rank:
-        ct = intmat.transpose(coinv.rows)
-        masks = [sum((c & 1) << i for i, c in enumerate(col)) for col in ct]
-        cols = [j for j, r in enumerate(intmat.f2_relations(masks)) if not r]
-        den, a = intmat.solve([ct[j] for j in cols],
-                              intmat.mat_mul([f.matrix[j] for j in cols], ct))
-        a = [[x // den for x in row] for row in a]
+    ct = intmat.transpose(coinv.rows)
+    masks = [intmat.f2_mask(col) for col in ct]
+    cols = [j for j, r in enumerate(intmat.f2_relations(masks)) if not r]
+    den, a = intmat.solve([ct[j] for j in cols],
+                          intmat.mat_mul([f.matrix[j] for j in cols], ct))
+    a = [[x // den for x in row] for row in a]
     poly = _char_poly_mod(a)
     order = 1
     for d in _cyclotomic_indices(s):
@@ -436,18 +434,14 @@ _REPORT_FIELDS = (
     "coinv_generator_divisibility", "type_letter", "table_row")
 
 
-class IsometryReport:
+class IsometryReport(namedtuple("IsometryReport",
+                                _REPORT_FIELDS + ("witnesses",))):
     """Classification fingerprint of an isometry of the model lattice."""
 
-    def __init__(self, witnesses, **fields):
-        for name in _REPORT_FIELDS:
-            setattr(self, name, fields.pop(name))
-        if fields:
-            raise TypeError("unexpected report fields: %s" % sorted(fields))
-        self.witnesses = list(witnesses)
+    __slots__ = ()
 
     def as_dict(self):
-        out = {name: getattr(self, name) for name in _REPORT_FIELDS}
+        out = self._asdict()
         out["witnesses"] = [w.as_dict() for w in self.witnesses]
         return out
 
@@ -509,8 +503,8 @@ def report(model, f, fixture=None):
                if coinv.rank == 1 else None)
     table_row = None
     if symplectic:
-        if fixture is None or isinstance(fixture, (str, Path)):
-            fixture = fixtures.load_table(fixture)
+        if fixture is None:
+            fixture = fixtures.load_table()
         row = _match_row(fixture, order, dorder, regular, inv_genus, coinv_genus)
         if row is None:
             raise ValueError(
@@ -520,7 +514,6 @@ def report(model, f, fixture=None):
     else:
         type_letter = "non-symplectic"
     return IsometryReport(
-        witnesses,
         order=order,
         disc_order=dorder,
         inv_genus=inv_genus,
@@ -533,6 +526,7 @@ def report(model, f, fixture=None):
         coinv_generator_divisibility=gen_div,
         type_letter=type_letter,
         table_row=table_row,
+        witnesses=witnesses,
     )
 
 

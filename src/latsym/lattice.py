@@ -6,6 +6,7 @@ for non-integral forms).  Vectors are coordinate lists in the lattice basis.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 import re
 
@@ -17,7 +18,7 @@ DEGENERATE = "Gram matrix must be nondegenerate"
 class Lattice:
     """A lattice given by its Gram matrix in a fixed basis."""
 
-    def __init__(self, gram, name=None, blocks=None):
+    def __init__(self, gram, name=None):
         n = len(gram)
         for row in gram:
             if len(row) != n:
@@ -34,8 +35,6 @@ class Lattice:
         self.gram = g
         self.rank = n
         self.name = name
-        # optional list of (label, rank) pairs recording a direct-sum shape
-        self.blocks = blocks
         self.is_integral = den == 1
         self._signature = sig
         self._det = _as_exact(det)
@@ -199,11 +198,13 @@ def rescale(lat, m):
 def dual(lat):
     """L^v: the dual lattice, with its form written in the dual basis.  Its
     det is 1 / det G, and G^-1 = G^-1 G G^-1 is congruent to G, so the
-    signature is lat's: G^-1 is not eliminated again."""
+    signature is lat's: G^-1 is not eliminated again.  Its fields are set
+    one by one, so nothing lat has cached carries over."""
     out = Lattice.__new__(Lattice)
-    out.__dict__.update(vars(lat))
-    out.gram, out.name, out.blocks = lat.dual_gram(), "%sv" % (lat.name or "?"), None
+    out.gram, out.rank = lat.dual_gram(), lat.rank
+    out.name = "%sv" % (lat.name or "?")
     out.is_integral = all(type(x) is int for row in out.gram for x in row)
+    out._signature = lat.signature()
     out._det = _as_exact(1 / Fraction(lat.det()))
     out._positive_frame = None
     out.jordan = intmat.scale_pass(out.gram) if out.is_integral else None
@@ -211,19 +212,17 @@ def dual(lat):
 
 
 def direct_sum(*lats):
-    """Orthogonal direct sum, blocks in the given order."""
+    """Orthogonal direct sum, summands in the given order."""
     total = sum(l.rank for l in lats)
     g = [[0] * total for _ in range(total)]
     off = 0
-    blocks = []
     for l in lats:
         for i in range(l.rank):
             for j in range(l.rank):
                 g[off + i][off + j] = l.gram[i][j]
-        blocks.append((l.name or "?", l.rank))
         off += l.rank
     name = "+".join(l.name or "?" for l in lats)
-    return Lattice(g, name=name, blocks=blocks)
+    return Lattice(g, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -382,26 +381,20 @@ def _unit(n, *idx):
     return v
 
 
-_standard = None
-
-
+@lru_cache(maxsize=None)
 def standard_model():
     """The shared StandardModel instance (immutable by convention)."""
-    global _standard
-    if _standard is None:
-        _standard = StandardModel()
-    return _standard
+    return StandardModel()
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange: {"name": ..., "gram": [["p/q", ...], ...], "blocks": ...}
+# JSON interchange: {"name": ..., "gram": [["p/q", ...], ...]}
 
 def lattice_to_json(lat):
     """Plain-dict form of a lattice; Gram entries become fraction strings."""
     return {
         "name": lat.name,
         "gram": [[str(Fraction(x)) for x in row] for row in lat.gram],
-        "blocks": [list(b) for b in lat.blocks] if lat.blocks else None,
     }
 
 
@@ -442,12 +435,12 @@ def parse_matrix(rows):
 
 
 def lattice_from_json(data):
-    """Inverse of lattice_to_json; entries as parse_entry reads them."""
+    """Inverse of lattice_to_json; entries as parse_entry reads them, a
+    name a string or null, other keys ignored."""
     if "gram" not in data:
         raise ValueError("lattice data needs a gram field")
+    name = data.get("name")
+    if name is not None and type(name) is not str:
+        raise ValueError("lattice name %.40r is not a string" % (name,))
     _check_size(len(data["gram"]), ())
-    gram = parse_matrix(data["gram"])
-    blocks = data.get("blocks")
-    if blocks:
-        blocks = [(str(label), int(rank)) for label, rank in blocks]
-    return Lattice(gram, name=data.get("name"), blocks=blocks)
+    return Lattice(parse_matrix(data["gram"]), name=name)

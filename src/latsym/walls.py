@@ -164,8 +164,7 @@ def coinvariant_wall_scan(model, f, pex_only=False):
         raise ValueError("coinvariant lattice is not negative definite")
     rows, gram = coinv.rows, coinv.lattice.gram
     # bits 0..n-1: G row mod 2; bits n..n+5: row mod 2 on the blocks
-    masks = [sum((c & 1) << i for i, c in enumerate(gr + r[:6]))
-             for r, gr in zip(rows, coinv.gram_rows)]
+    masks = [intmat.f2_mask(gr + r[:6]) for r, gr in zip(rows, coinv.gram_rows)]
     even = (1 << model.rank) - 1
     walks = ((-2, 0), (-4, even), (-6, even), (-12, -1))[:2 if pex_only else 4]
     # a Lattice, so one elimination, per distinct Gram walked

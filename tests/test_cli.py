@@ -248,6 +248,14 @@ def test_info_of_large_dual_exits_quickly():
         assert "integral Gram matrix" in done.stderr
 
 
+def test_disc_of_a_large_two_elementary_group():
+    # 2^300 elements, inside every input cap: the kernel (dim 299) and the
+    # pairing on it come from F2 bitmasks, one popcount per pair
+    done = latsym_process(["disc", "A1^300"], timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert "kernel dim: 299, radical dim: 1" in done.stdout
+
+
 @pytest.mark.parametrize("power", [2, 3])
 def test_info_power_of_large_prime(power):
     # det (2^61 - 1)^2 or ^3: rho needs about 2^30 steps there, so the
@@ -380,7 +388,8 @@ JSON_VALUES = st.recursive(JSON_LEAVES, lambda kids: st.lists(kids, max_size=4)
 def lattice_documents(draw):
     """Any JSON value, or an object with a random gram field, or a small
     int gram with up to two entries replaced by random leaves, with random
-    name and blocks fields (blocks also as pairs of random leaves)."""
+    name and blocks fields (blocks, a key latsym ignores, also as pairs of
+    random leaves)."""
     kind = draw(st.sampled_from(("any", "gram", "square")))
     if kind == "any":
         return draw(JSON_VALUES)
@@ -426,6 +435,14 @@ def isometry_documents(draw):
     return doc
 
 
+def _refuse_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+# refuses NaN and Infinity, which json.loads accepts
+_STRICT_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 @st.composite
 def json_files(draw):
     """(command, file text): lattice documents for info and genus, isometry
@@ -443,6 +460,8 @@ def json_files(draw):
 @given(json_files())
 @example(("report", '["matrix"]'))
 @example(("info", '{"gram": [[2]], "blocks": [["A1", Infinity]]}'))
+@example(("info", '{"gram": [[2, 1], [1, 2]], "blocks": [["x", 1e400]]}'))
+@example(("info", '{"gram": [[2]], "name": 1e400}'))
 @example(("walls", "[" * 100000 + "]" * 100000))
 def test_cli_on_malformed_json_files(tmp_path, case):
     """Each file exits 0 or 2 within 10 s, with no traceback."""
@@ -458,7 +477,7 @@ def test_cli_on_malformed_json_files(tmp_path, case):
         assert (out.getvalue(), err.getvalue()[:7]) == ("", "error: ")
     else:
         assert rc == 0
-        assert json.loads(out.getvalue().splitlines()[-1])
+        assert _STRICT_JSON.decode(out.getvalue().splitlines()[-1])
 
 
 def test_report_exceptional(capsys, tmp_path, model):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from latsym import intmat, lattice
+from latsym import discform, intmat, lattice
 
 
 def test_constructor_validation():
@@ -63,6 +63,17 @@ def test_rescale_dual():
     assert a1d.gram == [[Fraction(-1, 2)]]
     with pytest.raises(ValueError, match="zero"):
         lattice.rescale(u2, 0)
+
+
+def test_dual_carries_no_cache_of_its_source():
+    # the dual of A2 is not integral, so it has no discriminant form, even
+    # after A2's own form was cached on A2
+    a2 = lattice.root_A(2)
+    discform.discriminant_form(a2)
+    a2v = lattice.dual(a2)
+    assert (a2v.rank, a2v.signature(), a2v.det()) == (2, (0, 2), Fraction(1, 3))
+    with pytest.raises(ValueError, match="needs an even lattice"):
+        discform.discriminant_form(a2v)
 
 
 def test_direct_sum():
@@ -179,6 +190,14 @@ def test_json_roundtrip():
     assert back.name == model.lattice.name
     with pytest.raises(ValueError, match="gram"):
         lattice.lattice_from_json({"name": "X"})
+    # a name is a string or null; other keys, blocks among them, are ignored
+    lat = lattice.lattice_from_json({"gram": [[2]], "name": None,
+                                     "blocks": [["x", 1e400]]})
+    assert (lat.name, lattice.lattice_to_json(lat)) == (None, {
+        "name": None, "gram": [["2"]]})
+    for name in (1e400, 3, ["A1"], {"a": 1}, True):
+        with pytest.raises(ValueError, match="not a string"):
+            lattice.lattice_from_json({"gram": [[2]], "name": name})
 
 
 @pytest.mark.parametrize("gram", [

@@ -2553,7 +2553,9 @@ def f2_matrices(draw):
 def test_f2_eliminations_match_reference(case, bits, rng):
     width, masks = case
     rows = [[m >> j & 1 for j in range(width)] for m in masks]
-    assert discform._f2_kernel(rows, width) == ref_f2_kernel(rows, width)
+    cols = [intmat.f2_mask([row[c] for row in rows]) for c in range(width)]
+    assert [[rel >> j & 1 for j in range(width)]
+            for rel in intmat.f2_relations(cols) if rel] == ref_f2_kernel(rows, width)
 
     n = len(masks)
     gram = [[0] * n for _ in range(n)]
@@ -2563,15 +2565,72 @@ def test_f2_eliminations_match_reference(case, bits, rng):
     assert walls._parity_sublattice(gram, masks, bits) == ref_parity_sublattice(
         gram, masks, bits)
 
+    # q(g_i) = 1/2 and b(g_i, g_j) = [i = j], in units of 1/2
     mod = discform.TorsionQuadModule(
-        [2] * width, [Fraction(1, 2)] * width,
-        [[int(i == j) for j in range(width)] for i in range(width)])
+        [2] * width, [1] * width,
+        [[2 * (i == j) for j in range(width)] for i in range(width)])
     sub, ref = discform.Subgroup(mod, rows), RefSubgroup(mod, rows)
     assert sub.dim == len(ref.basis)
     assert sub.order() == 2 ** sub.dim
     assert sub.elements() == ref.elements()
     assert [sub.contains(x) for x in mod.elements()] == [
         ref.contains(x) for x in mod.elements()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(f2_matrices(), st.integers(0, 2 ** 10 - 1), st.randoms(use_true_random=False))
+@example((10, [1 << j for j in range(10)]), 2 ** 10 - 1, random.Random(0))
+@example((10, [0, 5, 5, 0, 1023]), 1022, random.Random(1))
+@example((3, [6, 3]), 5, random.Random(2))
+def test_f2_least_is_the_least_of_the_coset(case, mask, rng):
+    """intmat.f2_least on pivots it reduced itself, in any order, is the
+    brute-force minimum of mask + span, 0 exactly on the span."""
+    width, masks = case
+    mask &= (1 << width) - 1
+    pivots = []
+    for m in masks:
+        m = intmat.f2_least(pivots, m)
+        if m:
+            pivots.append(m)
+    assert len({p.bit_length() for p in pivots}) == len(pivots)
+    span = {0}
+    for m in masks:
+        span |= {x ^ m for x in span}
+    rng.shuffle(pivots)
+    least = intmat.f2_least(pivots, mask)
+    assert least == min(mask ^ x for x in span)
+    assert (least == 0) == (mask in span)
+
+
+def ref_kernel_and_radical(mod):
+    """discform.kernel_and_radical as it was, on coordinate tuples with one
+    Fraction-valued mod.b per pair of kernel vectors, ref_f2_kernel in
+    place of the F2 kernel it equals: (kernel basis, radical basis, r)."""
+    k = len(mod.orders)
+    kernel = [tuple(x) for x in ref_f2_kernel([[qu % 2 for qu in mod.qunits]], k)]
+    bk = [[int(mod.b(x, y)) for y in kernel] for x in kernel]
+    radical = []
+    for combo in ref_f2_kernel(bk, len(kernel)):
+        x = mod.zero()
+        for c, bvec in zip(combo, kernel):
+            if c:
+                x = mod.add(x, bvec)
+        radical.append(x)
+    r = radical[0] if len(radical) == 1 and mod.q(radical[0]) == 1 else None
+    return kernel, radical, r
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(("A1", "D4", "D8", "E8(2)", "U(2)")),
+                min_size=1, max_size=8).map("+".join))
+@example("U(2)^3+E8+A1^2")
+@example("A1^2+D4")
+@example("E8(2)")
+@example("D4^3")
+def test_kernel_and_radical_match_reference(expr):
+    mod = discform.discriminant_form(lattice.build_named(expr))
+    kernel, radical, r = discform.kernel_and_radical(mod)
+    assert (kernel.basis, radical.basis, r) == ref_kernel_and_radical(mod)
 
 
 # ---------------------------------------------------------------------------

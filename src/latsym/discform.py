@@ -14,7 +14,7 @@ are exact.
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
-from operator import mul, xor
+from operator import index, mul, xor
 
 from . import intmat
 
@@ -75,7 +75,7 @@ class TorsionQuadModule:
     def reduce(self, x):
         if len(x) != len(self.orders):
             raise ValueError("coordinate length does not match module rank")
-        return tuple(int(c) % d for c, d in zip(x, self.orders))
+        return tuple(index(c) % d for c, d in zip(x, self.orders))
 
     def add(self, x, y):
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
@@ -169,7 +169,7 @@ def discriminant_form(lat):
         return cached
     if not lat.is_even:
         raise ValueError("discriminant form needs an even lattice")
-    g = lat.int_gram()
+    g = lat.gram
     n = lat.rank
     d, u, v = intmat.smith_normal_form(g)
     keep = [i for i in range(n) if d[i][i] > 1]
@@ -279,7 +279,7 @@ class FqmIsometry:
         if len(matrix) != k or any(len(r) != k for r in matrix):
             raise ValueError("matrix shape does not match module")
         self.module = module
-        self.matrix = [[int(matrix[i][j]) % module.orders[i] for j in range(k)]
+        self.matrix = [[index(matrix[i][j]) % module.orders[i] for j in range(k)]
                        for i in range(k)]
         # well defined on g_j of order d_j: the image must die under d_j
         for i in range(k):

@@ -300,12 +300,8 @@ def _local_symbol(pieces, p):
 
 
 def _integral_lattice(lat):
-    """lat, or the Lattice of a Gram matrix, checked to be integral."""
-    if not isinstance(lat, lattice.Lattice):
-        lat = lattice.Lattice(lat)
-    if not lat.is_integral:
-        raise ValueError("genus symbols need an integral Gram matrix")
-    return lat
+    """lat, or the Lattice of a Gram matrix."""
+    return lat if isinstance(lat, lattice.Lattice) else lattice.Lattice(lat)
 
 
 def padic_jordan(lat, p):

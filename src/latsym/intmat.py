@@ -1,10 +1,9 @@
-"""Exact integer and rational matrix helpers.
+"""Exact integer matrix helpers.
 
-Matrices are lists of row lists holding ints or Fractions.  Everything here
-is exact: no floats anywhere.  _scaled alone decides whether entries are
-ints or Fractions: the eliminations take L a as ints, L the lcm of the
-denominators of a, and mat_mul has one form, whose entries are ints or
-Fractions as its arithmetic makes them.  f2_least is the one F2
+Matrices are lists of row lists holding ints.  Everything here is exact:
+no floats anywhere.  Fractions appear only in the answers of frac_det and
+frac_inverse; mat_mul has one form, whose entries are whatever its
+arithmetic makes of its inputs.  f2_least is the one F2
 elimination, on int bitmasks (f2_mask); f2_relations is built on it.
 Fraction-free Bareiss elimination runs on plain ints: bareiss, with row
 swaps, gives determinants and solutions; scale_pass, the one symmetric
@@ -18,7 +17,7 @@ twice.  A pair takes the rows after it two steps at once.
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, islice
-from math import gcd, lcm
+from math import gcd
 from operator import add, eq, mul, or_
 
 
@@ -174,23 +173,12 @@ def bareiss(m):
     return n, sign
 
 
-def _scaled(a):
-    """(L, L * a as ints) for L the lcm of the denominators of a."""
-    if set(map(type, chain.from_iterable(a))) <= {int}:
-        return 1, [list(row) for row in a]
-    fa = [[Fraction(x) for x in row] for row in a]
-    den = lcm(*(x.denominator for row in fa for x in row))
-    return den, [[(x * den).numerator for x in row] for row in fa]
-
-
 def det(a):
-    """Determinant det(L a) / L^n by fraction-free Bareiss elimination of
-    L a, L the lcm of the denominators of a: an int for an int matrix."""
-    den, m = _scaled(a)
+    """Determinant of an int matrix by fraction-free Bareiss elimination."""
+    m = [list(row) for row in a]
     n = len(m)
     r, sign = bareiss(m)
-    d = 0 if r < n else sign * m[n - 1][n - 1] if n else 1
-    return d if den == 1 else Fraction(d, den ** n)
+    return 0 if r < n else sign * m[n - 1][n - 1] if n else 1
 
 
 def frac_det(a):
@@ -331,22 +319,20 @@ def scale_pass(m):
     return pivots, steps, bounds, rows, order
 
 
-def pivot_form(pivots, den=1):
-    """Determinant and signature of a symmetric matrix, scaled by den to
-    ints, from the leading minors D_k of a congruent form: Jacobi's rule
-    reads the signature off the signs of D_k / D_{k-1}."""
+def pivot_form(pivots):
+    """Determinant and signature of a symmetric int matrix from the leading
+    minors D_k of a congruent form: Jacobi's rule reads the signature off
+    the signs of D_k / D_{k-1}."""
     signs = [True] + [d > 0 for d in pivots]
     n, plus = len(pivots), sum(map(eq, signs, signs[1:]))
-    d = pivots[-1] if n else 1
-    return (d if den == 1 else Fraction(d, den ** n)), (plus, n - plus)
+    return (pivots[-1] if n else 1), (plus, n - plus)
 
 
 def det_signature(g):
-    """Determinant and signature (n_plus, n_minus) of a symmetric matrix,
-    from one scale_pass.  A degenerate form gives (0, None)."""
-    den, m = _scaled(g)
-    jordan = scale_pass(m)
-    return (0, None) if jordan is None else pivot_form(jordan[0], den)
+    """Determinant and signature (n_plus, n_minus) of a symmetric int
+    matrix, from one scale_pass.  A degenerate form gives (0, None)."""
+    jordan = scale_pass(g)
+    return (0, None) if jordan is None else pivot_form(jordan[0])
 
 
 def solve(a, b):
@@ -369,23 +355,19 @@ def solve(a, b):
 
 
 def frac_inverse(a):
-    """Exact inverse, ints where integral, else Fractions: L Y / D for
-    (D, Y) = solve(L a, I), L the lcm of the denominators of a."""
-    den, m = _scaled(a)
-    d, y = solve(m, identity(len(m)))
-    return [[x // d if x % d == 0 else Fraction(x, d)
-             for x in (den * z for z in row)] for row in y]
+    """Exact inverse of an int matrix, ints where integral, else Fractions:
+    Y / D for (D, Y) = solve(a, I)."""
+    d, y = solve(a, identity(len(a)))
+    return [[x // d if x % d == 0 else Fraction(x, d) for x in row]
+            for row in y]
 
 
 def smith_normal_form(m):
     """Smith normal form with transforms.
 
     Returns (d, u, v) with u * m * v == d, u and v unimodular, and d diagonal
-    with nonnegative entries d[0][0] | d[1][1] | ...  m must be integral.
+    with nonnegative entries d[0][0] | d[1][1] | ...  for an int matrix m.
     """
-    den, m = _scaled(m)
-    if den != 1:
-        raise ValueError("Smith normal form needs an integer matrix")
     d, u, vt = _smith(m, True)
     return d, u, transpose(vt)
 
@@ -394,14 +376,16 @@ def _smith(m, with_u):
     """(d, u, v^T) of smith_normal_form for an int matrix m, u only if
     with_u.  Row operations act on the rows of m followed by those of u,
     column operations on the rows of v^T and on the rows of m that are
-    nonzero in the pivot column.
+    nonzero in the pivot column.  The block left after a pivot q is
+    divisible by q, and row and column operations keep it so: a pivot of
+    the same absolute value needs no divisibility scan.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a = [row + ([int(i == j) for j in range(rows)] if with_u else [])
+    a = [list(row) + ([int(i == j) for j in range(rows)] if with_u else [])
          for i, row in enumerate(m)]
     vt = identity(cols)
-    t = 0
+    t, last = 0, 1
     while t < min(rows, cols):
         # a pivot of least absolute value, the first in row order
         mins = [min(map(abs, filter(None, row[t:cols])), default=0)
@@ -434,7 +418,7 @@ def _smith(m, with_u):
             continue
         # every entry of the remaining block must be a multiple of p
         q = abs(p)
-        if q != 1:
+        if q != last:
             i = next((i for i in range(t + 1, rows)
                       if gcd(q, *a[i][t + 1:cols]) != q), None)
             if i is not None:
@@ -442,7 +426,7 @@ def _smith(m, with_u):
                 continue
         if p < 0:
             a[t] = [-x for x in top]
-        t += 1
+        t, last = t + 1, q
     return ([row[:cols] for row in a],
             [row[cols:] for row in a] if with_u else None, vt)
 
@@ -452,11 +436,10 @@ def kernel_basis(m):
 
     The returned basis spans a saturated (primitive) sublattice of Z^n:
     with u m v = d, m (v e_j) = u^-1 d e_j = 0 for the zero columns j of d.
-    A rational m has the kernel of L m, L the lcm of its denominators.
     """
     if not m:
         return []
-    d, _u, vt = _smith(_scaled(m)[1], False)
+    d, _u, vt = _smith(m, False)
     return vt[sum(1 for k in range(min(len(d), len(d[0]))) if d[k][k]):]
 
 

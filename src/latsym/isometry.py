@@ -8,6 +8,7 @@ table.  The supporting operations are usable on any integral lattice.
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 from . import discform, fixtures, genus, intmat, lattice, walls
@@ -17,11 +18,11 @@ class LatticeIsometry:
     """An isometry of an integral lattice, acting on column coordinates."""
 
     def __init__(self, lat, matrix):
-        den, m = intmat._scaled(matrix)
+        m = [list(row) for row in matrix]
         if len(m) != lat.rank or any(len(row) != lat.rank for row in m):
             raise ValueError("matrix size does not match the lattice rank")
-        if den != 1:
-            raise ValueError("matrix is not unimodular over the integers")
+        if not set(map(type, chain.from_iterable(m))) <= {int}:
+            raise ValueError("an isometry needs an integer matrix")
         gm = intmat.mat_mul(lat.gram, m)
         # m^T G m = G with det G != 0 forces det m = +-1
         if intmat.mat_mul(intmat.transpose(m), gm) != lat.gram:

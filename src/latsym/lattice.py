@@ -1,18 +1,21 @@
-"""Even lattices with exact Gram arithmetic, and the standard rank-16 model.
+"""Integral lattices with exact Gram arithmetic and the standard rank-16 model.
 
 A lattice here is a free Z-module of finite rank carrying a nondegenerate
-symmetric bilinear form, stored as an exact Gram matrix (ints, or Fractions
-for non-integral forms).  Vectors are coordinate lists in the lattice basis.
+symmetric Z-valued bilinear form, stored as an int Gram matrix.  Vectors
+are coordinate lists in the lattice basis.  JSON entries "p/q" are read as
+ints at the boundary (parse_entry), and a dual term such as "D8v(2)" is
+built only when it comes out integral after its scale.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import gcd
 import re
 
 from . import intmat
 
 DEGENERATE = "Gram matrix must be nondegenerate"
+NOT_INTEGRAL = "a lattice needs an integral Gram matrix"
 
 
 class Lattice:
@@ -23,24 +26,21 @@ class Lattice:
         for row in gram:
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
-        den, m = intmat._scaled(gram)
-        g = m if den == 1 else [[_as_exact(Fraction(x, den)) for x in row]
-                                for row in m]
+        if not set(map(type, chain.from_iterable(gram))) <= {int}:
+            raise ValueError(NOT_INTEGRAL)
+        g = [list(row) for row in gram]
         if g != intmat.transpose(g):
             raise ValueError("Gram matrix must be symmetric")
-        jordan = intmat.scale_pass(m)
+        jordan = intmat.scale_pass(g)
         if jordan is None:
             raise ValueError(DEGENERATE)
-        det, sig = intmat.pivot_form(jordan[0], den)
+        self._det, self._signature = intmat.pivot_form(jordan[0])
         self.gram = g
         self.rank = n
         self.name = name
-        self.is_integral = den == 1
-        self._signature = sig
-        self._det = _as_exact(det)
         self._positive_frame = None
-        # intmat.scale_pass of an integral Gram: its 2-adic Jordan splitting
-        self.jordan = jordan if den == 1 else None
+        # intmat.scale_pass of the Gram: its 2-adic Jordan splitting
+        self.jordan = jordan
 
     def __repr__(self):
         label = self.name if self.name else "rank %d" % self.rank
@@ -48,8 +48,6 @@ class Lattice:
 
     @property
     def is_even(self):
-        if not self.is_integral:
-            return False
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def inner(self, x, y):
@@ -57,15 +55,15 @@ class Lattice:
         if len(x) != self.rank or len(y) != self.rank:
             raise ValueError("vector length does not match rank")
         gx = intmat.mat_vec(self.gram, y)
-        return _as_exact(sum(a * b for a, b in zip(x, gx)))
+        return sum(a * b for a, b in zip(x, gx))
 
     def square(self, x):
         return self.inner(x, x)
 
     def divisibility(self, x):
-        """div(x): the positive generator of the ideal <x, L>, for integral L."""
-        if not self.is_integral:
-            raise ValueError("divisibility needs an integral lattice")
+        """div(x): the positive generator of the ideal <x, L>."""
+        if len(x) != self.rank:
+            raise ValueError("vector length does not match rank")
         if not any(x):
             raise ValueError("divisibility of the zero vector is undefined")
         pairings = intmat.mat_vec(self.gram, x)
@@ -87,8 +85,7 @@ class Lattice:
         <T_k, T_j> = 0 for j != k and <T_k, T_k> = D_{k-1} D_k.
         """
         if self._positive_frame is None:
-            n = self.rank
-            _den, g = intmat._scaled(self.gram)
+            n, g = self.rank, self.gram
             pivots, _steps, _bounds, rows, _order = intmat.scale_pass(
                 [row + [int(i == j) for j in range(n)] for i, row in enumerate(g)])
             minors = [1] + pivots
@@ -97,20 +94,6 @@ class Lattice:
             self._positive_frame = [(p, _primitive(intmat.mat_vec(g, p)))
                                     for p in frame]
         return self._positive_frame
-
-    def dual_gram(self):
-        """Gram matrix of the dual lattice in the dual basis."""
-        return intmat.frac_inverse(self.gram)
-
-    def int_gram(self):
-        if not self.is_integral:
-            raise ValueError("lattice is not integral")
-        return self.gram
-
-
-def _as_exact(x):
-    """An int or Fraction x as an int when it is integral."""
-    return x.numerator if x.denominator == 1 else x
 
 
 def _primitive(v):
@@ -195,20 +178,19 @@ def rescale(lat, m):
     return Lattice(g, name="%s(%d)" % (base, m))
 
 
-def dual(lat):
-    """L^v: the dual lattice, with its form written in the dual basis.  Its
-    det is 1 / det G, and G^-1 = G^-1 G G^-1 is congruent to G, so the
-    signature is lat's: G^-1 is not eliminated again.  Its fields are set
-    one by one, so nothing lat has cached carries over."""
-    out = Lattice.__new__(Lattice)
-    out.gram, out.rank = lat.dual_gram(), lat.rank
-    out.name = "%sv" % (lat.name or "?")
-    out.is_integral = all(type(x) is int for row in out.gram for x in row)
-    out._signature = lat.signature()
-    out._det = _as_exact(1 / Fraction(lat.det()))
-    out._positive_frame = None
-    out.jordan = intmat.scale_pass(out.gram) if out.is_integral else None
-    return out
+def dual(lat, m=None):
+    """L^v(m): the dual lattice with its form multiplied by m (L^v when m
+    is None), written in the dual basis: its Gram is m G^-1 = m Y / D for
+    (D, Y) = intmat.solve(G, I).  Raises unless D divides every entry of
+    m Y, since a lattice is integral."""
+    if m == 0:
+        raise ValueError("rescale by zero")
+    name = "%sv" % (lat.name or "?") + ("" if m is None else "(%d)" % m)
+    d, y = intmat.solve(lat.gram, intmat.identity(lat.rank))
+    k = 1 if m is None else m
+    if any(k * x % d for row in y for x in row):
+        raise ValueError("%s has no integral Gram matrix" % name)
+    return Lattice([[k * x // d for x in row] for row in y], name=name)
 
 
 def direct_sum(*lats):
@@ -268,8 +250,9 @@ def build_named(expr):
 
     Grammar: terms joined by "+"; a term is NAME, NAME(m), NAME^k or
     NAME(m)^k, where NAME is U, V, E8, An, Dn, Kp or Hp, optionally with a
-    "v" suffix for the dual (taken before rescaling, as in "D8v(2)").
-    The rank and the numbers p and m are capped before anything is built.
+    "v" suffix for the dual (taken before rescaling, as in "D8v(2)"),
+    which must come out integral after its scale.  The rank and the
+    numbers p and m are capped before anything is built.
     """
     parts = [t.strip() for t in expr.replace(" ", "").split("+")]
     if not parts or not parts[0]:
@@ -284,10 +267,11 @@ def build_named(expr):
         rank += k * (int(name[1:]) if name[0] in "AD" else 8 if name == "E8" else 2)
         _check_size(rank, [int(x) for x in m.group(4, 5, 7) if x])
         lat = _build_atom(name)
+        scale = None if scale is None else int(scale)
         if take_dual:
-            lat = dual(lat)
-        if scale is not None:
-            lat = rescale(lat, int(scale))
+            lat = dual(lat, scale)
+        elif scale is not None:
+            lat = rescale(lat, scale)
         summands += [lat] * k
     if len(summands) == 1:
         return summands[0]
@@ -305,11 +289,7 @@ def restricted_gram(lat, rows, pair=None):
             raise ValueError("vector length does not match rank")
     if pair is None:
         pair = intmat.mat_mul(rows, lat.gram)
-    gram = intmat.mat_mul(rows, intmat.transpose(pair))
-    # a sum of ints is an int, one holding a Fraction is a Fraction
-    if type(sum(map(sum, gram))) is int:
-        return gram
-    return [[_as_exact(x) for x in row] for row in gram]
+    return intmat.mat_mul(rows, intmat.transpose(pair))
 
 
 def orthogonal_complement(lat, rows, pair=None):
@@ -388,13 +368,13 @@ def standard_model():
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange: {"name": ..., "gram": [["p/q", ...], ...]}
+# JSON interchange: {"name": ..., "gram": [["n", ...], ...]}
 
 def lattice_to_json(lat):
-    """Plain-dict form of a lattice; Gram entries become fraction strings."""
+    """Plain-dict form of a lattice; Gram entries become decimal strings."""
     return {
         "name": lat.name,
-        "gram": [[str(Fraction(x)) for x in row] for row in lat.gram],
+        "gram": [[str(x) for x in row] for row in lat.gram],
     }
 
 
@@ -404,24 +384,29 @@ _MAX_DIGITS = len(str(2 ** MAX_ENTRY_BITS))
 
 
 def parse_entry(x):
-    """A JSON matrix entry as an exact number: an int (not a bool), or a
-    string "n" or "p/q" of decimal digits, refused before conversion if a
-    number in it has more digits than 2^MAX_ENTRY_BITS.  A number beyond
-    MAX_ENTRY_BITS, and anything else, raises ValueError."""
-    if type(x) is int and x.bit_length() <= MAX_ENTRY_BITS:
-        return x
-    if type(x) is not int:
+    """A JSON matrix entry as an int: an int (not a bool), or a string "n"
+    or "p/q" of decimal digits, refused before conversion if a number in it
+    has more digits than 2^MAX_ENTRY_BITS.  "p/q" is reduced; a number of
+    it beyond MAX_ENTRY_BITS, a value that is not an integer, and anything
+    else raise ValueError."""
+    if type(x) is int:
+        num, den = x, 1
+    else:
         if type(x) is not str or not _ENTRY_RE.fullmatch(x):
             raise ValueError('entry %.40r is neither an int nor a "p/q" string'
                              % (x,))
         num, _, den = x.partition("/")
         if max(len(num.lstrip("-")), len(den)) > _MAX_DIGITS:
             raise ValueError("an entry exceeds the cap of %d bits" % MAX_ENTRY_BITS)
-        if den and not int(den):
+        num, den = int(num), int(den or 1)
+        if not den:
             raise ValueError("entry %r has a zero denominator" % x)
-        x = Fraction(int(num), int(den or 1))
-    _check_size(0, [x.numerator, x.denominator])
-    return _as_exact(x)
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    _check_size(0, [num, den])
+    if den != 1:
+        raise ValueError("entry %r is not an integer" % x)
+    return num
 
 
 def parse_matrix(rows):

@@ -37,33 +37,26 @@ class WallWitness(namedtuple("WallWitness", "vector square divisibility wclass")
 
 
 def short_vectors(lat_or_gram, n):
-    """All x with <x, x> = n in a negative definite lattice, up to sign.
+    """All x with <x, x> = n in a negative definite lattice (or int Gram
+    matrix), up to sign.
 
     One representative per antipodal pair, the one whose first nonzero
-    coordinate is positive; output sorted lexicographically.  Rational
-    Grams and targets are scaled to integers first.  The enumeration visits
-    one vector of each pair (the last nonzero coordinate positive) and
-    solves for the first coordinate instead of searching it.  An integral
-    Lattice and an int target reuse the lattice's own scale_pass.
+    coordinate is positive; output sorted lexicographically.  The
+    enumeration visits one vector of each pair (the last nonzero
+    coordinate positive) and solves for the first coordinate instead of
+    searching it, over the lattice's own scale_pass.
     """
-    lat = lat_or_gram if isinstance(lat_or_gram, lattice.Lattice) else None
-    gram = lat_or_gram if lat is None else lat.gram
-    rank = len(gram)
     if n >= 0:
         raise ValueError("target square must be negative")
+    lat = (lat_or_gram if isinstance(lat_or_gram, lattice.Lattice)
+           else lattice.Lattice(lat_or_gram))
+    rank, jordan = lat.rank, lat.jordan
     if rank == 0:
         return []
-    # pivot rows e over the basis order of scale_pass, the form and the
-    # target scaled to ints (x is mapped back): with D_k = e[k][0],
-    # D_-1 = 1, -<x, x> = sum_k (sum_j e[k][j] x_{k+j})^2 / (-D_k D_{k-1})
-    if lat is not None and lat.jordan is not None and type(n) is int:
-        jordan, target = lat.jordan, -n
-    else:
-        m = intmat._scaled([list(row) for row in gram] + [[n]])[1]
-        target = -m.pop()[0]
-        jordan = intmat.scale_pass(m)
-    if jordan is None or any(a * b >= 0 for a, b in zip([1] + jordan[0],
-                                                         jordan[0])):
+    # pivot rows e over the basis order of scale_pass (x is mapped back):
+    # with D_k = e[k][0], D_-1 = 1,
+    # -<x, x> = sum_k (sum_j e[k][j] x_{k+j})^2 / (-D_k D_{k-1})
+    if any(a * b >= 0 for a, b in zip([1] + jordan[0], jordan[0])):
         raise ValueError("form is not negative definite")
     minors = [1] + jordan[0]
     # each row signed so that its pivot |D_k| leads it
@@ -73,7 +66,7 @@ def short_vectors(lat_or_gram, n):
     weight = [-minors[k + 1] * minors[k] for k in range(rank)]
     scale = lcm(*weight)
     weight = [scale // w for w in weight]
-    budget = target * scale
+    budget = -n * scale
     out = []
     x = [0] * rank
 

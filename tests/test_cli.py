@@ -208,16 +208,18 @@ def _identity_with_float():
     ("info", '{"gram": [[true]]}'),
     ("info", '{"gram": [["1e3"]]}'),
     ("info", '{"gram": [["1/0"]]}'),
+    ("info", '{"gram": [["1/2"]]}'),
     ("info", '{"gram": [["1e500000"]]}'),
     ("info", '{"gram": [["1e5000000"]]}'),
     ("info", '{"gram": [["1e50000000"]]}'),
     ("report", _identity_with_float()),
     # beyond the interpreter's limit on digits in an int
     ("report", '{"matrix": [[%s]]}' % ("9" * 5000))],
-    ids=["float", "bool", "exponent", "zero-denominator", "1e500000",
+    ids=["float", "bool", "exponent", "zero-denominator", "non-integral", "1e500000",
          "1e5000000", "1e50000000", "float-in-isometry", "5000-digit-int"])
 def test_non_exact_json_numbers_exit_quickly(tmp_path, command, text):
-    # floats, booleans and exponent strings are refused before conversion
+    # floats, booleans and exponent strings are refused before conversion,
+    # and a "p/q" that is not an integer once it is reduced
     path = tmp_path / "entry.json"
     path.write_text(text)
     done = latsym_process([command, str(path)], timeout=10)
@@ -242,7 +244,7 @@ def test_info_of_large_dual_exits_quickly():
     # the inverse behind the dual and the symmetric elimination of its
     # Gram are fraction-free and leave the rows with multiplier 0 alone;
     # the dual is not integral
-    for target in ("A160v", "A400v", "A512v", "A20v^24", "A30v^17"):
+    for target in ("A2v", "A160v", "A400v", "A512v", "A20v^24", "A30v^17"):
         done = latsym_process(["info", target], timeout=10)
         assert (done.returncode, done.stdout) == (2, "")
         assert "integral Gram matrix" in done.stderr
@@ -280,7 +282,29 @@ def test_info_det_with_prime_factor_beyond_bound(capsys, tmp_path):
 def test_genus_of_non_integral_lattice(capsys, command):
     rc, out, err = run(capsys, [command, "A2v"])
     assert (rc, out) == (2, "")
-    assert err == "error: genus symbols need an integral Gram matrix\n"
+    assert err == ("error: cannot interpret 'A2v' as a lattice: "
+                   "A2v has no integral Gram matrix\n")
+
+
+@pytest.mark.parametrize("entry, det", [("4/2", 2), ("-6/3", -2), ("1/2", None)])
+def test_fraction_entries_are_read_as_ints(capsys, tmp_path, entry, det):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"gram": [[entry]]}))
+    rc, out, err = run(capsys, ["info", str(path), "--format", "json"])
+    if det is None:
+        assert (rc, out) == (2, "")
+        assert err == "error: bad lattice file %s: entry %r is not an " \
+            "integer\n" % (path, entry)
+    else:
+        assert rc == 0
+        assert json.loads(out)["det"] == det
+
+
+def test_info_of_unimodular_duals_keeps_their_names(capsys):
+    for expr in ("E8v", "E8v(1)"):
+        rc, out, _err = run(capsys, ["info", expr])
+        assert rc == 0
+        assert out.startswith("name: %s\n" % expr)
 
 
 def test_genus_command(capsys):

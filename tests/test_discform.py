@@ -14,6 +14,21 @@ def test_a1_module():
     assert mod.q((0,)) == 0
 
 
+def test_coordinates_are_not_truncated():
+    # a non-integral coordinate is refused, not rounded: int(1/2) is 0 and
+    # int(3/2) is 1, which made q((1/2,)) read as q((0,))
+    mod = discform.discriminant_form(lattice.root_A(1))
+    for bad in (Fraction(1, 2), Fraction(3, 2), 1.0):
+        with pytest.raises(TypeError):
+            mod.q((bad,))
+        with pytest.raises(TypeError):
+            mod.index_of((bad,))
+        with pytest.raises(TypeError):
+            discform.FqmIsometry(mod, [[bad]])
+    assert mod.q((3,)) == mod.q((1,)) == Fraction(3, 2)
+    assert discform.FqmIsometry(mod, [[3]]).matrix == [[1]]
+
+
 def test_e8_module_trivial():
     mod = discform.discriminant_form(lattice.root_E8())
     assert mod.orders == []

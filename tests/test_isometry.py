@@ -47,7 +47,7 @@ def test_validation(model):
         isometry.make_isometry(lam, intmat.identity(15))
     half = [[Fraction(1, 2) if i == j else 0 for j in range(16)]
             for i in range(16)]
-    with pytest.raises(ValueError, match="unimodular"):
+    with pytest.raises(ValueError, match="integer matrix"):
         isometry.make_isometry(lam, half)
     doubled = intmat.identity(16)
     doubled[0][0] = 2
@@ -57,11 +57,12 @@ def test_validation(model):
     swap[0], swap[6] = swap[6], swap[0]
     with pytest.raises(ValueError, match="bilinear"):
         isometry.make_isometry(lam, swap)
-    # integral Fractions are accepted and stored as ints
+    # entries are ints: integral Fractions and bools are refused too
     one = [[Fraction(x) for x in row] for row in intmat.identity(16)]
-    f = isometry.make_isometry(lam, one)
-    assert f.matrix == intmat.identity(16)
-    assert {type(x) for row in f.matrix for x in row} == {int}
+    with pytest.raises(ValueError, match="integer matrix"):
+        isometry.make_isometry(lam, one)
+    with pytest.raises(ValueError, match="integer matrix"):
+        isometry.make_isometry(lam, [[x == 1 for x in row] for row in one])
 
 
 def test_rank_zero_isometry():

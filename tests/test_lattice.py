@@ -14,6 +14,17 @@ def test_constructor_validation():
         lattice.Lattice([[1, 2], [2, 4]])
 
 
+@pytest.mark.parametrize("gram", [
+    [[Fraction(1, 2)]],
+    [[Fraction(2)]],                # integral, but not an int
+    [[2, True], [True, 2]],
+    [[2.0]],
+])
+def test_constructor_refuses_non_int_entries(gram):
+    with pytest.raises(ValueError, match=lattice.NOT_INTEGRAL):
+        lattice.Lattice(gram)
+
+
 def test_root_lattices():
     e8 = lattice.root_E8()
     assert e8.rank == 8
@@ -59,21 +70,22 @@ def test_planes():
 def test_rescale_dual():
     u2 = lattice.rescale(lattice.hyperbolic(), 2)
     assert u2.gram == [[0, 2], [2, 0]]
-    a1d = lattice.dual(lattice.root_A(1))
-    assert a1d.gram == [[Fraction(-1, 2)]]
+    with pytest.raises(ValueError, match="A1v has no integral Gram matrix"):
+        lattice.dual(lattice.root_A(1))
+    a1d = lattice.dual(lattice.root_A(1), 2)
+    assert (a1d.name, a1d.gram) == ("A1v(2)", [[-1]])
     with pytest.raises(ValueError, match="zero"):
         lattice.rescale(u2, 0)
 
 
 def test_dual_carries_no_cache_of_its_source():
-    # the dual of A2 is not integral, so it has no discriminant form, even
-    # after A2's own form was cached on A2
+    # A2v(3) is built afresh, so the form cached on A2 does not carry over
     a2 = lattice.root_A(2)
     discform.discriminant_form(a2)
-    a2v = lattice.dual(a2)
-    assert (a2v.rank, a2v.signature(), a2v.det()) == (2, (0, 2), Fraction(1, 3))
-    with pytest.raises(ValueError, match="needs an even lattice"):
-        discform.discriminant_form(a2v)
+    a2v = lattice.dual(a2, 3)
+    assert (a2v.rank, a2v.signature(), a2v.det()) == (2, (0, 2), 3)
+    assert not hasattr(a2v, "_disc_form")
+    assert discform.discriminant_form(a2v).source is a2v
 
 
 def test_direct_sum():
@@ -115,13 +127,24 @@ def test_build_named_scaled_duals():
     d8 = lattice.build_named("D8v(2)")
     assert d8.name == "D8v(2)"
     assert d8.gram == [[2 * x for x in row]
-                       for row in lattice.dual(lattice.root_D(8)).gram]
+                       for row in intmat.frac_inverse(lattice.root_D(8).gram)]
     assert d8.gram[6] == [-1, -2, -3, -4, -5, -6, -4, -3]
-    assert d8.is_integral and d8.det() == 64
+    assert d8.det() == 64
     a2 = lattice.build_named("A2v(3)")
     assert a2.name == "A2v(3)"
     assert a2.gram == [[-2, -1], [-1, -2]]
     assert all(type(x) is int for row in a2.gram for x in row)
+    # E8 is unimodular, so its dual needs no scale; names are kept
+    for expr in ("E8v", "E8v(1)"):
+        e8 = lattice.build_named(expr)
+        assert (e8.name, e8.det()) == (expr, 1)
+    # a dual must come out integral after its own scale; zero is refused
+    # before the dual is tried
+    for expr in ("A2v", "D8v", "D8v(-1)", "A3v(2)"):
+        with pytest.raises(ValueError, match="no integral Gram matrix"):
+            lattice.build_named(expr)
+    with pytest.raises(ValueError, match="rescale by zero"):
+        lattice.build_named("A2v(0)")
 
 
 def test_vector_queries():
@@ -130,6 +153,10 @@ def test_vector_queries():
         lam.square([1, 0])
     with pytest.raises(ValueError, match="zero vector"):
         lam.divisibility([0] * 16)
+    # a short or long vector is refused, not truncated to its overlap
+    for x in ([1], [1] * 17):
+        with pytest.raises(ValueError, match="length"):
+            lam.divisibility(x)
 
 
 def test_standard_model_invariants():
@@ -177,8 +204,8 @@ def test_sublattice_helpers():
     assert g == [[-2]]
     # complement of nothing is everything
     assert len(lattice.orthogonal_complement(lam, [])) == 16
-    # a rational Gram: <x, e_0> = (2 x_0 + x_1) / 3 on the dual of A2
-    assert lattice.orthogonal_complement(lattice.build_named("A2v"),
+    # <x, e_0> = -(2 x_0 + x_1) on A2v(3), the dual of A2 scaled by 3
+    assert lattice.orthogonal_complement(lattice.build_named("A2v(3)"),
                                          [[1, 0]]) in ([[1, -2]], [[-1, 2]])
 
 
@@ -205,7 +232,7 @@ def test_json_roundtrip():
     [[0, 1], [1, -2]],  # c = 1 would give a zero pivot: needs c = -1
     [[0, 2, 0], [2, 0, 0], [0, 0, -2]],
     [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
-    [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]],
+    [[2, 1], [1, 2]],
     [[-2, 1], [1, -2]],
 ])
 def test_positive_frame(gram):
@@ -222,5 +249,3 @@ def test_positive_frame(gram):
         assert ratio > 0 and [ratio * b for b in gp] == w
         for q, _ in frame[i + 1:]:
             assert lat.inner(p, q) == 0
-    assert lattice.standard_model().lattice.is_integral
-    assert not lattice.build_named("A2v").is_integral

@@ -399,10 +399,10 @@ def test_coinvariant_short_vectors_match_reference(picks):
         assert walls.short_vectors(gram, t) == ref_short_vectors(gram, t)
 
 
-@pytest.mark.parametrize("name", SMALL["negative definite"] + ("A2v", "D4v(3)"))
+@pytest.mark.parametrize("name", SMALL["negative definite"] + ("A2v(3)", "D4v(2)"))
 def test_small_short_vectors_match_reference(name):
     gram = lattice.build_named(name).gram
-    for t in (-2, -4, -6, Fraction(-2, 3), Fraction(-4, 3)):
+    for t in (-2, -3, -4, -6):
         assert walls.short_vectors(gram, t) == ref_short_vectors(gram, t)
 
 
@@ -1287,16 +1287,6 @@ def test_scale_pass_pair_update_examples(case, lead):
     assert_matches_reference(g)
 
 
-@settings(max_examples=60, deadline=None)
-@given(symmetric_grams(), st.integers(1, 6))
-def test_rational_det_signature_match_reference(g, den):
-    h = [[Fraction(x, den) for x in row] for row in g]
-    det, sig = ref_frac_det(h), ref_symmetric_signature(h)
-    assert intmat.frac_det(h) == det
-    assert intmat.det_signature(h) == (det, sig)
-    assert lattice.Lattice(h).det() == det
-
-
 def _sign_changes(coeffs):
     signs = [c > 0 for c in coeffs if c]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -1415,12 +1405,10 @@ def assert_inverse_matches(a):
 
 @st.composite
 def square_matrices(draw):
-    """Square int or rational matrices of size 0..7, often singular or with
-    a zero leading pivot."""
+    """Square int matrices of size 0..7, often singular or with a zero
+    leading pivot."""
     n = draw(st.integers(0, 7))
-    entry = st.integers(-4, 4)
-    if draw(st.booleans()):
-        entry = st.builds(Fraction, entry, st.integers(1, 6))
+    entry = st.integers(-6, 6)
     m = [[draw(entry) for _ in range(n)] for _ in range(n)]
     if n and draw(st.booleans()):
         m[0][0] = 0
@@ -1437,7 +1425,7 @@ def test_frac_inverse_matches_reference(a):
 
 @pytest.mark.parametrize("a", [
     [[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[0, 2], [3, 0]],
-    [[Fraction(1, 2), 0], [0, Fraction(2, 3)]], [[1, 2], [2, 4]],
+    [[2, 0], [0, 3]], [[1, 2], [2, 4]],
     [[0, 0], [0, 1]], [[0]], []])
 def test_frac_inverse_examples(a):
     assert_inverse_matches(a)
@@ -1446,9 +1434,9 @@ def test_frac_inverse_examples(a):
 @settings(max_examples=150, deadline=None)
 @given(symmetric_grams(), st.lists(st.integers(1, 6), min_size=12, max_size=12))
 def test_positive_frame_matches_reference(g, dens):
-    """Scaled on both sides by diag(1 / d_i), g stays nondegenerate of the
-    same signature and gets mixed denominators."""
-    h = [[Fraction(x, dens[i] * dens[j]) for j, x in enumerate(row)]
+    """Scaled on both sides by diag(d_i), g stays nondegenerate of the
+    same signature and gets entries of mixed sizes."""
+    h = [[x * dens[i] * dens[j] for j, x in enumerate(row)]
          for i, row in enumerate(g)]
     lat = lattice.Lattice(h)
     frame = lat.positive_frame()
@@ -1471,7 +1459,7 @@ class RefModule:
     """The discriminant form as it was built on Fraction lifts u_i / d_i."""
 
     def __init__(self, lat):
-        g = lat.int_gram()
+        g = lat.gram
         n = lat.rank
         d, u, v = intmat.smith_normal_form(g)
         diag = [d[i][i] for i in range(n)]
@@ -1915,7 +1903,7 @@ class RefRealSubfield:
             pw = self.mul(pw, self.gen())
         mat = [[cols[j][i] for j in range(self.deg)] for i in range(self.deg)]
         rhs = [Fraction(1)] + [Fraction(0)] * (self.deg - 1)
-        return tuple(intmat.mat_vec(intmat.frac_inverse(mat), rhs))
+        return tuple(intmat.mat_vec(ref_frac_inverse(mat), rhs))
 
     def sign(self, a, power):
         """Sign of a at the real root isolated by the given interval."""
@@ -2267,6 +2255,17 @@ def test_kernel_basis_matches_reference_on_classify_matrices():
         assert intmat.smith_normal_form(m) == ref_smith_normal_form(m)
 
 
+@pytest.mark.parametrize("expr", ["A1^12", "E8(2)^2", "U(4)^3+A1"])
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_smith_normal_form_with_repeated_pivots_matches_reference(expr, seed):
+    """Grams whose Smith pivots repeat, where _smith skips the divisibility
+    scan of a pivot equal to the one before it; also seeded rebasings."""
+    g = lattice.build_named(expr).gram
+    if seed is not None:
+        g = _rebased(g, random.Random(seed), 3 * len(g))
+    assert intmat.smith_normal_form(g) == ref_smith_normal_form(g)
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrix_pairs())
 def test_kernel_basis_matches_reference_on_small_matrices(pair):
@@ -2437,11 +2436,11 @@ def test_inverse_matches_dual_gram_form():
     for f in list(fresh_goldens().values()) + words:
         inv = isometry.inverse(f)
         assert inv.matrix == intmat.mat_mul(
-            f.lattice.dual_gram(), intmat.transpose(f.gram_matrix))
+            intmat.frac_inverse(f.lattice.gram), intmat.transpose(f.gram_matrix))
         assert isometry.compose(f, inv).is_identity()
         assert isometry.compose(inv, f).is_identity()
-    assert lattice.dual(standard_model().lattice).dual_gram() == \
-        standard_model().lattice.gram
+    e8 = lattice.root_E8()
+    assert lattice.dual(lattice.dual(e8)).gram == e8.gram
 
 
 # ---------------------------------------------------------------------------

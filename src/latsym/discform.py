@@ -13,7 +13,7 @@ are exact.
 
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import lcm
+from math import lcm, prod
 from operator import index, mul, xor
 
 from . import intmat
@@ -60,10 +60,7 @@ class TorsionQuadModule:
         return "TorsionQuadModule(orders=%r)" % (self.orders,)
 
     def order(self):
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
+        return prod(self.orders)
 
     @property
     def is_two_elementary(self):
@@ -108,18 +105,14 @@ class TorsionQuadModule:
                                + sum(map(mul, row[i + 1:], x[i + 1:])))
         return total % (2 * self.exponent)
 
-    def _b_units(self, x, y):
-        """e b(x, y) mod 2e for coordinate tuples x and y."""
-        total = sum(xi * sum(map(mul, row, y))
-                    for xi, row in zip(x, self.bunits) if xi)
-        return total % (2 * self.exponent)
-
     def q(self, x):
         return Fraction(self._q_units(self.reduce(x)), self.exponent)
 
     def b(self, x, y):
-        return Fraction(self._b_units(self.reduce(x), self.reduce(y)),
-                        self.exponent)
+        x, y = self.reduce(x), self.reduce(y)
+        total = sum(xi * sum(map(mul, row, y))
+                    for xi, row in zip(x, self.bunits) if xi)
+        return Fraction(total % (2 * self.exponent), self.exponent)
 
     def lift(self, x):
         """A representative of x in the dual lattice, in lattice coordinates."""
@@ -288,11 +281,6 @@ class FqmIsometry:
                     raise ValueError("matrix does not define a homomorphism")
         self._key = tuple(tuple(r) for r in self.matrix)
 
-    @classmethod
-    def identity(cls, module):
-        k = len(module.orders)
-        return cls(module, intmat.identity(k))
-
     def __eq__(self, other):
         return (isinstance(other, FqmIsometry)
                 and self.module is other.module and self._key == other._key)
@@ -317,9 +305,7 @@ class FqmIsometry:
 
     @property
     def is_identity(self):
-        k = len(self.module.orders)
-        return all(self.matrix[i][j] == (1 if i == j else 0)
-                   for i in range(k) for j in range(k))
+        return self.matrix == intmat.identity(len(self.matrix))
 
     @cached_property
     def preserves_q(self):
@@ -335,10 +321,16 @@ class FqmIsometry:
             for j in range(len(f)))
 
     def permutation(self):
-        """Action on the module elements, as a tuple over element indices."""
+        """Action on the module elements, as a tuple over element indices,
+        built from the columns by f(x + c g_j) = f(x) + c f(g_j)."""
         mod = self.module
-        elems = mod.elements()
-        perm = tuple(mod.index_of(self.apply(e)) for e in elems)
+        images = [mod.zero()]
+        for col, d in zip(zip(*self.matrix), mod.orders):
+            steps = [mod.zero()]
+            for _ in range(d - 1):
+                steps.append(mod.add(steps[-1], col))
+            images = [mod.add(y, s) for y in images for s in steps]
+        perm = tuple(map(mod._eidx.__getitem__, images))
         if len(set(perm)) != len(perm):
             raise ValueError("map is not invertible")
         return perm
@@ -569,23 +561,24 @@ class FiniteIsometryGroup:
     def quotient_order(self, sub, rad):
         """Order of the induced action on sub/rad cosets.
 
-        Every generator must preserve both subgroups; this is checked.
+        Every generator must preserve both subgroups; this is checked.  A
+        coset is keyed by the f2_least of its mask on rad's pivots.
         """
-        mod = self.module
+        elems, eidx = self.module._elems, self.module._eidx
+
+        def key(x):
+            return intmat.f2_least(rad._pivots, intmat.f2_mask(x))
+
         reps = {}
-        radels = rad.elements()
         for x in sub.elements():
-            key = min(mod.add(x, t) for t in radels)
-            reps.setdefault(key, len(reps))
+            reps.setdefault(key(x), eidx[x])
+        coset = {k: i for i, k in enumerate(reps)}
         perms = []
-        for g in self.generators:
-            images = []
-            for key in reps:
-                y = g.apply(key)
-                if not sub.contains(y):
-                    raise ValueError("generator does not preserve the subgroup")
-                images.append(reps[min(mod.add(y, t) for t in radels)])
-            perms.append(tuple(images))
+        for p in self._perms:
+            images = [elems[p[i]] for i in reps.values()]
+            if not all(map(sub.contains, images)):
+                raise ValueError("generator does not preserve the subgroup")
+            perms.append(tuple(coset[key(y)] for y in images))
         return _StabilizerChain(len(reps), perms).order()
 
 

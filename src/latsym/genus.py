@@ -6,6 +6,8 @@ type marker and an oddity at p = 2.  At p = 2 the per-scale signs and
 oddities are not separately invariant; symbols are compared after a
 canonicalization that walks signs and fuses oddities along chains of
 adjacent scales.  Rendered symbols look like "II_(3,13)2^8_6".
+genus_symbol and padic_jordan take a lattice.Lattice, read off its
+Lattice.jordan; canonical_string takes a Lattice or a GenusSymbol.
 """
 
 import re
@@ -24,9 +26,6 @@ class Constituent(namedtuple("Constituent", "scale rank eps kind oddity",
     """
 
     __slots__ = ()
-
-    def key(self):
-        return tuple(self)
 
 
 class GenusSymbol:
@@ -299,25 +298,19 @@ def _local_symbol(pieces, p):
     return out
 
 
-def _integral_lattice(lat):
-    """lat, or the Lattice of a Gram matrix."""
-    return lat if isinstance(lat, lattice.Lattice) else lattice.Lattice(lat)
-
-
 def padic_jordan(lat, p):
-    """Jordan constituents of an integral lattice at the prime p.
+    """Jordan constituents of a Lattice at the prime p.
 
     Returns the ordered list of Constituent records for ascending scales,
     including the scale-0 unimodular part.
     """
     if not intmat.is_prime(p):
         raise ValueError("p must be prime")
-    return _local_symbol(_pieces(_integral_lattice(lat), p), p)
+    return _local_symbol(_pieces(lat, p), p)
 
 
 def genus_symbol(lat):
-    """The genus symbol of an integral lattice (or Gram matrix)."""
-    lat = _integral_lattice(lat)
+    """The genus symbol of a Lattice."""
     pos, neg = lat.signature()
     det = lat.det()
     local = {p: _local_symbol(_pieces(lat, p), p)
@@ -450,7 +443,7 @@ def render_genus(sym):
 
 
 def canonical_string(x):
-    """Canonical rendered symbol of a lattice, Gram matrix or symbol."""
+    """Canonical rendered symbol of a Lattice or a GenusSymbol."""
     sym = x if isinstance(x, GenusSymbol) else genus_symbol(x)
     return render_genus(canonicalize(sym))
 

@@ -49,16 +49,8 @@ def mat_vec(a, v):
     return [sum(map(mul, row, v)) for row in a]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def dot(u, v):
     return sum(map(mul, u, v))
-
-
-def gcd_vec(v):
-    return gcd(*v)
 
 
 def f2_mask(v):

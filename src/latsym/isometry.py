@@ -175,20 +175,16 @@ def _poly_divmod(a, b):
     return q, [x % _P for x in a[:db]]
 
 
-_CYCLOTOMIC = {1: [-1, 1]}
-
-
+@lru_cache(maxsize=None)
 def _cyclotomic(d):
-    if d not in _CYCLOTOMIC:
-        poly = [0] * d + [1]
-        poly[0] = -1
-        for e in range(1, d):
-            if d % e == 0:
-                poly, rem = _poly_divmod(poly, _cyclotomic(e))
-                if any(rem):
-                    raise RuntimeError("cyclotomic division left a remainder")
-        _CYCLOTOMIC[d] = poly
-    return _CYCLOTOMIC[d]
+    """Phi_d mod _P, low degree first: x^d - 1 over the Phi_e, e | d, e < d."""
+    poly = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            poly, rem = _poly_divmod(poly, _cyclotomic(e))
+            if any(rem):
+                raise RuntimeError("cyclotomic division left a remainder")
+    return poly
 
 
 @lru_cache(maxsize=None)
@@ -280,8 +276,8 @@ class Sublattice:
         # the pairing rows G r (G is symmetric), for the Gram, the
         # orthogonal complement and the wall scan
         self.gram_rows = intmat.mat_mul(self.rows, ambient.gram)
-        gram = lattice.restricted_gram(ambient, self.rows, self.gram_rows)
-        self.lattice = lattice.Lattice(gram, name=name)
+        self.lattice = lattice.Lattice(intmat.mat_mul(
+            self.rows, intmat.transpose(self.gram_rows)), name=name)
 
     @property
     def rank(self):
@@ -293,7 +289,8 @@ def invariant_coinvariant(f):
     per isometry and kept on it."""
     if f._split is None:
         lat = f.lattice
-        delta = intmat.mat_sub(f.matrix, intmat.identity(lat.rank))
+        delta = [[x - (i == j) for j, x in enumerate(row)]
+                 for i, row in enumerate(f.matrix)]
         inv = Sublattice(lat, intmat.kernel_basis(delta), name="invariant")
         coinv_rows = ([] if inv.rank == lat.rank else lattice.orthogonal_complement(
             lat, inv.rows, inv.gram_rows))

@@ -4,7 +4,8 @@ A lattice here is a free Z-module of finite rank carrying a nondegenerate
 symmetric Z-valued bilinear form, stored as an int Gram matrix.  Vectors
 are coordinate lists in the lattice basis.  JSON entries "p/q" are read as
 ints at the boundary (parse_entry), and a dual term such as "D8v(2)" is
-built only when it comes out integral after its scale.
+built only when it comes out integral after its scale.  The root lattices
+A_n, D_n and E8 come from one Dynkin builder, _dynkin, given their edges.
 """
 
 from functools import lru_cache
@@ -67,7 +68,7 @@ class Lattice:
         if not any(x):
             raise ValueError("divisibility of the zero vector is undefined")
         pairings = intmat.mat_vec(self.gram, x)
-        return intmat.gcd_vec(pairings)
+        return gcd(*pairings)
 
     def signature(self):
         return self._signature
@@ -98,7 +99,7 @@ class Lattice:
 
 def _primitive(v):
     """The primitive vector on the ray of a nonzero int vector."""
-    g = intmat.gcd_vec(v)
+    g = gcd(*v)
     return [x // g for x in v]
 
 
@@ -115,44 +116,36 @@ def odd_plane():
     return Lattice([[0, 1], [1, 1]], name="V")
 
 
+def _dynkin(n, edges, name):
+    """The negative definite root lattice of a Dynkin diagram on 0..n-1."""
+    g = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        g[a][b] = g[b][a] = 1
+    return Lattice(g, name=name)
+
+
 def root_A(n):
     """A_n root lattice, negative definite."""
     if n < 1:
         raise ValueError("A_n needs n >= 1")
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = -2
-        if i + 1 < n:
-            g[i][i + 1] = g[i + 1][i] = 1
-    return Lattice(g, name="A%d" % n)
+    return _dynkin(n, [(i, i + 1) for i in range(n - 1)], "A%d" % n)
 
 
 def root_D(n):
     """D_n root lattice, negative definite (fork at the last node)."""
     if n < 2:
         raise ValueError("D_n needs n >= 2")
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = -2
-    for i in range(n - 2):
-        g[i][i + 1] = g[i + 1][i] = 1
-    if n >= 3:
-        g[n - 3][n - 1] = g[n - 1][n - 3] = 1
-    return Lattice(g, name="D%d" % n)
+    return _dynkin(n, [(i, i + 1) for i in range(n - 2)]
+                   + ([(n - 3, n - 1)] if n >= 3 else []), "D%d" % n)
 
 
-# Node ordering: 1-3-4-5-6-7-8 chain with node 2 attached to node 4.
-_E8_EDGES = [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]
+# Node ordering: 1-3-4-5-6-7-8 chain with node 2 attached to node 4, from 0.
+_E8_EDGES = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]
 
 
 def root_E8():
     """E8 root lattice, negative definite, in the fixed node order above."""
-    g = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        g[i][i] = -2
-    for a, b in _E8_EDGES:
-        g[a - 1][b - 1] = g[b - 1][a - 1] = 1
-    return Lattice(g, name="E8")
+    return _dynkin(8, _E8_EDGES, "E8")
 
 
 def plane_K(p):
@@ -199,9 +192,8 @@ def direct_sum(*lats):
     g = [[0] * total for _ in range(total)]
     off = 0
     for l in lats:
-        for i in range(l.rank):
-            for j in range(l.rank):
-                g[off + i][off + j] = l.gram[i][j]
+        for i, row in enumerate(l.gram, off):
+            g[i][off:off + l.rank] = row
         off += l.rank
     name = "+".join(l.name or "?" for l in lats)
     return Lattice(g, name=name)
@@ -214,22 +206,15 @@ _TERM_RE = re.compile(
     r"^(U|V|E8|A(\d+)|D(\d+)|K(\d+)|H(\d+))(v?)(?:\((-?\d+)\))?(?:\^(\d+))?$")
 
 
+# the atoms of _TERM_RE: U, V and E8 by name, the others by first letter
+_ATOMS = {"U": hyperbolic, "V": odd_plane, "E8": root_E8,
+          "A": root_A, "D": root_D, "K": plane_K, "H": plane_H}
+
+
 def _build_atom(name):
-    if name == "U":
-        return hyperbolic()
-    if name == "V":
-        return odd_plane()
-    if name == "E8":
-        return root_E8()
-    if name.startswith("A"):
-        return root_A(int(name[1:]))
-    if name.startswith("D"):
-        return root_D(int(name[1:]))
-    if name.startswith("K"):
-        return plane_K(int(name[1:]))
-    if name.startswith("H"):
-        return plane_H(int(name[1:]))
-    raise ValueError("unknown lattice name %r" % name)
+    if name in _ATOMS:
+        return _ATOMS[name]()
+    return _ATOMS[name[0]](int(name[1:]))
 
 
 # input bounds of build_named and lattice_from_json, above every size used:
@@ -280,17 +265,6 @@ def build_named(expr):
 
 # ---------------------------------------------------------------------------
 # sublattices of a fixed ambient lattice
-
-def restricted_gram(lat, rows, pair=None):
-    """Gram matrix of the sublattice spanned by the given row vectors;
-    pair, when given, holds their pairing rows G r."""
-    for r in rows:
-        if len(r) != lat.rank:
-            raise ValueError("vector length does not match rank")
-    if pair is None:
-        pair = intmat.mat_mul(rows, lat.gram)
-    return intmat.mat_mul(rows, intmat.transpose(pair))
-
 
 def orthogonal_complement(lat, rows, pair=None):
     """Basis of {x in L : <x, r> = 0 for all r}, a saturated sublattice;

@@ -121,7 +121,7 @@ def wall_class(model, x, gx=None):
     if gx is None:
         gx = intmat.mat_vec(gram, x)
     square = intmat.dot(x, gx)
-    div = intmat.gcd_vec(gx)
+    div = gcd(*gx)
     wclass = _CLASSES.get((square, div))
     if wclass is None or (wclass == WALL12 and any(c % 2 for c in x[:6])):
         return None

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from latsym import discform, intmat, lattice
+from latsym import discform, intmat, isometry, lattice
 
 
 def test_constructor_validation():
@@ -46,6 +46,68 @@ def test_root_lattices():
         lattice.root_A(0)
     with pytest.raises(ValueError):
         lattice.root_D(1)
+
+
+def _from_edges(n, edges):
+    """-2 on the diagonal and 1 on each edge (a, b), nodes numbered from 1."""
+    g = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        g[a - 1][b - 1] = g[b - 1][a - 1] = 1
+    return g
+
+
+# every atom's Gram in its fixed basis: the planes by their formulas
+# K_p = [[(p+1)/2, -1], [-1, 2]] and H_p = [[(p-1)/2, 1], [1, -2]], A_n a
+# chain, D_n the chain 1-..-(n-1) forked at node n-2 onto node n, and E8 in
+# the standard model's node order, the chain 1-3-4-5-6-7-8 with 2 on 4
+ATOM_GRAMS = {
+    "U": [[0, 1], [1, 0]],
+    "V": [[0, 1], [1, 1]],
+    "E8": [[-2, 0, 1, 0, 0, 0, 0, 0],
+           [0, -2, 0, 1, 0, 0, 0, 0],
+           [1, 0, -2, 1, 0, 0, 0, 0],
+           [0, 1, 1, -2, 1, 0, 0, 0],
+           [0, 0, 0, 1, -2, 1, 0, 0],
+           [0, 0, 0, 0, 1, -2, 1, 0],
+           [0, 0, 0, 0, 0, 1, -2, 1],
+           [0, 0, 0, 0, 0, 0, 1, -2]],
+    "A1": [[-2]],
+    "A2": [[-2, 1], [1, -2]],
+    "A3": _from_edges(3, [(1, 2), (2, 3)]),
+    "A4": _from_edges(4, [(1, 2), (2, 3), (3, 4)]),
+    "D2": [[-2, 0], [0, -2]],
+    "D3": _from_edges(3, [(1, 2), (1, 3)]),
+    "D4": _from_edges(4, [(1, 2), (2, 3), (2, 4)]),
+    "D5": _from_edges(5, [(1, 2), (2, 3), (3, 4), (3, 5)]),
+    "K3": [[2, -1], [-1, 2]],
+    "K7": [[4, -1], [-1, 2]],
+    "H3": [[1, 1], [1, -2]],
+    "H5": [[2, 1], [1, -2]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATOM_GRAMS))
+def test_atom_grams(name):
+    lat = lattice.build_named(name)
+    assert (lat.name, lat.gram) == (name, ATOM_GRAMS[name])
+
+
+def test_e8_edges_give_the_pinned_gram():
+    assert _from_edges(8, [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8),
+                           (2, 4)]) == ATOM_GRAMS["E8"]
+    assert lattice.root_E8().gram == ATOM_GRAMS["E8"]
+
+
+def test_direct_sum_block_layout():
+    a2, d4, u = ATOM_GRAMS["A2"], ATOM_GRAMS["D4"], ATOM_GRAMS["U"]
+    want = ([row + [0] * 6 for row in a2]
+            + [[0] * 2 + row + [0] * 2 for row in d4]
+            + [[0] * 6 + row for row in u])
+    assert want[3] == [0, 0, 1, -2, 1, 1, 0, 0]
+    built = lattice.direct_sum(lattice.root_A(2), lattice.root_D(4),
+                               lattice.hyperbolic())
+    assert built.gram == lattice.build_named("A2+D4+U").gram == want
+    assert built.name == "A2+D4+U"
 
 
 def test_planes():
@@ -200,8 +262,7 @@ def test_sublattice_helpers():
     assert len(comp) == 15
     for r in comp:
         assert lam.inner(r, last) == 0
-    g = lattice.restricted_gram(lam, [last])
-    assert g == [[-2]]
+    assert isometry.Sublattice(lam, [last]).lattice.gram == [[-2]]
     # complement of nothing is everything
     assert len(lattice.orthogonal_complement(lam, [])) == 16
     # <x, e_0> = -(2 x_0 + x_1) on A2v(3), the dual of A2 scaled by 3

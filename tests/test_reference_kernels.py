@@ -14,7 +14,8 @@ block, the scale-ordered pass that found its 2-adic pieces by a second
 elimination over F_2 at each scale boundary, the Jordan splitting over
 Z_p (rational elimination read p-adically), the discriminant action
 (Fraction lifts, q and b, and the order of the permutation of all
-elements), the wall scan that classifies every enumerated vector, and the
+elements), the group permutations applied element by element and the
+coset quotient keyed by its least member, the wall scan that classifies every enumerated vector, and the
 eigenspace signatures of f + f^-1 over the real cyclotomic subfield
 (Fraction tuples, signs by interval bisection).  The integer versions
 must agree with them on random isometries of Lambda and of small lattices
@@ -941,10 +942,10 @@ def assert_matches_reference(g):
             # scale by scale the same ranks; signs and oddities agree
             # after the walk to the canonical representative
             assert [(c.scale, c.rank) for c in got] == [(c.scale, c.rank) for c in want]
-            assert ([c.key() for c in genus._canonical_two_adic(got)]
-                    == [c.key() for c in genus._canonical_two_adic(want)])
+            assert (genus._canonical_two_adic(got)
+                    == genus._canonical_two_adic(want))
         else:
-            assert [c.key() for c in got] == [c.key() for c in want]
+            assert got == want
 
 
 @settings(max_examples=120, deadline=None)
@@ -1193,8 +1194,7 @@ def test_odd_prime_block_rebuilt_when_smaller(monkeypatch):
         sizes.append(len(u)), local_pieces(u, p, mod))[1])
     got = genus.padic_jordan(lat, 3)
     assert sizes == [n - top]
-    assert [c.key() for c in got] == [c.key() for c in ref_constituents(
-        ref_local_pieces(g, 3), 3)]
+    assert got == ref_constituents(ref_local_pieces(g, 3), 3)
 
 
 def test_odd_prime_gram_divisible_by_p():
@@ -1658,6 +1658,112 @@ def test_generic_module_maps_match_reference(case):
     iso = discform.FqmIsometry(mod, mat)
     assert iso.preserves_q == ref.preserves_q(iso.matrix)
     _same_order(iso, ref, iso.matrix)
+
+
+# ---------------------------------------------------------------------------
+# group permutations: the element-by-element action and the coset minimum
+
+
+def ref_permutation(iso):
+    """FqmIsometry.permutation as it was: the matrix applied to every
+    element and the image looked up."""
+    mod = iso.module
+    perm = tuple(mod.index_of(iso.apply(e)) for e in mod.elements())
+    if len(set(perm)) != len(perm):
+        raise ValueError("map is not invertible")
+    return perm
+
+
+def ref_quotient_order(grp, sub, rad):
+    """FiniteIsometryGroup.quotient_order as it was: each coset keyed by
+    its least member over the radical, each generator applied to the keys."""
+    mod = grp.module
+    reps, radels = {}, rad.elements()
+    for x in sub.elements():
+        reps.setdefault(min(mod.add(x, t) for t in radels), len(reps))
+    perms = []
+    for g in grp.generators:
+        images = []
+        for key in reps:
+            y = g.apply(key)
+            if not sub.contains(y):
+                raise ValueError("generator does not preserve the subgroup")
+            images.append(reps[min(mod.add(y, t) for t in radels)])
+        perms.append(tuple(images))
+    return discform._StabilizerChain(len(reps), perms).order()
+
+
+def assert_same_permutation(iso):
+    """Both permutations agree, or both refuse a map that is not
+    invertible; returns whether the map was invertible."""
+    try:
+        want = ref_permutation(iso)
+    except ValueError:
+        with pytest.raises(ValueError, match="not invertible"):
+            iso.permutation()
+        return False
+    assert iso.permutation() == want
+    return True
+
+
+def lambda_transvections():
+    """The 64 transvections T_u, q(u) = 1, of Lambda's discriminant form."""
+    mod = ref_module("Lambda")[1]
+    return [discform.transvection(mod, u) for u in mod.elements()
+            if mod.q(u) == 1]
+
+
+def test_permutations_of_lambda_transvections_match_reference():
+    ts = lambda_transvections()
+    assert len(ts) == 64
+    assert all(assert_same_permutation(t) for t in ts)
+
+
+def test_permutations_of_induced_reflection_words_match_reference():
+    lam = ref_module("Lambda")[0]
+    rng = random.Random(23)
+    for _ in range(30):
+        f = word(lambda_generators(),
+                 [rng.randrange(10**6) for _ in range(rng.randint(1, 5))])
+        assert assert_same_permutation(discform.induced_disc_isometry(lam, f))
+
+
+@pytest.mark.parametrize("name", ["A2", "D4", "A1^3", "K7+H5(2)", "U(4)^2+A2"])
+def test_permutations_of_random_module_maps_match_reference(name):
+    """Random homomorphisms (m[i][j] d_j = 0 mod d_i), the singular ones
+    refused by both, and the identity."""
+    mod = ref_module(name)[1]
+    d, k = mod.orders, len(mod.orders)
+    rng = random.Random(name)
+    outcomes = {assert_same_permutation(
+        discform.FqmIsometry(mod, intmat.identity(k)))}
+    for _ in range(40):
+        mat = [[rng.randrange(d[i]) * (d[i] // gcd(d[i], d[j]))
+                for j in range(k)] for i in range(k)]
+        outcomes.add(assert_same_permutation(discform.FqmIsometry(mod, mat)))
+    assert outcomes == {True, False}
+
+
+def test_quotient_orders_match_reference():
+    """On Lambda's (K, R) and on (D, R) for the whole group D, where T_r
+    moves elements by r: the full reflection group, groups of a few
+    transvections, and a subgroup that a transvection does not preserve."""
+    mod = ref_module("Lambda")[1]
+    kern, rad, r = discform.kernel_and_radical(mod)
+    whole = discform.Subgroup(mod, intmat.identity(len(mod.orders)))
+    ts = lambda_transvections()
+    for grp in (discform.full_reflection_group(mod),
+                discform.group_from_generators(ts[:3]),
+                discform.group_from_generators(ts[5:6]),
+                discform.group_from_generators([discform.transvection(mod, r)])):
+        for sub in (kern, whole):
+            assert grp.quotient_order(sub, rad) == ref_quotient_order(grp, sub, rad)
+    line = discform.Subgroup(mod, [kern.basis[0]])
+    grp = discform.group_from_generators(
+        [t for t in ts if not all(line.contains(t.apply(x)) for x in line.basis)][:1])
+    for order in (grp.quotient_order, lambda s, r: ref_quotient_order(grp, s, r)):
+        with pytest.raises(ValueError, match="does not preserve the subgroup"):
+            order(line, discform.Subgroup(mod, []))
 
 
 # ---------------------------------------------------------------------------
@@ -2243,7 +2349,8 @@ def classify_pairing_matrices():
            for _ in range(20)]
     out = []
     for f in fs:
-        delta = intmat.mat_sub(f.matrix, intmat.identity(16))
+        delta = [[x - y for x, y in zip(row, ident)]
+                 for row, ident in zip(f.matrix, intmat.identity(16))]
         rows = ref_kernel_basis(delta)
         out += [delta] + ([intmat.mat_mul(rows, lam.gram)] if rows else [])
     return out
@@ -2713,7 +2820,7 @@ def ref_genus_equal(a, b):
         return False
     ca, cb = genus.canonicalize(a), genus.canonicalize(b)
     for p in sorted(set(ca.local) | set(cb.local)):
-        if [c.key() for c in ref_local_at(ca, p)] != [c.key() for c in ref_local_at(cb, p)]:
+        if ref_local_at(ca, p) != ref_local_at(cb, p):
             return False
     return True
 
@@ -2839,18 +2946,20 @@ def test_match_row_matches_reference():
 
 
 def test_constituents_and_witnesses_are_values():
-    """Constituent and WallWitness are immutable and hashable, with key()
-    and as_dict() as they were."""
+    """Constituent and WallWitness are immutable and hashable; a
+    Constituent is the plain tuple of its fields, and as_dict() is as it
+    was."""
     c = genus.Constituent(1, 2, -1, "I", 3)
     with pytest.raises(AttributeError):
         c.rank = 4
-    assert c.key() == (1, 2, -1, "I", 3) == genus.Constituent(*c.key())
-    assert genus.Constituent(0, 3, 1).key() == (0, 3, 1, None, None)
+    assert c == (1, 2, -1, "I", 3) == genus.Constituent(*c)
+    assert tuple(c) == (1, 2, -1, "I", 3)
+    assert genus.Constituent(0, 3, 1) == (0, 3, 1, None, None)
     assert len({c, genus.Constituent(1, 2, -1, "I", 3), c._replace(eps=1)}) == 2
     lat = lattice.build_named("A1(2)+U+A2")
-    assert [c.key() for c in genus.padic_jordan(lat, 2)] == [
+    assert genus.padic_jordan(lat, 2) == [
         (0, 4, -1, "II", 0), (2, 1, 1, "I", 7)]
-    assert [c.key() for c in genus.padic_jordan(lat, 3)] == [
+    assert genus.padic_jordan(lat, 3) == [
         (0, 4, 1, None, None), (1, 1, 1, None, None)]
     model = standard_model()
     v = [0] * 16
@@ -2959,7 +3068,8 @@ def test_canonical_two_adic_matches_orbit_search_on_symbols():
     of the genus workload's inputs, the goldens' lattices and the seeded
     sums, and of consecutive-scale chains up to rank 12."""
     symbols = [sym for _label, sym in genus_symbol_set()]
-    symbols += [genus.genus_symbol(chain_gram(r)) for r in range(1, 13)]
+    symbols += [genus.genus_symbol(lattice.Lattice(chain_gram(r)))
+                for r in range(1, 13)]
     for sym in symbols:
         local = sym.local[2]
         assert genus._canonical_two_adic(local) == ref_canonical_two_adic(local), \

@@ -2,7 +2,9 @@
 
 perfbench/tracer.py is loaded from its file, read-only; a traced name that
 latsym no longer has makes `Tracer.install` raise LookupError here, in the
-test suite, rather than in a traced benchmark run.
+test suite, rather than in a traced benchmark run.  The traced names that
+`report` and `info` reach are pinned too, so that work moved off one of
+them fails here rather than zeroing a per-layer figure.
 """
 
 import importlib.util
@@ -55,3 +57,37 @@ def test_report_scans_through_the_traced_wall_scan(capsys):
         "discform.induced_disc_isometry", "discform.FqmIsometry.order")] == [1] * 4
     assert tr.calls["walls.wall_class"] >= 4
 
+
+
+# the traced names that a warm `report` and `info` reach: a refactor that
+# moves work off one of them would read 0 on its per-layer figures
+REPORT_NAMES = {
+    "cli.main", "discform.FqmIsometry.order", "discform.discriminant_form",
+    "discform.induced_disc_isometry", "fixtures.load_table",
+    "genus.canonical_string", "genus.genus_symbol", "intmat.det",
+    "intmat.kernel_basis", "intmat.mat_mul", "isometry.disc_order",
+    "isometry.in_O_plus", "isometry.invariant_coinvariant",
+    "isometry.isometry_from_json", "isometry.order_of", "isometry.report",
+    "lattice.Lattice", "lattice.orthogonal_complement",
+    "walls.coinvariant_wall_scan", "walls.short_vectors", "walls.wall_class"}
+INFO_NAMES = {"cli.main", "genus.canonical_string", "genus.genus_symbol",
+              "lattice.Lattice", "lattice.build_named"}
+
+
+def test_classify_and_genus_reach_their_traced_names(capsys):
+    """Each command runs once untraced, so that the names behind
+    per-process caches (intmat.smith_normal_form of a cached
+    discriminant form, genus.parse_genus of the table strings) are not
+    reached whatever ran before, then once traced."""
+    golden = ROOT / "tests" / "data" / "golden" / "exceptional_involution.json"
+    for argv, want in ((["report", str(golden)], REPORT_NAMES),
+                       (["info", "U(2)^3+E8+A1^2"], INFO_NAMES)):
+        assert cli.main(argv) == 0
+        tr = installed_tracer()
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            tr.uninstall()
+        assert {name for name, n in tr.calls.items() if n} == want, argv[0]
+    assert (len(REPORT_NAMES), len(INFO_NAMES)) == (21, 5)
+    capsys.readouterr()

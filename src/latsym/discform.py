@@ -291,11 +291,6 @@ class FqmIsometry:
     def __repr__(self):
         return "FqmIsometry(%r)" % (self._key,)
 
-    def apply(self, x):
-        x = self.module.reduce(x)
-        return tuple(sum(row[j] * x[j] for j in range(len(x))) % d
-                     for row, d in zip(self.matrix, self.module.orders))
-
     def compose(self, other):
         """self after other."""
         if other.module is not self.module:
@@ -576,7 +571,8 @@ class FiniteIsometryGroup:
         perms = []
         for p in self._perms:
             images = [elems[p[i]] for i in reps.values()]
-            if not all(map(sub.contains, images)):
+            if not all(map(sub.contains, images)) or not all(
+                    rad.contains(elems[p[eidx[x]]]) for x in rad.basis):
                 raise ValueError("generator does not preserve the subgroup")
             perms.append(tuple(coset[key(y)] for y in images))
         return _StabilizerChain(len(reps), perms).order()

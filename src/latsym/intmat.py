@@ -8,10 +8,9 @@ elimination, on int bitmasks (f2_mask); f2_relations is built on it.
 Fraction-free Bareiss elimination runs on plain ints: bareiss, with row
 swaps, gives determinants and solutions; scale_pass, the one symmetric
 elimination, gives a symmetric matrix's determinant, signature, 2-adic
-Jordan splitting, frame and short vectors.  scale_pass finds each 2-adic
-piece in the block it is eliminating, one bit test per entry; a row with
-no odd entry keeps none until the scale ends, so no search goes over it
-twice.  A pair takes the rows after it two steps at once.
+Jordan splitting, frame and short vectors.  It finds each 2-adic piece by
+bit tests in the block it eliminates, and takes two pivots at once, a pair
+or two 1x1 pieces of one scale, wherever it can.
 """
 
 from fractions import Fraction
@@ -212,14 +211,29 @@ def scale_pass(m):
     pivot rows taken.  A row with no odd entry has even multipliers onto
     each piece of the scale, so it gets none: no search goes over it again.
 
-    A 1x1 piece takes one step.  A pair at k, k+1 takes one step for row
-    k+1, u1, then one two-step update (Sylvester's identity) from step k
-    to step k+2 for each later row b with a nonzero multiplier onto
-    either pivot: B_{k+2}[b][j] = (D_{k+1} x_j - u1_b y_j + c_b z_j) /
-    D_{k-1}, c_b = (u1_b e - D_{k+1} f_b) / D_k, with x row b, y row k+1
-    and z row k at step k, e = z_{k+1} and f_b = z_b; each division is
-    exact.
+    A 1x1 piece at k is taken with the first row after the even ones whose
+    diagonal entry after step k, (x D_k - z_b^2) / D_{k-1}, is odd, moved
+    to k+1 before any update.  Two pivots at k, k+1 take one step for row
+    k+1, u1, then one two-step update (Sylvester's identity) of each later
+    row b with a multiplier onto either: B_{k+2}[b][j] = (D_{k+1} x_j -
+    u1_b y_j + c_b z_j) / D_{k-1}, c_b = (u1_b e - D_{k+1} f_b) / D_k, with
+    x, y and z rows b, k+1 and k at step k, e = z_{k+1} and f_b = z_b; each
+    division is exact.  Failing a second piece, a 1x1 piece takes one step.
+    Then no row has an odd diagonal entry, nor gets one from a pair (2^s
+    times its inverse is even), so none is looked for until the scale ends.
     """
+    def move(to, r):
+        """Row r of the block moves ahead of rows to..r-1 (see above)."""
+        row = t[r] if at[r] == prev else [x * prev // at[r] for x in t[r]]
+        new = row[:1]
+        for c in range(to, r):
+            x = t[c].pop(r - c)
+            new.append(x if at[c] == prev else x * prev // at[c])
+        for c, rc in enumerate(chain(rows, t[:to]), -k):
+            rc.insert(to - c, rc.pop(r - c))
+        t[to:r + 1] = [new + row[1:]] + t[to:r]
+        at[to:r + 1] = [prev] + at[to:r]
+        order[k + to:k + r + 1] = [order[k + r]] + order[k + to:k + r]
     n, t, at = len(m), [row[i:] for i, row in enumerate(m)], [1] * len(m)
     pivots, steps, bounds, rows, order, prev = [], [], [], [], list(range(n)), 1
     while t:
@@ -231,14 +245,16 @@ def scale_pass(m):
         if not low:
             return None
         scale = (low & -low).bit_length() - (prev & -prev).bit_length()
-        t, at, even = [row[:] for row in t], [prev] * w, 0
+        t, at, even, odd = [row[:] for row in t], [prev] * w, 0, True
         while t:
-            # rows t[:even] have no odd entry at this scale
+            # rows t[:even] have no odd entry at this scale, and once odd
+            # is False no row has an odd diagonal entry
             k, w = n - len(t), len(t)
-            r = next((r for r in range(even, w)
+            r = next((r for r in range(even, w if odd else even)
                       if t[r][0] & ((at[r] & -at[r]) << scale)), None)
             block = (r,)
             if r is None:
+                odd = False
                 for r in range(even, w):
                     b, row = (at[r] & -at[r]) << scale, t[r]
                     j = next((j for j in range(1, w - r) if row[j] & b), 0)
@@ -249,20 +265,8 @@ def scale_pass(m):
                     break
                 block = (r, r + j)
             for to, r in enumerate(block):
-                if r == to:
-                    continue
-                # row r moves ahead of rows to..r-1, which hand it their
-                # entries in its column; the rows before them move it
-                row = t[r] if at[r] == prev else [x * prev // at[r] for x in t[r]]
-                new = row[:1]
-                for c in range(to, r):
-                    x = t[c].pop(r - c)
-                    new.append(x if at[c] == prev else x * prev // at[c])
-                for c, rc in enumerate(chain(rows, t[:to]), -k):
-                    rc.insert(to - c, rc.pop(r - c))
-                t[to:r + 1] = [new + row[1:]] + t[to:r]
-                at[to:r + 1] = [prev] + at[to:r]
-                order[k + to:k + r + 1] = [order[k + r]] + order[k + to:k + r]
+                if r != to:
+                    move(to, r)
             steps.append((k, scale, len(block)))
             if len(block) == 2 and not t[0][0]:
                 ua, ub = ([x * prev // at[i] for x in t[i]] for i in (0, 1))
@@ -277,8 +281,19 @@ def scale_pass(m):
                         map(add, ua[2:], ub[1:])), ub
                     for p, row in enumerate(rows):
                         row[k - p] += row[k - p + 1]
-            z = t[0] if at[0] == prev else [x * prev // at[0] for x in t[0]]
-            d = z[0]
+            if at[0] != prev:
+                t[0], at[0] = [x * prev // at[0] for x in t[0]], prev
+            z, d = t[0], t[0][0]
+            if len(block) == 1:
+                # a second 1x1 piece
+                r = next((b for b in range(even + 1, w) if (
+                    (t[b][0] if at[b] == prev else t[b][0] * prev // at[b]) * d
+                    - z[b] * z[b]) // prev & ((d & -d) << scale)), None)
+                odd = r is not None
+                if odd:
+                    move(1, r)
+                    block = (0, r)
+                    steps.append((k + 1, scale, 1))
             if len(block) == 1:
                 for b in range(1, w):
                     c = z[b]
@@ -372,50 +387,53 @@ def _smith(m, with_u):
     divisible by q, and row and column operations keep it so: a pivot of
     the same absolute value needs no divisibility scan.
     """
+    def least(row):
+        return min(map(abs, filter(None, row[t:cols])), default=0)
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [list(row) + ([int(i == j) for j in range(rows)] if with_u else [])
          for i, row in enumerate(m)]
     vt = identity(cols)
     t, last = 0, 1
+    # mins[i]: the least nonzero |entry| of row i in columns t.., 0 for none
+    mins = list(map(least, a))
     while t < min(rows, cols):
         # a pivot of least absolute value, the first in row order
-        mins = [min(map(abs, filter(None, row[t:cols])), default=0)
-                for row in a[t:]]
-        best = min(filter(None, mins), default=0)
+        best = min(filter(None, mins[t:]), default=0)
         if not best:
             break
-        i = t + mins.index(best)
+        i = mins.index(best, t)
         j = t + [abs(x) for x in a[i][t:cols]].index(best)
-        a[t], a[i] = a[i], a[t]
+        a[t], a[i], mins[t], mins[i] = a[i], a[t], mins[i], mins[t]
         for row in a:
             row[t], row[j] = row[j], row[t]
         vt[t], vt[j] = vt[j], vt[t]
         top, p = a[t], a[t][t]
-        dirty = False
-        for i in range(t + 1, rows):
-            if a[i][t]:
-                c = -(a[i][t] // p)
-                a[i] = [x + c * y for x, y in zip(a[i], top)]
-                dirty = dirty or a[i][t] != 0
+        # the rows the operations change (rows before t are 0 from t on)
+        hit, dirty = [i for i in range(t, rows) if a[i][t]], False
+        for i in hit[1:]:
+            c = -(a[i][t] // p)
+            a[i] = [x + c * y for x, y in zip(a[i], top)]
+            dirty = dirty or a[i][t] != 0
         for j in range(t + 1, cols):
             if top[j]:
                 c = -(top[j] // p)
-                for row in a:
-                    if row[t]:
-                        row[j] += c * row[t]
+                for i in hit:
+                    if a[i][t]:
+                        a[i][j] += c * a[i][t]
                 vt[j] = [x + c * y for x, y in zip(vt[j], vt[t])]
                 dirty = dirty or top[j] != 0
-        if dirty:
-            continue
         # every entry of the remaining block must be a multiple of p
         q = abs(p)
-        if q != last:
+        if not dirty and q != last:
             i = next((i for i in range(t + 1, rows)
                       if gcd(q, *a[i][t + 1:cols]) != q), None)
             if i is not None:
-                a[t] = [x + y for x, y in zip(top, a[i])]
-                continue
+                a[t], dirty = [x + y for x, y in zip(top, a[i])], True
+        for i in hit:
+            mins[i] = least(a[i])
+        if dirty:
+            continue
         if p < 0:
             a[t] = [-x for x in top]
         t, last = t + 1, q

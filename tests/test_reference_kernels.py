@@ -1167,10 +1167,30 @@ def test_scale_pass_matches_reference_pass(m):
     # rows 1 and 2 keep D_-1 = 1 when the pivot 2 has multiplier 0 on
     # them; row 1 is even at scale 1, so row 2 goes ahead of it
     ([[2, 0, 0], [0, 4, 2], [0, 2, 6]], [0, 2, 1],
-     [(0, 1, 1), (1, 1, 1), (2, 1, 1)])],
-    ids=["odd-after-even", "fold", "swap", "after-stale"])
+     [(0, 1, 1), (1, 1, 1), (2, 1, 1)]),
+    # a 1x1 piece goes with the next one of its scale, found by a lookahead
+    # at the diagonal entries after its step: row 1 is odd after step 0
+    # (2 - 1 = 1) and goes second without a move
+    ([[1, 1, 0], [1, 2, 1], [0, 1, 3]], [0, 1, 2],
+     [(0, 0, 1), (1, 0, 1), (2, 1, 1)]),
+    # step 0 makes row 1 even (3 - 1 = 2), so row 2 moves ahead of it
+    ([[1, 1, 0], [1, 3, 1], [0, 1, 1]], [0, 2, 1],
+     [(0, 0, 1), (1, 0, 1), (2, 0, 1)]),
+    # rows 2 and 3 keep D_-1 = 1 through the two pieces before them, so
+    # row 3 is stale (at 1, not D_1 = 4) when the lookahead at step 2 finds it
+    ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 2], [0, 0, 2, 8]], [0, 1, 2, 3],
+     [(0, 1, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1)]),
+    # no diagonal entry is odd after step 0; the pair (1, 2) follows
+    ([[1, 1, 2], [1, 1, 3], [2, 3, 4]], [0, 1, 2], [(0, 0, 1), (1, 0, 2)]),
+    # the diagonal search fails at scale 0, U is taken as a pair, and at
+    # scale 1 the diagonal entry of row 2 is odd
+    ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 2], [0, 0, 2, 6]], [0, 1, 2, 3],
+     [(0, 0, 2), (2, 1, 1), (3, 2, 1)])],
+    ids=["odd-after-even", "fold", "swap", "after-stale", "adjacent",
+         "after-even", "stale", "pair-after-none", "next-scale"])
 def test_scale_pass_piece_examples(g, order, steps):
-    for m in (g, [row + [int(i == j) for j in range(3)]
+    n = len(g)
+    for m in (g, [row + [int(i == j) for j in range(n)]
                   for i, row in enumerate(g)]):
         _pivots, got_steps, _bounds, _rows, got_order = assert_scale_pass_matches(m)
         assert (got_order, got_steps) == (order, steps)
@@ -1664,11 +1684,19 @@ def test_generic_module_maps_match_reference(case):
 # group permutations: the element-by-element action and the coset minimum
 
 
+def ref_apply(iso, x):
+    """f x for an FqmIsometry f, as FqmIsometry.apply was: (f x)_i =
+    sum_j m[i][j] x_j mod orders[i]."""
+    x = iso.module.reduce(x)
+    return tuple(sum(row[j] * x[j] for j in range(len(x))) % d
+                 for row, d in zip(iso.matrix, iso.module.orders))
+
+
 def ref_permutation(iso):
     """FqmIsometry.permutation as it was: the matrix applied to every
     element and the image looked up."""
     mod = iso.module
-    perm = tuple(mod.index_of(iso.apply(e)) for e in mod.elements())
+    perm = tuple(mod.index_of(ref_apply(iso, e)) for e in mod.elements())
     if len(set(perm)) != len(perm):
         raise ValueError("map is not invertible")
     return perm
@@ -1685,7 +1713,7 @@ def ref_quotient_order(grp, sub, rad):
     for g in grp.generators:
         images = []
         for key in reps:
-            y = g.apply(key)
+            y = ref_apply(g, key)
             if not sub.contains(y):
                 raise ValueError("generator does not preserve the subgroup")
             images.append(reps[min(mod.add(y, t) for t in radels)])
@@ -1760,10 +1788,24 @@ def test_quotient_orders_match_reference():
             assert grp.quotient_order(sub, rad) == ref_quotient_order(grp, sub, rad)
     line = discform.Subgroup(mod, [kern.basis[0]])
     grp = discform.group_from_generators(
-        [t for t in ts if not all(line.contains(t.apply(x)) for x in line.basis)][:1])
+        [t for t in ts if not all(line.contains(ref_apply(t, x)) for x in line.basis)][:1])
     for order in (grp.quotient_order, lambda s, r: ref_quotient_order(grp, s, r)):
         with pytest.raises(ValueError, match="does not preserve the subgroup"):
             order(line, discform.Subgroup(mod, []))
+
+
+def test_quotient_order_refuses_a_generator_that_moves_rad():
+    """T_u keeps the whole module and the line of u, but moves a line it
+    does not fix: as rad, that line is refused like a moved subgroup."""
+    mod = ref_module("Lambda")[1]
+    whole = discform.Subgroup(mod, intmat.identity(len(mod.orders)))
+    u = next(u for u in mod.elements() if mod.q(u) == 1)
+    grp = discform.group_from_generators([discform.transvection(mod, u)])
+    fixed = discform.Subgroup(mod, [u])
+    assert grp.quotient_order(whole, fixed) == ref_quotient_order(grp, whole, fixed)
+    x = next(x for x in mod.elements() if ref_apply(grp.generators[0], x) != x)
+    with pytest.raises(ValueError, match="does not preserve the subgroup"):
+        grp.quotient_order(whole, discform.Subgroup(mod, [x]))
 
 
 # ---------------------------------------------------------------------------
@@ -2371,6 +2413,33 @@ def test_smith_normal_form_with_repeated_pivots_matches_reference(expr, seed):
     if seed is not None:
         g = _rebased(g, random.Random(seed), 3 * len(g))
     assert intmat.smith_normal_form(g) == ref_smith_normal_form(g)
+
+
+@st.composite
+def sparse_tied_matrices(draw):
+    """Rectangular int matrices up to 16 x 16, mostly zero, whose nonzero
+    entries take few absolute values, so that the least |entry| is often
+    tied between rows and within a row."""
+    r, c = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    values = draw(st.sampled_from(((1, -1), (2, -2, 4), (2, -2, 3, -3, 6),
+                                   (5, -5, 7, 10, -15))))
+    m = [[0] * c for _ in range(r)]
+    for i, j, x in draw(st.lists(st.tuples(st.integers(0, r - 1),
+                                           st.integers(0, c - 1),
+                                           st.sampled_from(values)),
+                                 max_size=r * c // 3 + 1)):
+        m[i][j] = x
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_tied_matrices())
+@example([[0, 2, 0, -2], [2, 0, -2, 0], [0, -2, 4, 2]])
+def test_smith_normal_form_matches_reference_on_sparse_tied_matrices(m):
+    """The pivot is the least |entry|, the first in row order and then in
+    column order, whichever rows the row minima were last refreshed in."""
+    assert intmat.smith_normal_form(m) == ref_smith_normal_form(m)
+    assert intmat.kernel_basis(m) == ref_kernel_basis(m)
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,8 +2,10 @@
 
 Submodules:
 
-- intmat: integer/rational matrix helpers (Smith form, kernels, signatures)
-- lattice: even lattices, named constructions, the standard rank-16 model
+- intmat: exact integer matrix helpers (Bareiss and symmetric
+  elimination, Smith form, kernels, signatures); Fractions only in the
+  answers of frac_det and frac_inverse
+- lattice: integral lattices, named constructions, the standard rank-16 model
 - genus: p-adic Jordan constituents and canonical genus symbols
 - discform: discriminant groups, torsion quadratic forms, finite isometry
   groups

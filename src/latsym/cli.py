@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success or full verification (also on an explicit skip
 when the external database is absent), 1 on any verification mismatch
-(mismatches are listed), 2 on input errors.  Output is line-oriented JSON
-with --format json, otherwise human-readable text.
+(mismatches are listed), 2 on input errors: main turns every ValueError
+into "error: <message>" on stderr.  Output is line-oriented JSON with
+--format json, otherwise human-readable text.
 """
 
 import argparse
@@ -17,10 +18,6 @@ from pathlib import Path
 from . import discform, fixtures, genus, isometry, lattice, walls
 
 DB_ENV = "LATSYM_DB"
-
-
-class InputError(Exception):
-    pass
 
 
 class _Emitter:
@@ -57,11 +54,11 @@ def _load_json_file(path):
     try:
         data = _JSON.decode(Path(path).read_text())
     except OSError as exc:
-        raise InputError("cannot read %s: %s" % (path, exc))
+        raise ValueError("cannot read %s: %s" % (path, exc))
     except (ValueError, RecursionError) as exc:  # huge ints, deep nesting too
-        raise InputError("%s is not valid JSON: %s" % (path, exc))
+        raise ValueError("%s is not valid JSON: %s" % (path, exc))
     if type(data) is not dict:
-        raise InputError("%s does not hold a JSON object" % path)
+        raise ValueError("%s does not hold a JSON object" % path)
     return data
 
 
@@ -70,14 +67,15 @@ def _load_lattice(target):
     if target is None:
         return lattice.standard_model().lattice
     if Path(target).exists():
+        data = _load_json_file(target)     # its errors carry their own context
         try:
-            return lattice.lattice_from_json(_load_json_file(target))
+            return lattice.lattice_from_json(data)
         except (ValueError, TypeError) as exc:
-            raise InputError("bad lattice file %s: %s" % (target, exc))
+            raise ValueError("bad lattice file %s: %s" % (target, exc))
     try:
         return lattice.build_named(target)
     except ValueError as exc:
-        raise InputError("cannot interpret %r as a lattice: %s" % (target, exc))
+        raise ValueError("cannot interpret %r as a lattice: %s" % (target, exc))
 
 
 def _load_isometry(path):
@@ -85,18 +83,11 @@ def _load_isometry(path):
     try:
         return isometry.isometry_from_json(data)
     except (ValueError, TypeError) as exc:
-        raise InputError("bad isometry file %s: %s" % (path, exc))
+        raise ValueError("bad isometry file %s: %s" % (path, exc))
 
 
 # ---------------------------------------------------------------------------
 # inspection commands
-
-def _genus_symbol(lat):
-    try:
-        return genus.genus_symbol(lat)
-    except ValueError as exc:
-        raise InputError(str(exc))
-
 
 def cmd_info(args, emit):
     lat = _load_lattice(args.target)
@@ -107,7 +98,7 @@ def cmd_info(args, emit):
         "signature": list(sig),
         "even": lat.is_even,
         "det": lat.det(),
-        "genus": genus.canonical_string(_genus_symbol(lat)),
+        "genus": genus.canonical_string(genus.genus_symbol(lat)),
     }
     emit.record(rec, "\n".join("%s: %s" % (k, rec[k]) for k in
                                ("name", "rank", "signature", "even", "det", "genus")))
@@ -116,7 +107,7 @@ def cmd_info(args, emit):
 
 def cmd_genus(args, emit):
     lat = _load_lattice(args.target)
-    text = genus.canonical_string(_genus_symbol(lat))
+    text = genus.canonical_string(genus.genus_symbol(lat))
     emit.record({"lattice": lat.name, "genus": text}, text)
     return 0
 
@@ -126,12 +117,9 @@ DISC_LIST_CAP = 1 << 16     # elements; 2^16 take about 3 s to list
 
 def cmd_disc(args, emit):
     lat = _load_lattice(args.target)
-    try:
-        mod = discform.discriminant_form(lat)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    mod = discform.discriminant_form(lat)
     if emit.fmt == "json" and mod.order() > DISC_LIST_CAP:
-        raise InputError("the discriminant group has %d elements; --format "
+        raise ValueError("the discriminant group has %d elements; --format "
                          "json lists at most %d" % (mod.order(), DISC_LIST_CAP))
     rec = {
         "lattice": lat.name,
@@ -159,10 +147,7 @@ def cmd_disc(args, emit):
 def cmd_walls(args, emit):
     f = _load_isometry(args.isometry)
     model = lattice.standard_model()
-    try:
-        witnesses = walls.coinvariant_wall_scan(model, f, pex_only=args.pex_only)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    witnesses = walls.coinvariant_wall_scan(model, f, pex_only=args.pex_only)
     for w in witnesses:
         emit.record(w.as_dict(), "%s %s square %d div %d" % (
             w.wclass, list(w.vector), w.square, w.divisibility))
@@ -176,7 +161,7 @@ def _load_fixture(path):
     try:
         return fixtures.load_table(path)
     except (OSError, ValueError, RecursionError) as exc:
-        raise InputError("bad class table %s: %s" % (path, exc))
+        raise ValueError("bad class table %s: %s" % (path, exc))
 
 
 def cmd_report(args, emit):
@@ -189,7 +174,7 @@ def cmd_report(args, emit):
         if "outside table" in str(exc):
             emit.record({"status": "fail", "detail": str(exc)}, "FAIL %s" % exc)
             return 1
-        raise InputError(str(exc))
+        raise
     d = rep.as_dict()
     lines = ["%s: %s" % (k, d[k]) for k in (
         "order", "disc_order", "inv_genus", "coinv_genus", "in_O_plus",
@@ -248,46 +233,20 @@ def monodromy_sample(model):
 
     The family mixes the scaled hyperbolic blocks enough that the induced
     discriminant transvections generate the whole finite orthogonal group.
+    Each vector is a fixtures.model_vector expression, as in orbits.json.
     """
-    def add(*vs):
-        out = [0] * model.rank
-        for v in vs:
-            for i in range(model.rank):
-                out[i] += v[i]
-        return out
-
-    def neg(v):
-        return [-x for x in v]
-
-    pairs = [model.hyperbolic_pair(b) for b in range(3)]
-    delta = model.named["a1_sum"]
-    sigma = model.named["a1_diff"]
-    halfsum_image = add([2 * x for x in model.u2_vector(1)],
-                        [2 * x for x in model.named["e8_root_pair"]], neg(delta))
-    sample = [delta, sigma, halfsum_image]
-    for e, f in pairs:
-        sample.append(add(e, neg(f)))
-        sample.append(add(e, delta))
-        sample.append(add(f, delta))
-    for i in range(3):
-        ei, fi = pairs[i]
-        for j in range(3):
-            if i != j:
-                sample.append(add(ei, neg(fi), pairs[j][0]))
-                sample.append(add(ei, neg(fi), pairs[j][1]))
-    sample.append(add(pairs[0][0], neg(pairs[0][1]), pairs[1][0], neg(pairs[1][1]),
-                      pairs[2][0], pairs[2][1]))
-    sample.append(add(delta, pairs[0][0], pairs[1][1]))
-    sample.append(add(delta, pairs[1][0], pairs[2][1]))
-    for i in range(8):
-        root = [0] * model.rank
-        root[6 + i] = 1
-        sample.append(root)
-    sample.append(model.named["a1_first"])
-    sample.append(model.named["a1_second"])
-    sample.append(add(model.u2_vector(1), model.named["e8_root_pair"],
-                      neg(model.named["a1_first"])))
-    return sample
+    return [fixtures.model_vector(model, expr) for expr in """
+        a1_sum  a1_diff  2*u2(1)+2*e8_root_pair-a1_sum
+        e0-f0  e0+a1_sum  f0+a1_sum
+        e1-f1  e1+a1_sum  f1+a1_sum
+        e2-f2  e2+a1_sum  f2+a1_sum
+        e0-f0+e1  e0-f0+f1  e0-f0+e2  e0-f0+f2
+        e1-f1+e0  e1-f1+f0  e1-f1+e2  e1-f1+f2
+        e2-f2+e0  e2-f2+f0  e2-f2+e1  e2-f2+f1
+        e0-f0+e1-f1+e2+f2  a1_sum+e0+f1  a1_sum+e1+f2
+        r0  r1  r2  r3  r4  r5  r6  r7
+        a1_first  a1_second  u2(1)+e8_root_pair-a1_first
+        """.split()]
 
 
 def cmd_verify_monodromy(args, emit):
@@ -338,7 +297,7 @@ def cmd_verify_monodromy(args, emit):
 def _table_file_result(model, rows, path):
     try:
         f = isometry.isometry_from_json(_load_json_file(path))
-    except (InputError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         return {"file": path.name, "status": "error", "detail": str(exc)}
     try:
         rep = isometry.report(model, f, fixture=rows)
@@ -357,7 +316,7 @@ def cmd_verify_table(args, emit):
     if args.directory is not None:
         root = Path(args.directory)
         if not root.is_dir():
-            raise InputError("no such directory: %s" % args.directory)
+            raise ValueError("no such directory: %s" % args.directory)
     else:
         env = os.environ.get(DB_ENV)
         if not env or not Path(env).is_dir():
@@ -367,7 +326,7 @@ def cmd_verify_table(args, emit):
         root = Path(env)
     paths = sorted(p for p in root.rglob("*.json") if p.is_file())
     if not paths:
-        raise InputError("no isometry files under %s" % root)
+        raise ValueError("no isometry files under %s" % root)
     rows = _load_fixture(args.fixture)
     model = lattice.standard_model()
     results = [_table_file_result(model, rows, p) for p in paths]
@@ -394,15 +353,16 @@ def cmd_verify_table(args, emit):
                  "detail": "fingerprints differ", "files": sorted(prints.values())},
                 "FAIL invariant genus %s maps to multiple fingerprints: %s"
                 % (key, sorted(prints.values())))
+    # complete: every row of the loaded table matched, so its regular rows too
+    table = sorted({rw["no"] for rw in rows})
     matched = sorted({r["row"] for r in results if r["status"] == "ok"})
-    regular = sum(1 for no in matched
-                  if next(rw for rw in rows if rw["no"] == no)["regular"])
-    complete = matched == list(range(1, 33)) and regular == 21
+    regular = sum(1 for rw in rows if rw["no"] in matched and rw["regular"])
+    complete = matched == table
     emit.record({"summary": True, "files": len(results),
                  "matched_rows": len(matched), "regular_rows": regular,
                  "failures": failures, "complete": complete},
-                "%d files, %d/32 rows matched (%d regular), %d failures" % (
-                    len(results), len(matched), regular, failures))
+                "%d files, %d/%d rows matched (%d regular), %d failures" % (
+                    len(results), len(matched), len(table), regular, failures))
     return 0 if failures == 0 and complete else 1
 
 
@@ -419,54 +379,42 @@ def build_parser():
         description="Lattice isometry tools for the rank-16 Nikulin-type lattice.")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("info", parents=[common],
-                       help="summary of a lattice (default: the standard one)")
-    p.add_argument("target", nargs="?", help="lattice JSON file or expression")
-    p = sub.add_parser("genus", parents=[common], help="canonical genus symbol")
-    p.add_argument("target", nargs="?", help="lattice JSON file or expression")
-    p = sub.add_parser("disc", parents=[common], help="discriminant group data")
-    p.add_argument("target", nargs="?", help="lattice JSON file or expression")
-    p = sub.add_parser("walls", parents=[common],
-                       help="wall witnesses in a coinvariant lattice")
+    def command(name, run, text):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.set_defaults(run=run)
+        return p
+
+    for name, run, text in (
+            ("info", cmd_info, "summary of a lattice (default: the standard one)"),
+            ("genus", cmd_genus, "canonical genus symbol"),
+            ("disc", cmd_disc, "discriminant group data")):
+        command(name, run, text).add_argument(
+            "target", nargs="?", help="lattice JSON file or expression")
+    p = command("walls", cmd_walls, "wall witnesses in a coinvariant lattice")
     p.add_argument("isometry", help="isometry JSON file")
     p.add_argument("--pex-only", action="store_true",
                    help="scan only the pointlike-exceptional classes")
-    p = sub.add_parser("report", parents=[common],
-                       help="classification report for an isometry")
+    p = command("report", cmd_report, "classification report for an isometry")
     p.add_argument("isometry", help="isometry JSON file")
     p.add_argument("--fixture", help="alternative class-table JSON file")
-    p = sub.add_parser("verify-table", parents=[common],
-                       help="check a database of isometries against the table")
+    p = command("verify-table", cmd_verify_table,
+                "check a database of isometries against the table")
     p.add_argument("directory", nargs="?",
                    help="database directory (default: $%s)" % DB_ENV)
     p.add_argument("--fixture", help="alternative class-table JSON file")
-    sub.add_parser("verify-discgroup", parents=[common],
-                   help="discriminant group invariants")
-    sub.add_parser("verify-orbits", parents=[common],
-                   help="orbit-table squares and divisibilities")
-    sub.add_parser("verify-monodromy", parents=[common],
-                   help="reflection generation of the monodromy group")
+    command("verify-discgroup", cmd_verify_discgroup,
+            "discriminant group invariants")
+    command("verify-orbits", cmd_verify_orbits,
+            "orbit-table squares and divisibilities")
+    command("verify-monodromy", cmd_verify_monodromy,
+            "reflection generation of the monodromy group")
     return ap
-
-
-_DISPATCH = {
-    "info": cmd_info,
-    "genus": cmd_genus,
-    "disc": cmd_disc,
-    "walls": cmd_walls,
-    "report": cmd_report,
-    "verify-table": cmd_verify_table,
-    "verify-discgroup": cmd_verify_discgroup,
-    "verify-orbits": cmd_verify_orbits,
-    "verify-monodromy": cmd_verify_monodromy,
-}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    emit = _Emitter(args.format)
     try:
-        return _DISPATCH[args.command](args, emit)
-    except InputError as exc:
+        return args.run(args, _Emitter(args.format))
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -291,6 +291,9 @@ class StandardModel:
 
     Named vectors:
 
+    - e0, f0, e1, f1, e2, f2: the isotropic pair of each U(2) block, as
+      hyperbolic_pair returns it (square 0, divisibility 2, <e_b, f_b> = 2);
+    - r0 .. r7: the E8 basis roots at coordinates 6..13 (square -2);
     - a1_first, a1_second: the A1 generators (square -2 each);
     - a1_sum = a1_first + a1_second (square -4, divisibility 2);
     - a1_diff = a1_first - a1_second (square -4, orthogonal to a1_sum);
@@ -306,6 +309,9 @@ class StandardModel:
         self.rank = 16
         n = self.rank
         self.named = {
+            **{"%s%d" % (name, b): _unit(n, 2 * b + k)
+               for b in range(3) for k, name in enumerate("ef")},
+            **{"r%d" % i: _unit(n, 6 + i) for i in range(8)},
             "a1_first": _unit(n, 14),
             "a1_second": _unit(n, 15),
             "a1_sum": _unit(n, 14, 15),

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from latsym import cli, fixtures, intmat, isometry, lattice
+from latsym import cli, discform, fixtures, intmat, isometry, lattice
 from latsym.lattice import standard_model
 
 
@@ -589,6 +590,32 @@ def test_malformed_file(capsys, tmp_path, command, data):
     assert err.startswith("error: bad ")
 
 
+_SMALL_ISOMETRY = '{"lattice": "Lambda", "matrix": [[1, 0], [0, 1]]}'
+
+
+@pytest.mark.parametrize("command, text, detail", [
+    ("info", '{"gram": [[NaN]]}',
+     "{p} is not valid JSON: invalid literal for int() with base 10: 'NaN'"),
+    ("info", "[1, 2]", "{p} does not hold a JSON object"),
+    ("info", None, "cannot read {p}: [Errno 21] Is a directory: '{p}'"),
+    ("report", _SMALL_ISOMETRY, "bad isometry file {p}: matrix size does not "
+     "match the lattice rank"),
+    ("walls", _SMALL_ISOMETRY, "bad isometry file {p}: matrix size does not "
+     "match the lattice rank")],
+    ids=["nan", "list", "directory", "report-wrong-rank", "walls-wrong-rank"])
+def test_bad_file_is_named_once(capsys, tmp_path, command, text, detail):
+    """The exact error line: a file that is no JSON object is refused by
+    the JSON loader alone, not wrapped again as a bad lattice file."""
+    path = tmp_path / "input.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    rc, out, err = run(capsys, [command, str(path)])
+    assert (rc, out) == (2, "")
+    assert err == "error: %s\n" % detail.format(p=path)
+
+
 def test_walls_of_another_lattice(capsys, tmp_path):
     e8 = lattice.root_E8()
     path = write_isometry(tmp_path / "e8.json", isometry.identity_isometry(e8))
@@ -661,6 +688,20 @@ def test_verify_table_partial_db(capsys, tmp_path, model):
     assert out.splitlines()[-1] == "3 files, 2/32 rows matched (2 regular), 1 failures"
 
 
+def test_verify_table_judges_the_loaded_table(capsys, tmp_path, model):
+    """Completeness and the row count come from the --fixture table: two
+    rows, both matched, is a complete run."""
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"rows": fixtures.load_table()[:2]}))
+    db = tmp_path / "db"
+    db.mkdir()
+    write_isometry(db / "row1.json", isometry.identity_isometry(model.lattice))
+    write_isometry(db / "row2.json", isometry.exceptional_involution(model))
+    rc, out, _err = run(capsys, ["verify-table", str(db), "--fixture", str(table)])
+    assert rc == 0
+    assert out.splitlines()[-1] == "2 files, 2/2 rows matched (2 regular), 0 failures"
+
+
 def test_verify_table_malformed_files(capsys, tmp_path):
     """Each malformed file is one failure, not a traceback."""
     texts = ['["matrix"]', '{"matrix": 5}', '{"matrix": [[NaN]]}',
@@ -691,6 +732,32 @@ def test_verify_table_json_lines(capsys, tmp_path, model):
     for line in out.splitlines():
         if line:
             json.loads(line)
+
+
+def test_each_command_parses_to_its_handler():
+    handlers = {"info": cli.cmd_info, "genus": cli.cmd_genus,
+                "disc": cli.cmd_disc, "walls": cli.cmd_walls,
+                "report": cli.cmd_report, "verify-table": cli.cmd_verify_table,
+                "verify-discgroup": cli.cmd_verify_discgroup,
+                "verify-orbits": cli.cmd_verify_orbits,
+                "verify-monodromy": cli.cmd_verify_monodromy}
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(commands) == sorted(handlers)
+    for name, handler in handlers.items():
+        argv = [name, "f.json"] if name in ("walls", "report") else [name]
+        assert parser.parse_args(argv).run is handler
+
+
+def test_value_error_in_a_verify_command_exits_2(capsys, monkeypatch):
+    """main is the one boundary: a ValueError from the engine under any
+    command is an error line and exit 2, not a traceback."""
+    def refuse(mod):
+        raise ValueError("refused by the test")
+    monkeypatch.setattr(discform, "full_reflection_group", refuse)
+    rc, out, err = run(capsys, ["verify-discgroup"])
+    assert (rc, out, err) == (2, "", "error: refused by the test\n")
 
 
 def test_unknown_command(capsys):

@@ -236,6 +236,8 @@ def test_standard_model_invariants():
         "a1_diff": (-4, 2),
         "e8_root": (-2, 1),
         "e8_root_pair": (-4, 1),
+        **{"%s%d" % (ef, b): (0, 2) for ef in "ef" for b in range(3)},
+        **{"r%d" % i: (-2, 1) for i in range(8)},
     }
     for name, (sq, dv) in sq_div.items():
         v = model.named[name]
@@ -248,6 +250,7 @@ def test_standard_model_invariants():
 
     for block in range(3):
         e, f = model.hyperbolic_pair(block)
+        assert (e, f) == (model.named["e%d" % block], model.named["f%d" % block])
         assert lam.inner(e, f) == 2
         assert lam.square(e) == 0 and lam.square(f) == 0
     with pytest.raises(ValueError):

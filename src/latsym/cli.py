@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import discform, fixtures, genus, isometry, lattice, walls
@@ -63,10 +62,11 @@ def _load_json_file(path):
 
 
 def _load_lattice(target):
-    """A lattice from a JSON file path, a lattice expression, or the default."""
+    """A lattice from a JSON file path, a lattice expression, or the default.
+    A target that exists, ends in .json or holds a / is a file path."""
     if target is None:
         return lattice.standard_model().lattice
-    if Path(target).exists():
+    if target.endswith(".json") or "/" in target or Path(target).exists():
         data = _load_json_file(target)     # its errors carry their own context
         try:
             return lattice.lattice_from_json(data)
@@ -285,7 +285,7 @@ def cmd_verify_monodromy(args, emit):
                    img.matrix == t_r.matrix, "transvection at the radical class"))
 
     for name, vec in (("w", model.u2_vector(-1)), ("delta'", delta)):
-        cls = mod.dual_class([Fraction(c, 2) for c in vec])
+        cls = mod.dual_class(vec, 2)
         ok = (mod.q(cls) == 1 and lam.square(vec) == -4
               and lam.divisibility(vec) == 2)
         checks.append(("lift of %s/2" % name, ok,

@@ -115,22 +115,21 @@ class TorsionQuadModule:
         return Fraction(total % (2 * self.exponent), self.exponent)
 
     def lift(self, x):
-        """A representative of x in the dual lattice, in lattice coordinates."""
+        """(num, e) with num / e a representative of x in the dual lattice,
+        num an int vector in lattice coordinates and e the exponent."""
         if self.lifts is None:
             raise ValueError("module has no source lattice")
         e = self.exponent
         num = [0] * self.source.rank
         for c, u, d in zip(self.reduce(x), self.lifts, self.orders):
             num = [a + c * (e // d) * b for a, b in zip(num, u)]
-        return [Fraction(a, e) for a in num]
+        return num, e
 
-    def dual_class(self, y):
-        """Class of a dual-lattice vector given in rational lattice coordinates."""
-        y = [Fraction(c) for c in y]
-        den = lcm(*(c.denominator for c in y))
+    def dual_class(self, num, den):
+        """Class of the dual-lattice vector num / den, for an int vector num
+        in lattice coordinates and a positive int den."""
         if self._coords is None:
             raise ValueError("module has no source lattice")
-        num = [(c * den).numerator for c in y]
         return self._dual_class(intmat.mat_vec(self.source.gram, num), den)
 
     def _dual_class(self, gnum, den):

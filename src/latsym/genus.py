@@ -7,7 +7,7 @@ oddities are not separately invariant; symbols are compared after a
 canonicalization that walks signs and fuses oddities along chains of
 adjacent scales.  Rendered symbols look like "II_(3,13)2^8_6".
 genus_symbol and padic_jordan take a lattice.Lattice, read off its
-Lattice.jordan; canonical_string takes a Lattice or a GenusSymbol.
+Lattice.jordan; canonical_string takes a GenusSymbol.
 """
 
 import re
@@ -442,9 +442,8 @@ def render_genus(sym):
     return "".join(parts)
 
 
-def canonical_string(x):
-    """Canonical rendered symbol of a Lattice or a GenusSymbol."""
-    sym = x if isinstance(x, GenusSymbol) else genus_symbol(x)
+def canonical_string(sym):
+    """Canonical rendered symbol of a GenusSymbol."""
     return render_genus(canonicalize(sym))
 
 

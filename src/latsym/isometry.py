@@ -324,9 +324,7 @@ def disc_order(f):
 
 def exceptional_involution(model):
     """The reflection in the second A1 generator; symplectic and regular."""
-    m = intmat.identity(model.rank)
-    m[15][15] = -1
-    return LatticeIsometry(model.lattice, m)
+    return reflection(model.lattice, model.named["a1_second"])
 
 
 def _verdict(model, f):
@@ -417,12 +415,6 @@ def nonsymplectic_prime_profile(f, p):
             for k, (pos, _neg) in _cos_signatures(f, coinv, p).items()}
 
 
-def nonsymplectic_prime_check(f, p):
-    """True iff the invariant lattice has signature (1,*) and the cosine
-    kernel at 2cos(2 pi / p) has signature (2,*)."""
-    return nonsymplectic_prime_profile(f, p)[1]
-
-
 # ---------------------------------------------------------------------------
 # classification report
 
@@ -493,8 +485,9 @@ def report(model, f, fixture=None):
     order, oplus, neg_def, witnesses, symplectic, regular = _verdict(model, f)
     dorder = disc_order(f)
     inv, coinv = invariant_coinvariant(f)
-    inv_genus = genus.canonical_string(inv.lattice) if inv.rank else None
-    coinv_genus = genus.canonical_string(coinv.lattice) if coinv.rank else None
+    inv_genus, coinv_genus = (
+        genus.canonical_string(genus.genus_symbol(part.lattice)) if part.rank
+        else None for part in (inv, coinv))
     exceptional = (order == 2 and coinv.rank == 1
                    and coinv.lattice.gram == [[-2]])
     gen_div = (model.lattice.divisibility(coinv.rows[0])

@@ -291,8 +291,8 @@ class StandardModel:
 
     Named vectors:
 
-    - e0, f0, e1, f1, e2, f2: the isotropic pair of each U(2) block, as
-      hyperbolic_pair returns it (square 0, divisibility 2, <e_b, f_b> = 2);
+    - e0, f0, e1, f1, e2, f2: the isotropic pair (e_b, f_b) of U(2) block
+      b (square 0, divisibility 2, <e_b, f_b> = 2);
     - r0 .. r7: the E8 basis roots at coordinates 6..13 (square -2);
     - a1_first, a1_second: the A1 generators (square -2 each);
     - a1_sum = a1_first + a1_second (square -4, divisibility 2);
@@ -326,12 +326,6 @@ class StandardModel:
         v[0] = 1
         v[1] = i
         return v
-
-    def hyperbolic_pair(self, block):
-        """The isotropic basis pair (e, f) of U(2) block 0, 1 or 2."""
-        if block not in (0, 1, 2):
-            raise ValueError("block must be 0, 1 or 2")
-        return _unit(self.rank, 2 * block), _unit(self.rank, 2 * block + 1)
 
 
 def _unit(n, *idx):

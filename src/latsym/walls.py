@@ -53,11 +53,11 @@ def short_vectors(lat_or_gram, n):
     rank, jordan = lat.rank, lat.jordan
     if rank == 0:
         return []
+    if lat.signature() != (0, rank):
+        raise ValueError("form is not negative definite")
     # pivot rows e over the basis order of scale_pass (x is mapped back):
     # with D_k = e[k][0], D_-1 = 1,
     # -<x, x> = sum_k (sum_j e[k][j] x_{k+j})^2 / (-D_k D_{k-1})
-    if any(a * b >= 0 for a, b in zip([1] + jordan[0], jordan[0])):
-        raise ValueError("form is not negative definite")
     minors = [1] + jordan[0]
     # each row signed so that its pivot |D_k| leads it
     e = [row if row[0] > 0 else [-x for x in row] for row in jordan[3]]

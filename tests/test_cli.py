@@ -59,7 +59,18 @@ def test_info_expression(capsys):
 def test_info_bad_expression(capsys):
     rc, _out, err = run(capsys, ["info", "U+Q9"])
     assert rc == 2
-    assert "error:" in err
+    assert err.startswith("error: cannot interpret 'U+Q9' as a lattice: ")
+
+
+@pytest.mark.parametrize("command", ["info", "genus"])
+@pytest.mark.parametrize("name", ["missing.json", "sub/lattice"])
+def test_missing_lattice_file(capsys, tmp_path, command, name):
+    # a target ending in .json or holding a / is a file, even when missing
+    path = str(tmp_path / name)
+    rc, out, err = run(capsys, [command, path])
+    assert (rc, out) == (2, "")
+    assert err == ("error: cannot read %s: [Errno 2] No such file or "
+                   "directory: %r\n" % (path, path))
 
 
 @pytest.mark.parametrize("expr", ["A2v(0)", "A4(0)", "D8v(0)+U", "U(0)"])

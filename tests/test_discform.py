@@ -116,15 +116,16 @@ def test_dual_class_rejects_non_dual_vectors():
     lam = lattice.standard_model().lattice
     mod = discform.discriminant_form(lam)
     # half an E8 root pairs to 1/2 with its neighbours
-    half_root = [Fraction(1, 2) if i == 6 else 0 for i in range(16)]
+    half_root = [1 if i == 6 else 0 for i in range(16)]
     with pytest.raises(ValueError, match="not in the dual lattice"):
-        mod.dual_class(half_root)
+        mod.dual_class(half_root, 2)
     with pytest.raises(ValueError, match="not in the dual lattice"):
-        mod.dual_class([Fraction(1, 3)] + [0] * 15)
+        mod.dual_class([1] + [0] * 15, 3)
     # e_0 / 2 pairs integrally with U(2), so it has a class, of order 2
-    cls = mod.dual_class([Fraction(1, 2)] + [0] * 15)
+    cls = mod.dual_class([1] + [0] * 15, 2)
     assert any(cls) and mod.add(cls, cls) == mod.zero()
-    assert mod.dual_class([2] + [0] * 15) == mod.zero()
+    assert mod.dual_class([2] + [0] * 15, 1) == mod.zero()
+    assert mod.dual_class([4] + [0] * 15, 2) == mod.zero()
 
 
 def test_order_refuses_a_map_that_is_not_invertible():

@@ -30,7 +30,7 @@ def sample_reflections(model):
     lam = model.lattice
     refls = [isometry.reflection(lam, v) for v in cli.monodromy_sample(model)]
     for b in range(3):
-        e, f = model.hyperbolic_pair(b)
+        e, f = model.named["e%d" % b], model.named["f%d" % b]
         refls += [isometry.reflection(lam, [x + s * y for x, y in zip(e, f)])
                   for s in (1, -1)]
     return refls
@@ -73,7 +73,7 @@ def test_rank_zero_isometry():
 
 def test_reflection_errors(model):
     lam = model.lattice
-    e, _f = model.hyperbolic_pair(0)
+    e = model.named["e0"]
     with pytest.raises(ValueError, match="isotropic"):
         isometry.reflection(lam, e)
     # square -4 but divisibility 1: the mirror is not integral
@@ -237,10 +237,10 @@ def test_nonsymplectic_prime_check(model):
     for i in range(2, 16):
         m[i][i] = -1
     f2 = isometry.make_isometry(lam, m)
-    assert isometry.nonsymplectic_prime_check(f2, 2)
+    assert isometry.nonsymplectic_prime_profile(f2, 2)[1]
 
     coxeter_a4 = chain_product(e8_chain_reflections(model, [6, 8, 9, 10]))
-    assert not isometry.nonsymplectic_prime_check(coxeter_a4, 5)
+    assert not isometry.nonsymplectic_prime_profile(coxeter_a4, 5)[1]
     profile = isometry.nonsymplectic_prime_profile(coxeter_a4, 5)
     assert sorted(profile) == [1, 2]
     assert profile == {1: False, 2: False}
@@ -270,9 +270,9 @@ def test_nonsymplectic_prime_errors(model):
     lam = model.lattice
     ident = isometry.identity_isometry(lam)
     with pytest.raises(ValueError, match="2, 3, 5, 7"):
-        isometry.nonsymplectic_prime_check(ident, 6)
+        isometry.nonsymplectic_prime_profile(ident, 6)
     with pytest.raises(ValueError, match="order"):
-        isometry.nonsymplectic_prime_check(ident, 3)
+        isometry.nonsymplectic_prime_profile(ident, 3)
 
 
 def test_group_identities(model):
@@ -363,7 +363,8 @@ def test_match_row_class_30():
     rows = fixtures.load_table()
     by_no = {r["no"]: r for r in rows}
     assert by_no[30]["coinvariant_label"] == by_no[29]["coinvariant_label"] == "L29"
-    inv_sym = genus.canonical_string(lattice.build_named("U(2)+A1(-4)^2"))
+    inv_sym = genus.canonical_string(
+        genus.genus_symbol(lattice.build_named("U(2)+A1(-4)^2")))
     coinv_sym = genus.canonical_string(
         genus.parse_genus(by_no[29]["coinvariant_genus"]))
     row = isometry._match_row(rows, 8, 8, False, inv_sym, coinv_sym)
@@ -381,7 +382,8 @@ def test_report_wrong_lattice(model):
 
 
 def test_type_letter_precedence():
-    d10_2 = genus.canonical_string(lattice.build_named("D10(2)"))
+    d10_2 = genus.canonical_string(
+        genus.genus_symbol(lattice.build_named("D10(2)")))
     row_twist = {"no": 9, "type": "twist"}
     row_k3 = {"no": 3, "type": "K3"}
     row_plain = {"no": 7, "type": None}

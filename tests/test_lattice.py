@@ -249,12 +249,13 @@ def test_standard_model_invariants():
     assert lam.divisibility(model.u2_vector(-1)) == 2
 
     for block in range(3):
-        e, f = model.hyperbolic_pair(block)
-        assert (e, f) == (model.named["e%d" % block], model.named["f%d" % block])
+        e, f = model.named["e%d" % block], model.named["f%d" % block]
+        assert (e, f) == tuple([int(i == 2 * block + k) for i in range(16)]
+                               for k in (0, 1))
         assert lam.inner(e, f) == 2
         assert lam.square(e) == 0 and lam.square(f) == 0
-    with pytest.raises(ValueError):
-        model.hyperbolic_pair(3)
+        assert lam.divisibility(e) == lam.divisibility(f) == 2
+    assert "e3" not in model.named and "f3" not in model.named
 
 
 def test_sublattice_helpers():

@@ -35,7 +35,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import ceil, floor, gcd, isqrt
+from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul, xor
 from pathlib import Path
 from unittest import mock
@@ -274,7 +274,7 @@ def lambda_generators():
     lam = model.lattice
     gens = [isometry.reflection(lam, v) for v in cli.monodromy_sample(model)]
     for b in range(3):
-        e, f = model.hyperbolic_pair(b)
+        e, f = model.named["e%d" % b], model.named["f%d" % b]
         gens.append(isometry.reflection(lam, [x + y for x, y in zip(e, f)]))
     gens.append(isometry.make_isometry(lam, [[-x for x in row] for row in intmat.identity(16)]))
     return tuple(gens)
@@ -921,8 +921,8 @@ def assert_matches_reference(g):
     assert intmat.symmetric_signature(g) == sig
     lat = lattice.Lattice(g)
     assert (lat.det(), lat.signature()) == (det, sig)
-    assert genus.canonical_string(lat) == genus.canonical_string(
-        ref_genus_symbol(g))
+    assert genus.canonical_string(genus.genus_symbol(lat)) == (
+        genus.canonical_string(ref_genus_symbol(g)))
     for p in sorted(set([2] + genus._prime_factors(int(det)))):
         # the exact values agree with the residues modulo p^(N - scale)
         top = genus._valuation(int(det), p) + 3
@@ -1619,8 +1619,10 @@ def test_q_b_and_dual_class_match_reference():
             for y in gens + elems[::max(1, len(elems) // 8)]:
                 assert mod.b(x, y) == ref.b(x, y)
             y = [sum(c * l[i] for c, l in zip(x, ref.lifts)) for i in range(lat.rank)]
-            assert mod.dual_class(y) == ref.dual_class(y) == x
-            assert mod.dual_class(mod.lift(x)) == x
+            den = lcm(*(Fraction(c).denominator for c in y))
+            num = [int(c * den) for c in y]
+            assert mod.dual_class(num, den) == ref.dual_class(y) == x
+            assert mod.dual_class(*mod.lift(x)) == x
 
 
 @st.composite
@@ -2203,7 +2205,7 @@ def prime_order_generators():
     lam = model.lattice
     gens = [isometry.reflection(lam, v) for v in cli.monodromy_sample(model)]
     for b in range(3):
-        e, f = model.hyperbolic_pair(b)
+        e, f = model.named["e%d" % b], model.named["f%d" % b]
         gens += [isometry.reflection(lam, [x + s * y for x, y in zip(e, f)])
                  for s in (1, -1)]
     return tuple(gens)

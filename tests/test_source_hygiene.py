@@ -87,11 +87,11 @@ def test_no_statement_follows_a_jump(path):
 
 
 # the functions that may name Fraction, by module: the engine is integral,
-# and a rational value is only ever an answer (a determinant or inverse, a
-# discriminant value or lift) or, in the CLI, a dual vector it checks
+# and a rational value is only ever an answer (a determinant or inverse, or
+# a discriminant value that is printed); dual vectors are int vectors over
+# a denominator
 FRACTION_USERS = {"intmat.py": {"frac_det", "frac_inverse"},
-                  "discform.py": {"q", "b", "lift", "dual_class"},
-                  "cli.py": {"cmd_verify_monodromy"}}
+                  "discform.py": {"q", "b"}}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

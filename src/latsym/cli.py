@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import discform, fixtures, genus, isometry, lattice, walls
+from . import discform, fixtures, genus, lattice  # isometry, walls: on first use
 
 DB_ENV = "LATSYM_DB"
 
@@ -79,6 +79,7 @@ def _load_lattice(target):
 
 
 def _load_isometry(path):
+    from . import isometry
     data = _load_json_file(path)
     try:
         return isometry.isometry_from_json(data)
@@ -145,6 +146,7 @@ def cmd_disc(args, emit):
 
 
 def cmd_walls(args, emit):
+    from . import walls
     f = _load_isometry(args.isometry)
     model = lattice.standard_model()
     witnesses = walls.coinvariant_wall_scan(model, f, pex_only=args.pex_only)
@@ -165,6 +167,7 @@ def _load_fixture(path):
 
 
 def cmd_report(args, emit):
+    from . import isometry
     f = _load_isometry(args.isometry)
     rows = _load_fixture(args.fixture) if args.fixture else None
     model = lattice.standard_model()
@@ -250,6 +253,7 @@ def monodromy_sample(model):
 
 
 def cmd_verify_monodromy(args, emit):
+    from . import isometry
     model = lattice.standard_model()
     lam = model.lattice
     mod = discform.discriminant_form(lam)
@@ -295,6 +299,7 @@ def cmd_verify_monodromy(args, emit):
 
 
 def _table_file_result(model, rows, path):
+    from . import isometry
     try:
         f = isometry.isometry_from_json(_load_json_file(path))
     except (ValueError, TypeError) as exc:

@@ -11,10 +11,9 @@ element set through a stabilizer chain, so order, membership and orbits
 are exact.
 """
 
-from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm, prod
-from operator import index, mul, xor
+from operator import index, itemgetter, mul, xor
 
 from . import intmat
 
@@ -106,9 +105,11 @@ class TorsionQuadModule:
         return total % (2 * self.exponent)
 
     def q(self, x):
+        from fractions import Fraction
         return Fraction(self._q_units(self.reduce(x)), self.exponent)
 
     def b(self, x, y):
+        from fractions import Fraction
         x, y = self.reduce(x), self.reduce(y)
         total = sum(xi * sum(map(mul, row, y))
                     for xi, row in zip(x, self.bunits) if xi)
@@ -383,8 +384,8 @@ def induced_disc_isometry(lat, f):
 # permutation machinery: deterministic stabilizer chain
 
 def _pcompose(p, q):
-    """Permutation doing q first, then p."""
-    return tuple(p[x] for x in q)
+    """Permutation doing q first, then p, as a tuple on one point too."""
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(p[x] for x in q)
 
 
 def _pinverse(p):

@@ -13,7 +13,6 @@ bit tests in the block it eliminates, and takes two pivots at once, a pair
 or two 1x1 pieces of one scale, wherever it can.
 """
 
-from fractions import Fraction
 from functools import reduce
 from itertools import chain, islice
 from math import gcd
@@ -174,6 +173,7 @@ def det(a):
 
 def frac_det(a):
     """Determinant over the rationals, as a Fraction."""
+    from fractions import Fraction
     return Fraction(det(a))
 
 
@@ -364,6 +364,7 @@ def solve(a, b):
 def frac_inverse(a):
     """Exact inverse of an int matrix, ints where integral, else Fractions:
     Y / D for (D, Y) = solve(a, I)."""
+    from fractions import Fraction
     d, y = solve(a, identity(len(a)))
     return [[x // d if x % d == 0 else Fraction(x, d) for x in row]
             for row in y]

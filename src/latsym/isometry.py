@@ -92,7 +92,11 @@ def compose(f, g):
 
 
 def inverse(f):
-    return LatticeIsometry(f.lattice, intmat.frac_inverse(f.matrix))
+    """M^-1 = G^-1 M^T G, from one solve G Y = D M^T G and Y / D exact."""
+    d, y = intmat.solve(f.lattice.gram, intmat.transpose(f.gram_matrix))
+    if any(x % d for row in y for x in row):
+        raise ValueError("the inverse is not integral")
+    return LatticeIsometry(f.lattice, [[x // d for x in row] for row in y])
 
 
 def conjugate(f, g):
@@ -109,8 +113,7 @@ def power(f, k):
 
 
 def _mat_power(m, k):
-    out = None
-    base = m
+    out, base = None, m
     while k:
         if k & 1:
             out = base if out is None else intmat.mat_mul(out, base)

@@ -582,6 +582,22 @@ def test_bad_fixture_is_an_input_error(tmp_path, command, case):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("command", ["report", "walls", "verify-table",
+                                     "verify-monodromy"])
+def test_classifier_commands_in_a_fresh_interpreter(capsys, tmp_path, command):
+    """cli imports isometry and walls inside the commands that run them;
+    here both are imported already, so each command is run again in a
+    fresh interpreter, which must print the same and exit the same."""
+    golden = GOLDEN / "exceptional_involution.json"
+    (tmp_path / golden.name).write_bytes(golden.read_bytes())
+    target = {"report": [str(golden)], "walls": [str(golden)],
+              "verify-table": [str(tmp_path)]}.get(command, [])
+    argv = [command, *target, "--format", "json"]
+    rc, out, _err = run(capsys, argv)
+    done = latsym_process(argv, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (rc, out, "")
+
+
 def test_report_invalid_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

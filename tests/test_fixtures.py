@@ -181,26 +181,53 @@ def test_row_expressions_build():
             lattice.build_named(row["coinvariant_expr"])
 
 
-def test_import_leaves_out_openssl_and_threads():
-    # hashlib loads OpenSSL (about 3.6 MB) and a thread pool is not needed;
-    # site-wide imports are excluded by comparing with the start-up modules
+def _modules_loaded_by(*steps):
+    """Run each step of code in turn in a fresh interpreter; after each, the
+    modules loaded since start-up.  Site-wide imports are excluded by
+    comparing with the start-up modules."""
     code = ("import json, sys\n"
-            "before = set(sys.modules)\n"
-            "import latsym.cli\n"
-            "from latsym import fixtures\n"
-            "fixtures.load_table()\n"
-            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+            "before, loaded = set(sys.modules), []\n"
+            + "".join(step + "loaded.append(sorted(set(sys.modules) - before))\n"
+                      for step in steps)
+            + "print(json.dumps(loaded))\n")
     src = str(Path(fixtures.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_leaves_out_openssl_and_threads():
+    # hashlib loads OpenSSL (about 3.6 MB) and a thread pool is not needed
+    [loaded] = _modules_loaded_by("import latsym.cli\n"
+                                  "from latsym import fixtures\n"
+                                  "fixtures.load_table()\n")
     assert "latsym.fixtures" in loaded
     assert "_hashlib" not in loaded
     assert "hashlib" not in loaded
     assert not [m for m in loaded if m.startswith("concurrent")]
+
+
+LAZY = ["latsym.isometry", "latsym.walls", "fractions", "decimal"]
+
+
+def test_setup_and_lattice_commands_leave_out_the_classifier():
+    """The benchmark's set-up (perfbench/setup_sample.py) and a lattice
+    command compile neither isometry, walls nor fractions (which loads
+    decimal); a report loads isometry and walls when it runs."""
+    golden = Path(__file__).parent / "data" / "golden" / "identity.json"
+    setup, report = _modules_loaded_by(
+        "from latsym import cli, discform, fixtures, lattice\n"
+        "model = lattice.standard_model()\n"
+        "discform.discriminant_form(model.lattice)\n"
+        "fixtures.load_table()\n"
+        "cli.main(['info', 'E8', '--format', 'json'])\n",
+        "cli.main(['report', %r])\n" % str(golden))
+    assert "latsym.cli" in setup
+    assert [m for m in LAZY if m in setup] == []
+    assert "latsym.isometry" in report and "latsym.walls" in report
 
 
 def test_checksums_without_builtin_sha256(monkeypatch, tmp_path):

@@ -1810,6 +1810,24 @@ def test_quotient_order_refuses_a_generator_that_moves_rad():
         grp.quotient_order(whole, discform.Subgroup(mod, [x]))
 
 
+def test_pcompose_on_one_and_two_points():
+    """_pcompose is itemgetter(*q)(p), which gives the bare item for one
+    key: a permutation of one or two points is still a tuple, and a
+    quotient of one coset has order 1."""
+    for n in (1, 2, 5):
+        perms = list(itertools.permutations(range(n)))
+        for p, q in itertools.product(perms, perms):
+            assert discform._pcompose(p, q) == tuple(p[x] for x in q)
+    assert discform._StabilizerChain(1, [(0,)]).order() == 1
+    assert discform._StabilizerChain(2, [(1, 0)]).order() == 2
+    mod = ref_module("Lambda")[1]
+    u = next(u for u in mod.elements() if mod.q(u) == 1)
+    grp = discform.group_from_generators([discform.transvection(mod, u)])
+    line, zero = discform.Subgroup(mod, [u]), discform.Subgroup(mod, [])
+    assert grp.quotient_order(line, line) == ref_quotient_order(grp, line, line) == 1
+    assert grp.quotient_order(line, zero) == ref_quotient_order(grp, line, zero)
+
+
 # ---------------------------------------------------------------------------
 # wall scan: the earlier per-vector classification
 
@@ -2619,6 +2637,39 @@ def test_inverse_matches_dual_gram_form():
         assert isometry.compose(inv, f).is_identity()
     e8 = lattice.root_E8()
     assert lattice.dual(lattice.dual(e8)).gram == e8.gram
+
+
+@lru_cache(maxsize=None)
+def sample_reflections():
+    """The reflections in the vectors of cli.monodromy_sample."""
+    model = standard_model()
+    return tuple(isometry.reflection(model.lattice, v)
+                 for v in cli.monodromy_sample(model))
+
+
+@settings(max_examples=30, deadline=None)
+@given(PICKS, PICKS, st.integers(1, 3))
+def test_inverse_conjugate_and_power_match_frac_inverse(picks_f, picks_g, k):
+    """inverse, one integer solve of G Y = D M^T G, and the conjugate and
+    negative powers built on it give the int matrices of frac_inverse."""
+    f, g = word(sample_reflections(), picks_f), word(sample_reflections(), picks_g)
+    ref = intmat.frac_inverse(f.matrix)
+    want = intmat.identity(16)
+    for _ in range(k):
+        want = intmat.mat_mul(want, ref)
+    for got, expected in (
+            (isometry.inverse(f), ref), (isometry.power(f, -k), want),
+            (isometry.conjugate(f, g), intmat.mat_mul(
+                intmat.mat_mul(g.matrix, f.matrix), intmat.frac_inverse(g.matrix)))):
+        assert got.matrix == expected
+        assert set(map(type, itertools.chain.from_iterable(got.matrix))) == {int}
+
+
+def test_inverse_refuses_a_remainder():
+    """A Gram product whose solve leaves a remainder is no isometry."""
+    fake = mock.Mock(lattice=lattice.build_named("A1"), gram_matrix=[[1]])
+    with pytest.raises(ValueError, match="not integral"):
+        isometry.inverse(fake)
 
 
 # ---------------------------------------------------------------------------

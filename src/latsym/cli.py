@@ -303,15 +303,14 @@ def _table_file_result(model, rows, path):
     try:
         f = isometry.isometry_from_json(_load_json_file(path))
     except (ValueError, TypeError) as exc:
-        return {"file": path.name, "status": "error", "detail": str(exc)}
+        return {"status": "error", "detail": str(exc)}
     try:
         rep = isometry.report(model, f, fixture=rows)
     except ValueError as exc:
-        return {"file": path.name, "status": "fail", "detail": str(exc)}
+        return {"status": "fail", "detail": str(exc)}
     if not rep.symplectic:
-        return {"file": path.name, "status": "fail",
-                "detail": "isometry is not symplectic"}
-    return {"file": path.name, "status": "ok", "row": rep.table_row,
+        return {"status": "fail", "detail": "isometry is not symplectic"}
+    return {"status": "ok", "row": rep.table_row,
             "order": rep.order, "disc_order": rep.disc_order,
             "inv_genus": rep.inv_genus, "coinv_genus": rep.coinv_genus,
             "regular": rep.regular}
@@ -334,7 +333,8 @@ def cmd_verify_table(args, emit):
         raise ValueError("no isometry files under %s" % root)
     rows = _load_fixture(args.fixture)
     model = lattice.standard_model()
-    results = [_table_file_result(model, rows, p) for p in paths]
+    results = [{"file": p.relative_to(root).as_posix(),
+                **_table_file_result(model, rows, p)} for p in paths]
     results.sort(key=lambda r: (r.get("row", 10**9), r["file"]))
 
     failures = 0

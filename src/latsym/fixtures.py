@@ -70,10 +70,12 @@ def load_table(path=None):
 def _override_rows(data):
     """The rows of an override table, ValueError unless it is an object with
     a list of row objects that carry int no, order and disc_order, a bool
-    regular, a type, and genus strings that parse_genus accepts (or null)."""
+    regular, a type, and genus strings that parse_genus accepts (or null),
+    and no two rows share a number."""
     rows = data.get("rows") if isinstance(data, dict) else None
     if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
         raise ValueError("a class table is an object with a list of row objects")
+    seen = set()
     for i, row in enumerate(rows):
         kinds = [type(row.get(k)) for k in ("no", "order", "disc_order", "regular")]
         texts = [row.get(k, 0) for k in _GENUS_FIELDS]
@@ -82,6 +84,9 @@ def _override_rows(data):
             raise ValueError("class table row %d needs int no, order and "
                              "disc_order, a bool regular, a type and genus "
                              "strings or nulls" % i)
+        if row["no"] in seen:
+            raise ValueError("class table row %d repeats row %d" % (i, row["no"]))
+        seen.add(row["no"])
         for text in (t for t in texts if t is not None):
             try:
                 genus.parse_genus(text)
@@ -166,50 +171,3 @@ def model_vector(model, expr):
             out[i] += sign * coef * vec[i]
         pos = m.end()
     return out
-
-
-def fixture_problems():
-    """Internal consistency problems of the bundled data; empty when sound.
-
-    Checks counts, string grammar roundtrips, the oddity formula on every
-    genus string of the loaded table and the orbit sample's squares and
-    divisibilities.  Genus values are not recomputed here; that is the job
-    of the table verification command.
-    """
-    problems = []
-    rows = load_table()
-    if len(rows) != 32:
-        problems.append("expected 32 class rows, found %d" % len(rows))
-    regular = sum(1 for r in rows if r["regular"])
-    if regular != 21:
-        problems.append("expected 21 regular rows, found %d" % regular)
-    for r in rows:
-        for key in _GENUS_FIELDS:
-            text = r[key]
-            if text is None:
-                continue
-            try:
-                sym = genus.parse_genus(text)
-                if genus.render_genus(sym) != text:
-                    problems.append("row %d: %s does not re-render" % (r["no"], key))
-                if not genus.signature_consistent(sym):
-                    problems.append("row %d: %s violates the oddity formula"
-                                    % (r["no"], key))
-            except ValueError as exc:
-                problems.append("row %d: %s does not parse (%s)" % (r["no"], key, exc))
-        if r["invariant_expr"] is not None:
-            try:
-                lattice.build_named(r["invariant_expr"])
-            except ValueError as exc:
-                problems.append("row %d: invariant_expr (%s)" % (r["no"], exc))
-    model = lattice.standard_model()
-    orows = load_orbit_table()
-    if len(orows) != 6:
-        problems.append("expected 6 orbit rows, found %d" % len(orows))
-    for row in orows:
-        v = row["vector"]
-        if model.lattice.square(v) != row["square"]:
-            problems.append("orbit %d: square mismatch" % row["label"])
-        if model.lattice.divisibility(v) != row["div"]:
-            problems.append("orbit %d: divisibility mismatch" % row["label"])
-    return problems

@@ -274,7 +274,6 @@ class Sublattice:
     """A saturated sublattice, presented by basis rows in ambient coordinates."""
 
     def __init__(self, ambient, rows, name=None):
-        self.ambient = ambient
         self.rows = [list(r) for r in rows]
         # the pairing rows G r (G is symmetric), for the Gram, the
         # orthogonal complement and the wall scan

@@ -303,9 +303,7 @@ class StandardModel:
     """
 
     def __init__(self):
-        self.lattice = direct_sum(
-            rescale(hyperbolic(), 2), rescale(hyperbolic(), 2),
-            rescale(hyperbolic(), 2), root_E8(), root_A(1), root_A(1))
+        self.lattice = build_named("U(2)^3+E8+A1^2")
         self.rank = 16
         n = self.rank
         self.named = {

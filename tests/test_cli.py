@@ -560,6 +560,8 @@ def _bad_fixture(case):
         rows[0]["invariant_genus"] = "II_(3,13)1^2"
     elif case == "rank 10^8":
         rows[0]["invariant_genus"] = "II_(0,2)3^{99999999}"
+    elif case == "repeated row":
+        rows = [rows[0], rows[0]]
     return {"missing": None, "list": "[1]", "no order": '{"rows": [{"no": 1}]}',
             "nested": "[" * 100000 + "]" * 100000}.get(
                 case, json.dumps({"rows": rows}))
@@ -567,7 +569,7 @@ def _bad_fixture(case):
 
 @pytest.mark.parametrize("command", ["report", "verify-table"])
 @pytest.mark.parametrize("case", ["missing", "list", "no order", "nested",
-                                  "scale 1", "rank 10^8"])
+                                  "scale 1", "rank 10^8", "repeated row"])
 def test_bad_fixture_is_an_input_error(tmp_path, command, case):
     """An override class table is checked once, when it is loaded: each of
     these exited 1 with a traceback, or ran on until stopped, before."""
@@ -748,6 +750,26 @@ def test_verify_table_env(capsys, tmp_path, monkeypatch, model):
     rc, out, _err = run(capsys, ["verify-table"])
     assert rc == 1
     assert "row1.json" in out
+
+
+def test_verify_table_labels_files_by_path_under_root(capsys, tmp_path, model):
+    """The walk reaches subdirectories, so each file is labelled by its path
+    under the root: a/row.json and b/row.json stay apart."""
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+    write_isometry(tmp_path / "a" / "row.json",
+                   isometry.identity_isometry(model.lattice))
+    (tmp_path / "b" / "row.json").write_text('{"lattice": "Lambda"}')
+    write_isometry(tmp_path / "top.json", isometry.exceptional_involution(model))
+    rc, out, _err = run(capsys, ["verify-table", str(tmp_path)])
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[:2] == ["ok   row  1 a/row.json (order 1, regular True)",
+                         "ok   row  2 top.json (order 2, regular True)"]
+    assert lines[2].startswith("FAIL b/row.json: ")
+    rc, out, _err = run(capsys, ["verify-table", str(tmp_path), "--format", "json"])
+    assert [json.loads(line)["file"] for line in out.splitlines()[:3]] == [
+        "a/row.json", "top.json", "b/row.json"]
 
 
 def test_verify_table_json_lines(capsys, tmp_path, model):

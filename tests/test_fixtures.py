@@ -56,10 +56,6 @@ def test_orbit_table_shape():
         assert lam.divisibility(r["vector"]) == r["div"]
 
 
-def test_fixture_problems_empty():
-    assert fixtures.fixture_problems() == []
-
-
 def test_checksum_enforced(tmp_path):
     src = fixtures._DATA / "table1.json"
     tampered = tmp_path / "table1.json"
@@ -131,15 +127,6 @@ def test_stale_erratum_raises(monkeypatch, erratum, message):
     monkeypatch.setattr(fixtures, "load_errata", lambda: [erratum])
     with pytest.raises(ValueError, match=message):
         fixtures.load_table()
-
-
-def test_fixture_problems_catch_oddity_slip(monkeypatch):
-    # without the errata the printed row 30 is loaded and must be flagged
-    monkeypatch.setattr(fixtures, "load_errata", lambda: [])
-    assert fixtures.fixture_problems() == [
-        "row 30: invariant_genus violates the oddity formula",
-        "row 30: coinvariant_genus violates the oddity formula",
-    ]
 
 
 def test_model_vector():

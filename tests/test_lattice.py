@@ -228,6 +228,13 @@ def test_standard_model_invariants():
     assert lam.det() == -256
     assert lam.signature() == (3, 13)
     assert lam.is_even
+    # build_named("U(2)^3+E8+A1^2") is the sum of the six summands in order
+    u2 = lattice.rescale(lattice.hyperbolic(), 2)
+    summands = lattice.direct_sum(u2, u2, u2, lattice.root_E8(),
+                                  lattice.root_A(1), lattice.root_A(1))
+    assert (lam.gram, lam.name, lam.jordan) == (
+        summands.gram, summands.name, summands.jordan)
+    assert lam.name == "U(2)+U(2)+U(2)+E8+A1+A1"
 
     sq_div = {
         "a1_first": (-2, 2),

@@ -63,10 +63,10 @@ def _load_json_file(path):
 
 def _load_lattice(target):
     """A lattice from a JSON file path, a lattice expression, or the default.
-    A target that exists, ends in .json or holds a / is a file path."""
+    A target that is a file, ends in .json or holds a / is a file path."""
     if target is None:
         return lattice.standard_model().lattice
-    if target.endswith(".json") or "/" in target or Path(target).exists():
+    if target.endswith(".json") or "/" in target or Path(target).is_file():
         data = _load_json_file(target)     # its errors carry their own context
         try:
             return lattice.lattice_from_json(data)
@@ -101,8 +101,7 @@ def cmd_info(args, emit):
         "det": lat.det(),
         "genus": genus.canonical_string(genus.genus_symbol(lat)),
     }
-    emit.record(rec, "\n".join("%s: %s" % (k, rec[k]) for k in
-                               ("name", "rank", "signature", "even", "det", "genus")))
+    emit.record(rec, "\n".join("%s: %s" % kv for kv in rec.items()))
     return 0
 
 
@@ -179,10 +178,8 @@ def cmd_report(args, emit):
             return 1
         raise
     d = rep.as_dict()
-    lines = ["%s: %s" % (k, d[k]) for k in (
-        "order", "disc_order", "inv_genus", "coinv_genus", "in_O_plus",
-        "coinv_neg_def", "symplectic", "regular", "exceptional",
-        "type_letter", "table_row")]
+    lines = ["%s: %s" % kv for kv in d.items()
+             if kv[0] not in ("coinv_generator_divisibility", "witnesses")]
     for w in rep.witnesses:
         lines.append("witness %s %s" % (w.wclass, list(w.vector)))
     emit.record(d, "\n".join(lines))

@@ -12,6 +12,7 @@ are exact.
 """
 
 from functools import cached_property, reduce
+from itertools import product
 from math import lcm, prod
 from operator import index, itemgetter, mul, xor
 
@@ -78,10 +79,7 @@ class TorsionQuadModule:
 
     @cached_property
     def _elems(self):
-        elems = [()]
-        for d in self.orders:
-            elems = [e + (c,) for e in elems for c in range(d)]
-        return elems
+        return list(product(*map(range, self.orders)))
 
     @cached_property
     def _eidx(self):
@@ -481,10 +479,7 @@ class _StabilizerChain:
                 i -= 1
 
     def order(self):
-        total = 1
-        for t in self.trans:
-            total *= len(t)
-        return total
+        return prod(map(len, self.trans))
 
     def contains(self, p):
         residue, _ = self._strip(tuple(p), 0)

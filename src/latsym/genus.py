@@ -312,9 +312,7 @@ def padic_jordan(lat, p):
 def genus_symbol(lat):
     """The genus symbol of a Lattice."""
     pos, neg = lat.signature()
-    det = lat.det()
-    local = {p: _local_symbol(_pieces(lat, p), p)
-             for p in sorted(set([2] + _prime_factors(det)))}
+    local = {p: padic_jordan(lat, p) for p in sorted({2, *_prime_factors(lat.det())})}
     return GenusSymbol(pos, neg, lat.is_even, local)
 
 

@@ -101,7 +101,6 @@ def inverse(f):
 
 def conjugate(f, g):
     """g o f o g^-1; carries the mirror of a reflection through g."""
-    _same_lattice(f, g)
     return compose(compose(g, f), inverse(g))
 
 

@@ -270,7 +270,7 @@ def orthogonal_complement(lat, rows, pair=None):
     """Basis of {x in L : <x, r> = 0 for all r}, a saturated sublattice;
     pair, when given, holds the pairing rows G r."""
     if not rows:
-        return [list(r) for r in intmat.identity(lat.rank)]
+        return intmat.identity(lat.rank)
     if pair is None:
         pair = intmat.mat_mul(rows, lat.gram)
     return intmat.kernel_basis(pair)

@@ -159,28 +159,26 @@ def coinvariant_wall_scan(model, f, pex_only=False):
     # bits 0..n-1: G row mod 2; bits n..n+5: row mod 2 on the blocks
     masks = [intmat.f2_mask(gr + r[:6]) for r, gr in zip(rows, coinv.gram_rows)]
     even = (1 << model.rank) - 1
-    walks = ((-2, 0), (-4, even), (-6, even), (-12, -1))[:2 if pex_only else 4]
+    classes = (((0, (-2,)), (even, (-4,))) if pex_only else
+               ((0, (-2,)), (even, (-4, -6)), (-1, (-12,))))
     # a Lattice, so one elimination, per distinct Gram walked
-    lats = {str(gram): coinv.lattice}
-    parity = {bits: _parity_sublattice(gram, masks, bits) if bits
-              else (None, gram) for bits in {bits for _t, bits in walks}}
-    norms = {bits: _norm(sub_gram) for bits, (_b, sub_gram) in parity.items()}
+    lats = [coinv.lattice]
     both = [r + gr for r, gr in zip(rows, coinv.gram_rows)]
     n = model.rank
     witnesses = []
-    for t, bits in walks:
-        if t % norms[bits]:
-            continue
-        basis, sub_gram = parity[bits]
-        if str(sub_gram) not in lats:
-            lats[str(sub_gram)] = lattice.Lattice(sub_gram)
-        found = short_vectors(lats[str(sub_gram)], t)
-        if basis is not None:
-            found = sorted(map(_first_positive, intmat.mat_mul(found, basis)))
-        for vgv in intmat.mat_mul(found, both):
-            w = wall_class(model, vgv[:n], vgv[n:])
-            if w is not None:
-                witnesses.append(w)
+    for bits, squares in classes:
+        basis, sub_gram = _parity_sublattice(gram, masks, bits) if bits else (None, gram)
+        norm = _norm(sub_gram)
+        for t in squares:
+            if t % norm:
+                continue
+            if all(m.gram != sub_gram for m in lats):
+                lats.append(lattice.Lattice(sub_gram))
+            found = short_vectors(next(m for m in lats if m.gram == sub_gram), t)
+            if basis is not None:
+                found = sorted(map(_first_positive, intmat.mat_mul(found, basis)))
+            vgvs = intmat.mat_mul(found, both)
+            witnesses += filter(None, (wall_class(model, v[:n], v[n:]) for v in vgvs))
     return witnesses
 
 

@@ -62,6 +62,21 @@ def test_info_bad_expression(capsys):
     assert err.startswith("error: cannot interpret 'U+Q9' as a lattice: ")
 
 
+def test_info_empty_expression(capsys):
+    # "" names no file (Path("") is the working directory)
+    rc, out, err = run(capsys, ["info", ""])
+    assert (rc, out) == (2, "")
+    assert err == "error: cannot interpret '' as a lattice: empty lattice expression\n"
+
+
+def test_info_expression_beside_a_same_named_directory(capsys, tmp_path, monkeypatch):
+    (tmp_path / "E8").mkdir()
+    monkeypatch.chdir(tmp_path)
+    rc, out, _err = run(capsys, ["info", "E8"])
+    assert rc == 0
+    assert "rank: 8" in out.splitlines()
+
+
 @pytest.mark.parametrize("command", ["info", "genus"])
 @pytest.mark.parametrize("name", ["missing.json", "sub/lattice"])
 def test_missing_lattice_file(capsys, tmp_path, command, name):

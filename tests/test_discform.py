@@ -179,3 +179,48 @@ def test_small_reflection_group():
 def test_module_caching():
     lam = lattice.standard_model().lattice
     assert discform.discriminant_form(lam) is discform.discriminant_form(lam)
+
+
+
+# Z/3, (Z/2)^2, Z/2 x Z/4, and Z/2 with no source lattice
+Z3, Z2_2, Z2_4 = (discform.discriminant_form(lattice.build_named(e))
+                  for e in ("A2", "A1^2", "A1+A3"))
+BARE = discform.TorsionQuadModule([2], [1], [[2]])
+# g1 -> g1, g2 -> g1 + g2 on (Z/2)^2: q(g1 + g2) = 1, q(g2) = 3/2
+SHEAR = discform.FqmIsometry(Z2_2, [[1, 1], [0, 1]])
+BARE_ID = discform.FqmIsometry(BARE, [[1]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: discform.TorsionQuadModule([1], [0], [[0]]), "orders must all exceed 1"),
+    (lambda: discform.TorsionQuadModule([2, 3], [], []), "orders must form a divisor chain"),
+    (lambda: discform.TorsionQuadModule([2], [], []), "generator data does not match orders"),
+    (lambda: discform.TorsionQuadModule([2], [1], [[0]]),
+     "polar diagonal must be 2q of the generator"),
+    (lambda: discform.TorsionQuadModule([2, 2], [0, 0], [[0, 1], [3, 0]]),
+     "polar form must be symmetric"),
+    (lambda: Z2_2.reduce((0,)), "coordinate length does not match module rank"),
+    (lambda: BARE.lift((1,)), "module has no source lattice"),
+    (lambda: BARE.dual_class([1], 2), "module has no source lattice"),
+    (lambda: discform.Subgroup(Z3, []), "subgroups are supported for 2-elementary modules"),
+    (lambda: discform.kernel_and_radical(Z3), "kernel/radical needs a 2-elementary module"),
+    (lambda: discform.transvection(Z3, (1,)), "transvections need a 2-elementary module"),
+    (lambda: discform.full_reflection_group(Z3),
+     "reflection groups need a 2-elementary module"),
+    (lambda: discform.FqmIsometry(Z2_2, [[1, 0]]), "matrix shape does not match module"),
+    (lambda: discform.FqmIsometry(Z2_4, [[1, 0], [1, 1]]),
+     "matrix does not define a homomorphism"),
+    (lambda: SHEAR.compose(BARE_ID), "isometries live on different modules"),
+    (lambda: discform._StabilizerChain(3).add((0, 1)), "permutation degree mismatch"),
+    (lambda: discform.FiniteIsometryGroup(
+        discform.discriminant_form(lattice.build_named("A1^11")), []),
+     "module too large for group enumeration"),
+    (lambda: discform.FiniteIsometryGroup(Z2_2, [BARE_ID]),
+     "generators live on different modules"),
+    (lambda: discform.FiniteIsometryGroup(Z2_2, [SHEAR]), "generators must preserve q"),
+    (lambda: discform.FiniteIsometryGroup(Z2_2, []).contains(BARE_ID),
+     "isometry lives on a different module")])
+def test_public_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -238,3 +238,12 @@ def test_checksums_without_builtin_sha256(monkeypatch, tmp_path):
         monkeypatch.undo()
         importlib.reload(fixtures)
     assert fixtures.sha256 is not hashlib.sha256
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fixtures.model_vector(standard_model(), "e0+x(1)"),
+     "unknown parametrized vector 'x'")])
+def test_public_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

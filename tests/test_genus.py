@@ -292,3 +292,16 @@ def test_odd_symbols_parse_back(g):
     assert genus.render_genus(back) == text and genus.genus_equal(back, sym)
     canon = genus.canonical_string(sym)
     assert genus.canonical_string(genus.parse_genus(canon)) == canon
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: genus.parse_genus("II_(0,2)2^2,3^1"), "cannot parse genus symbol 'II_(0,2)2^2,3^1'"),
+    (lambda: genus.parse_genus("II_(0,2)2^0"), "zero-rank constituent in 'II_(0,2)2^0'"),
+    (lambda: genus.parse_genus("II_(0,2)3^1_1"),
+     "oddity subscript at odd prime in 'II_(0,2)3^1_1'"),
+    (lambda: genus.signature_consistent(genus.GenusSymbol(0, 2, True, {})),
+     "symbol has no 2-adic data")])
+def test_public_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -2535,14 +2535,14 @@ def fresh_goldens():
 def test_coinvariant_order_matches_ambient_reference():
     """order_of on the action A on the coinvariant lattice agrees with the
     n x n path and with the order over Z on the golden isometries, whose
-    coinvariant ranks and orders cover s = 0, 1, 2, 3, 4, 6, 8, 10 and 16
+    coinvariant ranks and orders cover s = 0, 1, 2, 3, 4, 5, 6, 8, 10 and 16
     and 1, 2, 3, 4 and 6 (the sample words among them)."""
     seen = set()
     for name, f in fresh_goldens().items():
         order = isometry.order_of(f)
         assert order == ref_ambient_order_of(f) == ref_order_of(f), name
         seen.add((isometry.invariant_coinvariant(f)[1].rank, order))
-    assert {s for s, _ in seen} == {0, 1, 2, 3, 4, 6, 8, 10, 16}
+    assert {s for s, _ in seen} == {0, 1, 2, 3, 4, 5, 6, 8, 10, 16}
     assert {o for _, o in seen} == {1, 2, 3, 4, 6}
 
 
@@ -3034,9 +3034,9 @@ def genus_symbol_set():
 
 def test_genus_equal_matches_reference():
     """Canonical-string equality against the per-prime walk, on every pair
-    of symbols with the same signature and parity (702 symbols)."""
+    of symbols with the same signature and parity (706 symbols)."""
     symbols = genus_symbol_set()
-    assert len(symbols) == 702
+    assert len(symbols) == 706
     by_head = {}
     for label, sym in symbols:
         by_head.setdefault((sym.pos, sym.neg, sym.even), []).append((label, sym))

@@ -1,9 +1,9 @@
 """Source hygiene of src/latsym, read with ast: every import of a module is
 used in it, every module-level private function or class is referenced
-somewhere in src/latsym, tests or perfbench, no statement follows a
-return, raise, continue or break in its block, and Fraction is named only
-by the few functions that answer with one.  An import, helper or
-statement that a change leaves behind fails here instead of staying."""
+in src/latsym itself, no statement follows a return, raise, continue or
+break in its block, and Fraction is named only by the few functions that
+answer with one.  An import, helper or statement that a change leaves
+behind fails here instead of staying."""
 
 import ast
 from pathlib import Path
@@ -38,10 +38,10 @@ def test_every_import_is_used(path):
 
 
 def test_every_private_helper_is_referenced():
+    # a helper that only tests or perfbench call belongs there, not in src
     referenced = set()
-    for top in (SRC, ROOT / "tests", ROOT / "perfbench"):
-        for path in top.rglob("*.py"):
-            referenced |= _references(_tree(path))
+    for path in MODULES:
+        referenced |= _references(_tree(path))
     orphans = [
         "%s.%s" % (path.stem, node.name)
         for path in MODULES for node in _tree(path).body

@@ -291,3 +291,12 @@ def test_wall_scan_eliminates_each_distinct_gram_once(monkeypatch, name, passes,
     for t in (-2, -4, -6, -12):
         if t not in targets:
             assert _parity_vectors(model, coinv, t) == [], t
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: walls.short_vectors(lattice.root_A(1), 0), "target square must be negative"),
+    (lambda: walls.wall_class(standard_model(), [1] * 15), "vector length does not match rank")])
+def test_public_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
